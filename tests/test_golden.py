@@ -1,0 +1,147 @@
+"""Golden hashes of trajectories and bench artifacts.
+
+A refactor of the step rules or of the config path must leave every number
+the package produces bit for bit as it was. These tests pin sha256 hashes of
+
+* the per-step log rows (without the wall-clock column) and the final point
+  of all seven methods on the README task, once with constant schedules and
+  once with ``inverse_sqrt`` schedules, coupled weight decay and
+  ``fad_ratio = 0.5``;
+* the files of one tiny ``flatmin bench`` run.
+
+Floating-point results depend on the numpy/BLAS build, so on a different
+build these hashes may need to be taken again from a known-good commit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from flatmin.cli import main
+from flatmin.objectives import MLPObjective
+from flatmin.optimizers import METHODS, OptimizerConfig, run_training
+from flatmin.shiftbench import DomainSpec, generate_domains, pool_domains
+
+ITERATIONS = 30
+
+CONSTANT = {
+    "sgd": OptimizerConfig("sgd", eta0=0.5, batch_size=32),
+    "momentum_sgd": OptimizerConfig("momentum_sgd", eta0=0.1, momentum=0.9, batch_size=32),
+    "adam": OptimizerConfig("adam", eta0=0.01, batch_size=32),
+    "adamw": OptimizerConfig("adamw", eta0=0.01, weight_decay=1e-3, batch_size=32),
+    "sam": OptimizerConfig("sam", eta0=0.5, rho0=0.1, batch_size=32),
+    "gam": OptimizerConfig("gam", eta0=0.5, rho0=0.2, beta=0.1, batch_size=32),
+    "fad": OptimizerConfig("fad", eta0=0.5, rho0=0.2, alpha=0.5, beta=0.1, batch_size=32),
+}
+
+SCHEDULED = {
+    method: replace(
+        cfg,
+        schedule="inverse_sqrt",
+        rho0=0.2,
+        weight_decay=1e-2,
+        fad_ratio=0.5,
+        momentum=0.9 if method == "momentum_sgd" else 0.0,
+    )
+    for method, cfg in CONSTANT.items()
+}
+
+TRAJECTORY_HASHES = {
+    "constant": {
+        "sgd": "1df414a1b644833d458335564f0d62122e6180c3a392c270029c640ed41a7f06",
+        "momentum_sgd": "7a1f2415e6fefdd04637162f0cbbe93c2cd8570561c8af70e3c193aa9e46e0f4",
+        "adam": "596ef1b47956d90fa06dc02b1153d9832c50b54cbffc7948889b546cecc906d5",
+        "adamw": "e45958d60d32e621727aba1985edb55c16ef27a516dc05ab1e7bb12681b51a8c",
+        "sam": "5f1922e27a28b0f8908b2f3533c81cff68d81ad5c40da110b4c5570c756cfca0",
+        "gam": "853163b307040db21a148a1cf743629e70b2b39b8002152c45cc228e30185217",
+        "fad": "35e6453c7b646cf44951345d595d6ce3b984979b192dd6155b2655d3c9d97193",
+    },
+    "inverse_sqrt": {
+        "sgd": "a0590fa04c29d1bf1bea20c64815a3d55ed78b4faf0d8e8e8ef8d92253e1d91e",
+        "momentum_sgd": "c7ecab0e6a36b9e028bf7a47768f2675702152b10c48af3741fa620e8686bd8f",
+        "adam": "ac258ae22eb084be4d28a5423dc645863bd00b7449cfb08c91b917e62a688972",
+        "adamw": "7017799236932fa87dc5226a7b29c59c203242ebb1c4d86d730bc9f734d1b059",
+        "sam": "ca1e740b7ad0241e5a80a33d28adb23317545297fed2ff53f43f5141d9f0adbb",
+        "gam": "c5f7097893563dc3503ae93ddb3af9b7133651db9aa6abc6fd68741133bffc77",
+        "fad": "f51138322007c03a93056a71c93b4864c59cb6ee8f310d636d9e0253917963c1",
+    },
+}
+
+BENCH_HASHES = {
+    "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
+    "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
+    "bench.json": "9e7f426257bfbedaae88655781f2c87c0399ba3a4698adbbb169faa624d995d7",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def readme_task():
+    md = generate_domains(DomainSpec(), 11)
+    obj = MLPObjective((2, 16, 3), pool_domains(md, tuple(range(md.n_domains))))
+    return obj, obj.init_params(np.random.default_rng([3, 2]))
+
+
+def trajectory_hash(obj, theta0, config) -> str:
+    record = run_training(obj, theta0, config, ITERATIONS, seed=3)
+    rows = [{k: v for k, v in row.items() if k != "wall_ms"} for row in record.rows]
+    text = json.dumps(rows, sort_keys=True).encode()
+    return sha256(text + record.theta_final.tobytes())
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("schedule,configs", [("constant", CONSTANT), ("inverse_sqrt", SCHEDULED)])
+def test_trajectory_is_unchanged(readme_task, schedule, configs, method):
+    obj, theta0 = readme_task
+    assert trajectory_hash(obj, theta0, configs[method]) == TRAJECTORY_HASHES[schedule][method]
+
+
+BENCH_DOC = {
+    "seed": 5,
+    "data": {
+        "spec": {"n_domains": 3, "per_domain_n": 30, "num_classes": 3, "noise": 0.4},
+        "seed": 7,
+    },
+    "methods": ["momentum_sgd", "fad"],
+    "protocol": {
+        "n_hparam_trials": 2,
+        "seeds_per_trial": 2,
+        "iterations": 15,
+        "report_restarts": 2,
+        "report_ascent_steps": 3,
+        "report_probes": 4,
+        "report_k_eigs": 1,
+        "search": {"log2_batch": [3.0, 4.0], "fad_beta": [0.1, 0.5]},
+    },
+}
+
+
+def bench_json_hash(data: bytes) -> str:
+    """Hash of bench.json as canonical JSON, without the reports' ``ascent_lr``.
+
+    That budget key had a single value in use and was removed from the
+    report; every other byte must stay as it was.
+    """
+    doc = json.loads(data)
+    for cell in doc["cells"]:
+        for report in cell["flatness"]:
+            report["budget"].pop("ascent_lr", None)
+    return sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+
+
+def test_bench_files_are_unchanged(tmp_path):
+    cfg = tmp_path / "bench.json.in"
+    cfg.write_text(json.dumps(BENCH_DOC))
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    assert sha256((out / "bench_table.csv").read_bytes()) == BENCH_HASHES["bench_table.csv"]
+    assert sha256((out / "bench_hparams.json").read_bytes()) == BENCH_HASHES["bench_hparams.json"]
+    assert bench_json_hash((out / "bench.json").read_bytes()) == BENCH_HASHES["bench.json"]
