@@ -47,19 +47,10 @@ from .optimizers import (
     OptimizerState,
     RunRecord,
     StepTrace,
-    adam_step,
-    adamw_step,
     convergence_check,
-    fad_step,
-    gam_step,
-    momentum_sgd_step,
     run_training,
-    sam_step,
     schedule_value,
-    sgd_step,
     step,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -163,60 +163,12 @@ def schedule_value(base: float, schedule: str, t: int) -> float:
     raise ConfigError(f"unknown schedule '{schedule}'")
 
 
-def _draw_batch(obj: Objective, state: OptimizerState, config: OptimizerConfig) -> Batch | None:
-    if obj.dataset is None or config.batch_size is None:
-        return None
-    return sample_batch(obj.dataset, config.batch_size, state.rng)
-
-
 def _grad(obj: Objective, theta: Vector, batch: Batch | None, wd: float) -> Vector:
     # coupled L2: the regularized objective's gradient at the evaluation point
     g = eval_grad(obj, theta, batch)
     if wd != 0.0:
         g = g + wd * theta
     return g
-
-
-def _finish(theta_next: Vector) -> Vector:
-    if not np.all(np.isfinite(theta_next)):
-        raise NumericalError("parameter update produced non-finite values")
-    return theta_next
-
-
-StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, StepTrace]]
-
-
-def sgd_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay)
-    zero = np.zeros_like(g0)
-    state.t = t
-    trace = StepTrace(t, eta, rho, loss0, g0, zero, zero, g0, False)
-    return _finish(theta - eta * g0), trace
-
-
-def momentum_sgd_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay)
-    if state.momentum_buf is None:
-        state.momentum_buf = np.zeros_like(g0)
-    state.momentum_buf = config.momentum * state.momentum_buf + g0
-    zero = np.zeros_like(g0)
-    state.t = t
-    trace = StepTrace(t, eta, rho, loss0, g0, zero, zero, state.momentum_buf, False)
-    return _finish(theta - eta * state.momentum_buf), trace
 
 
 def _adam_direction(
@@ -233,121 +185,72 @@ def _adam_direction(
     return mhat / (np.sqrt(vhat) + config.adam_eps)
 
 
-def adam_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay)
-    direction = _adam_direction(g0, state, config, t)
-    zero = np.zeros_like(g0)
-    state.t = t
-    trace = StepTrace(t, eta, rho, loss0, g0, zero, zero, direction, False)
-    return _finish(theta - eta * direction), trace
-
-
-def adamw_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    """Adam with decoupled decay: theta shrinks by (1 - eta_t*wd) outside the moments."""
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, 0.0)
-    direction = _adam_direction(g0, state, config, t)
-    zero = np.zeros_like(g0)
-    state.t = t
-    trace = StepTrace(t, eta, rho, loss0, g0, zero, zero, direction, False)
-    return _finish(theta * (1.0 - eta * config.weight_decay) - eta * direction), trace
-
-
-def sam_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    """Descend along the gradient at the local ascent point theta + rho*g0/(|g0|+xi)."""
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay)
-    ascent = theta + rho * g0 / (np.linalg.norm(g0) + config.xi)
-    g1 = _grad(obj, ascent, batch, config.weight_decay)
-    state.t = t
-    trace = StepTrace(
-        t, eta, rho, loss0, g0, g1 - g0, np.zeros_like(g0), g1, True, g1=g1
-    )
-    return _finish(theta - eta * g1), trace
-
-
-def _fad_core(
-    obj: Objective,
-    theta: Vector,
-    state: OptimizerState,
-    config: OptimizerConfig,
-    alpha: float,
-) -> tuple[Vector, StepTrace]:
-    t = state.t + 1
-    eta = schedule_value(config.eta0, config.schedule, t)
-    rho = schedule_value(config.rho0, config.schedule, t)
-    batch = _draw_batch(obj, state, config)
-    loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay)
-    applied = bool(state.ratio_rng.uniform() < config.fad_ratio)
-    if applied:
-        xi = config.xi
-        ascent1 = theta + rho * g0 / (np.linalg.norm(g0) + xi)
-        g1 = _grad(obj, ascent1, batch, config.weight_decay)
-        h0 = g1 - g0
-        ascent2 = theta + rho * h0 / (np.linalg.norm(h0) + xi)
-        g2 = _grad(obj, ascent2, batch, config.weight_decay)
-        ascent3 = ascent2 + rho * g2 / (np.linalg.norm(g2) + xi)
-        g3 = _grad(obj, ascent3, batch, config.weight_decay)
-        h1 = g3 - g2
-        delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
-        trace = StepTrace(t, eta, rho, loss0, g0, h0, h1, delta, True, g1=g1, g2=g2, g3=g3)
-    else:
-        zero = np.zeros_like(g0)
-        delta = g0
-        trace = StepTrace(t, eta, rho, loss0, g0, zero, zero, delta, False)
-    state.t = t
-    return _finish(theta - eta * delta), trace
-
-
-def fad_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    """One flatness-aware descent step; see the module docstring for the update."""
-    return _fad_core(obj, theta, state, config, config.alpha)
-
-
-def gam_step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
-    """Gradient-norm-only variant: the fad step with alpha pinned to 0."""
-    return _fad_core(obj, theta, state, config, 0.0)
-
-
-STEP_FUNCTIONS: dict[str, StepFn] = {
-    "sgd": sgd_step,
-    "momentum_sgd": momentum_sgd_step,
-    "adam": adam_step,
-    "adamw": adamw_step,
-    "sam": sam_step,
-    "gam": gam_step,
-    "fad": fad_step,
-}
+StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, StepTrace]]
 
 
 def step(
     obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
 ) -> tuple[Vector, StepTrace]:
-    return STEP_FUNCTIONS[config.method](obj, theta, state, config)
+    """One step of ``config.method``; see the module docstring for the fad update.
+
+    ``sam`` descends along the gradient at the ascent point
+    theta + rho*g0/(|g0|+xi); ``gam`` is the fad step with alpha pinned to 0;
+    ``adamw`` shrinks theta by (1 - eta_t*wd) outside the Adam moments, where
+    every other method adds the decay to each gradient it evaluates.
+    """
+    method = config.method
+    t = state.t + 1
+    eta = schedule_value(config.eta0, config.schedule, t)
+    rho = schedule_value(config.rho0, config.schedule, t)
+    wd = 0.0 if method == "adamw" else config.weight_decay
+    batch = None
+    if obj.dataset is not None and config.batch_size is not None:
+        batch = sample_batch(obj.dataset, config.batch_size, state.rng)
+    loss0 = eval_loss(obj, theta, batch)
+    g0 = _grad(obj, theta, batch, wd)
+    h0 = h1 = np.zeros_like(g0)
+    g1 = g2 = g3 = None
+    applied = False
+    if method == "sgd":
+        delta = g0
+    elif method == "momentum_sgd":
+        if state.momentum_buf is None:
+            state.momentum_buf = np.zeros_like(g0)
+        state.momentum_buf = config.momentum * state.momentum_buf + g0
+        delta = state.momentum_buf
+    elif method in ("adam", "adamw"):
+        delta = _adam_direction(g0, state, config, t)
+    elif method == "sam":
+        g1 = _grad(obj, theta + rho * g0 / (np.linalg.norm(g0) + config.xi), batch, wd)
+        h0 = g1 - g0
+        delta = g1
+        applied = True
+    else:
+        # the coin comes from its own stream, so fad_ratio never changes the batches
+        applied = bool(state.ratio_rng.uniform() < config.fad_ratio)
+        delta = g0
+        if applied:
+            xi = config.xi
+            alpha = 0.0 if method == "gam" else config.alpha
+            g1 = _grad(obj, theta + rho * g0 / (np.linalg.norm(g0) + xi), batch, wd)
+            h0 = g1 - g0
+            ascent2 = theta + rho * h0 / (np.linalg.norm(h0) + xi)
+            g2 = _grad(obj, ascent2, batch, wd)
+            g3 = _grad(obj, ascent2 + rho * g2 / (np.linalg.norm(g2) + xi), batch, wd)
+            h1 = g3 - g2
+            delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
+    if method == "adamw":
+        theta = theta * (1.0 - eta * config.weight_decay)
+    state.t = t
+    theta_next = theta - eta * delta
+    if not np.all(np.isfinite(theta_next)):
+        raise NumericalError("parameter update produced non-finite values")
+    trace = StepTrace(t, eta, rho, loss0, g0, h0, h1, delta, applied, g1=g1, g2=g2, g3=g3)
+    return theta_next, trace
+
+
+# run_training looks the step up per method, so a caller can wrap one method's steps
+STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
 
 
 @dataclass
@@ -358,7 +261,6 @@ class RunRecord:
     theta_final: Vector
     rows: list[dict]
     traces: list[StepTrace] = field(default_factory=list)
-    total_step_ms: float = 0.0
 
 
 def trace_to_row(
@@ -408,7 +310,6 @@ def run_training(
         t0 = time.perf_counter()
         theta, trace = step_fn(obj, theta, state, config)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        record.total_step_ms += wall_ms
         row = trace_to_row(trace, run_id, config.method, int(seed), wall_ms)
         record.rows.append(row)
         if log_sink is not None:

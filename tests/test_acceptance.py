@@ -42,11 +42,8 @@ from flatmin.optimizers import (
     OptimizerConfig,
     OptimizerState,
     convergence_check,
-    fad_step,
-    gam_step,
     run_training,
-    sam_step,
-    sgd_step,
+    step,
 )
 from flatmin.shiftbench import (
     DomainSpec,
@@ -132,29 +129,23 @@ def test_criterion_2_reduction_identities():
     pairs = {
         "fad(beta=0)=sgd": (
             lambda bs: fad_cfg(beta=0.0, batch_size=bs),
-            fad_step,
             lambda bs: OptimizerConfig(method="sgd", eta0=0.1, batch_size=bs),
-            sgd_step,
         ),
         "fad(alpha=0)=gam": (
             lambda bs: fad_cfg(alpha=0.0, beta=0.3, batch_size=bs),
-            fad_step,
             lambda bs: fad_cfg(method="gam", alpha=0.8, beta=0.3, batch_size=bs),
-            gam_step,
         ),
         "fad(alpha=1,beta=1)=sam": (
             lambda bs: fad_cfg(alpha=1.0, beta=1.0, batch_size=bs),
-            fad_step,
             lambda bs: OptimizerConfig(method="sam", eta0=0.1, rho0=0.1, xi=0.0, batch_size=bs),
-            sam_step,
         ),
     }
     worst = {label: 0.0 for label in pairs}
     for i in range(100):
         obj, theta, bs = _random_step_instance(rng)
-        for label, (cfg_a, fn_a, cfg_b, fn_b) in pairs.items():
-            ta, _ = fn_a(obj, theta, OptimizerState.fresh(i), cfg_a(bs))
-            tb, _ = fn_b(obj, theta, OptimizerState.fresh(i), cfg_b(bs))
+        for label, (cfg_a, cfg_b) in pairs.items():
+            ta, _ = step(obj, theta, OptimizerState.fresh(i), cfg_a(bs))
+            tb, _ = step(obj, theta, OptimizerState.fresh(i), cfg_b(bs))
             worst[label] = max(worst[label], float(np.abs(ta - tb).max()))
     elapsed = time.perf_counter() - t0
     summary = ", ".join(f"{k}: {v:.2e}" for k, v in worst.items())

@@ -28,16 +28,9 @@ from flatmin.optimizers import (
     METHODS,
     OptimizerConfig,
     OptimizerState,
-    adam_step,
-    adamw_step,
     convergence_check,
-    fad_step,
-    gam_step,
-    momentum_sgd_step,
     run_training,
-    sam_step,
     schedule_value,
-    sgd_step,
     step,
     trace_to_row,
 )
@@ -88,7 +81,7 @@ def test_fad_step_matches_hand_computed_intermediates():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = fad_config()
-    _, trace = fad_step(obj, theta, OptimizerState.fresh(0), cfg)
+    _, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
     for name in ("g0", "g1", "h0", "g2", "g3", "h1"):
         np.testing.assert_allclose(getattr(trace, name), WORKED[name], atol=1e-12)
     np.testing.assert_allclose(trace.delta, WORKED["delta_a05_b01"], atol=1e-12)
@@ -99,17 +92,17 @@ def test_fad_step_applies_the_update():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = fad_config()
-    theta1, trace = fad_step(obj, theta, OptimizerState.fresh(0), cfg)
+    theta1, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
     np.testing.assert_allclose(theta1, theta - cfg.eta0 * trace.delta, atol=1e-15)
 
 
 def test_fad_delta_combinations():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
-    _, tr = fad_step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=0.0, beta=1.0))
+    _, tr = step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=0.0, beta=1.0))
     np.testing.assert_allclose(tr.delta, WORKED["delta_a0_b1"], atol=1e-12)
     # alpha=1, beta=1 collapses to g0 + h0 = g1
-    _, tr = fad_step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=1.0, beta=1.0))
+    _, tr = step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=1.0, beta=1.0))
     np.testing.assert_allclose(tr.delta, WORKED["g1"], atol=1e-12)
 
 
@@ -130,63 +123,58 @@ def random_instance(rng):
     return obj, rng.standard_normal(obj.dim) * 0.5, 8
 
 
-def paired_step(obj, theta, batch_size, cfg_a, fn_a, cfg_b, fn_b, seed):
+def paired_step(obj, theta, batch_size, cfg_a, cfg_b, seed):
     cfg_a = OptimizerConfig(**{**cfg_a.__dict__, "batch_size": batch_size})
     cfg_b = OptimizerConfig(**{**cfg_b.__dict__, "batch_size": batch_size})
-    ta, _ = fn_a(obj, theta, OptimizerState.fresh(seed), cfg_a)
-    tb, _ = fn_b(obj, theta, OptimizerState.fresh(seed), cfg_b)
+    ta, _ = step(obj, theta, OptimizerState.fresh(seed), cfg_a)
+    tb, _ = step(obj, theta, OptimizerState.fresh(seed), cfg_b)
     return np.abs(ta - tb).max()
 
 
+REDUCTIONS = [
+    (
+        "fad(beta=0) == sgd",
+        lambda: fad_config(beta=0.0),
+        lambda: OptimizerConfig(method="sgd", eta0=0.1),
+    ),
+    (
+        "fad(alpha=0) == gam",
+        lambda: fad_config(alpha=0.0, beta=0.3),
+        lambda: fad_config(method="gam", alpha=0.9, beta=0.3),
+    ),
+    (
+        "fad(alpha=1, beta=1) == sam",
+        lambda: fad_config(alpha=1.0, beta=1.0),
+        lambda: OptimizerConfig(method="sam", eta0=0.1, rho0=0.1, xi=0.0),
+    ),
+    (
+        "momentum(0) == sgd",
+        lambda: OptimizerConfig(method="momentum_sgd", eta0=0.1, momentum=0.0),
+        lambda: OptimizerConfig(method="sgd", eta0=0.1),
+    ),
+    (
+        "adamw(wd=0) == adam",
+        lambda: OptimizerConfig(method="adamw", eta0=0.01, weight_decay=0.0),
+        lambda: OptimizerConfig(method="adam", eta0=0.01),
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "label,make_a,fn_a,make_b,fn_b",
-    [
-        (
-            "fad(beta=0) == sgd",
-            lambda: fad_config(beta=0.0),
-            fad_step,
-            lambda: OptimizerConfig(method="sgd", eta0=0.1),
-            sgd_step,
-        ),
-        (
-            "fad(alpha=0) == gam",
-            lambda: fad_config(alpha=0.0, beta=0.3),
-            fad_step,
-            lambda: fad_config(method="gam", alpha=0.9, beta=0.3),
-            gam_step,
-        ),
-        (
-            "fad(alpha=1, beta=1) == sam",
-            lambda: fad_config(alpha=1.0, beta=1.0),
-            fad_step,
-            lambda: OptimizerConfig(method="sam", eta0=0.1, rho0=0.1, xi=0.0),
-            sam_step,
-        ),
-        (
-            "momentum(0) == sgd",
-            lambda: OptimizerConfig(method="momentum_sgd", eta0=0.1, momentum=0.0),
-            momentum_sgd_step,
-            lambda: OptimizerConfig(method="sgd", eta0=0.1),
-            sgd_step,
-        ),
-        (
-            "adamw(wd=0) == adam",
-            lambda: OptimizerConfig(method="adamw", eta0=0.01, weight_decay=0.0),
-            adamw_step,
-            lambda: OptimizerConfig(method="adam", eta0=0.01),
-            adam_step,
-        ),
+    "label,make_a,make_b",
+    REDUCTIONS,
+    # stable ids: each side is named "<method>_step" after the method its config selects
+    ids=[
+        f"{label}-<lambda>-{a().method}_step-<lambda>-{b().method}_step"
+        for label, a, b in REDUCTIONS
     ],
 )
-def test_reduction_identity(label, make_a, fn_a, make_b, fn_b):
+def test_reduction_identity(label, make_a, make_b):
     rng = np.random.default_rng(42)
     worst = 0.0
     for i in range(30):
         obj, theta, batch_size = random_instance(rng)
-        worst = max(
-            worst,
-            paired_step(obj, theta, batch_size, make_a(), fn_a, make_b(), fn_b, seed=i),
-        )
+        worst = max(worst, paired_step(obj, theta, batch_size, make_a(), make_b(), seed=i))
     assert worst < 1e-12, f"{label}: max deviation {worst:.3e}"
 
 
@@ -245,7 +233,7 @@ def test_adam_first_step_is_signwise():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([-1.0, 1.0])  # gradient (-2, 8)
     cfg = OptimizerConfig(method="adam", eta0=0.1)
-    theta1, _ = adam_step(obj, theta, OptimizerState.fresh(0), cfg)
+    theta1, _ = step(obj, theta, OptimizerState.fresh(0), cfg)
     np.testing.assert_allclose(theta1 - theta, np.array([0.1, -0.1]), atol=1e-8)
 
 
@@ -253,10 +241,10 @@ def test_adamw_decouples_weight_decay():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, -2.0])
     eta, wd = 0.01, 0.1
-    plain, _ = adam_step(
+    plain, _ = step(
         obj, theta, OptimizerState.fresh(0), OptimizerConfig(method="adam", eta0=eta)
     )
-    decayed, _ = adamw_step(
+    decayed, _ = step(
         obj,
         theta,
         OptimizerState.fresh(0),
@@ -271,7 +259,7 @@ def test_coupled_weight_decay_enters_the_gradient():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = OptimizerConfig(method="sgd", eta0=0.1, weight_decay=0.5)
-    theta1, trace = sgd_step(obj, theta, OptimizerState.fresh(0), cfg)
+    theta1, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
     expected_g = eval_grad(obj, theta) + 0.5 * theta
     np.testing.assert_allclose(trace.g0, expected_g, atol=1e-15)
     np.testing.assert_allclose(theta1, theta - 0.1 * expected_g, atol=1e-15)
@@ -389,7 +377,7 @@ def test_fad_step_evaluates_all_gradients_on_one_batch():
     ds = tiny_mlp().dataset
     obj = RecordingObjective((2, 4, 3), ds)
     theta0 = obj.init_params(np.random.default_rng(0))
-    fad_step(obj, theta0, OptimizerState.fresh(0), fad_config(batch_size=8))
+    step(obj, theta0, OptimizerState.fresh(0), fad_config(batch_size=8))
     grads = [rows for kind, rows in obj.calls if kind == "grad"]
     losses = [rows for kind, rows in obj.calls if kind == "loss"]
     assert len(grads) == 4
@@ -400,7 +388,7 @@ def test_fad_step_evaluates_all_gradients_on_one_batch():
 
 def test_trace_to_row_norms_match():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
-    _, trace = fad_step(obj, np.array([1.0, 1.0]), OptimizerState.fresh(0), fad_config())
+    _, trace = step(obj, np.array([1.0, 1.0]), OptimizerState.fresh(0), fad_config())
     row = trace_to_row(trace, run_id="r", method="fad", seed=0, wall_ms=1.5)
     assert row["norm_g0"] == np.linalg.norm(trace.g0)
     assert row["norm_delta"] == np.linalg.norm(trace.delta)
