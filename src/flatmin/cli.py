@@ -1,11 +1,13 @@
 """``flatmin`` command line: train | flatness | converge | bench | sweep.
 
 Every command takes a single JSON config (--config), an optional --seed
-override, and an --out-dir for artifacts. Unknown config keys are rejected.
-Result files embed the fully resolved config (JSON under a "config" key, CSV
-as a leading ``# config: ...`` comment line) and are written atomically via a
-temp file and rename. Exit codes: 0 success, 2 configuration problem,
-3 numerical failure.
+override, and an --out-dir for artifacts. Each config is parsed into the
+command's frozen dataclass before any work starts: unknown keys, missing
+required keys, values of the wrong type, out-of-range values and non-finite
+numbers are all configuration problems. Result files embed the parsed config
+with every default filled in (JSON under a "config" key, CSV as a leading
+``# config: ...`` comment line) and are written atomically via a temp file and
+rename. Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+import types
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,7 +44,7 @@ from .flatness import (
     lambda_max_from_fad,
     power_iteration_lambda_max,
 )
-from .objectives import Dataset, MLPObjective, Objective, load_dataset, make_objective
+from .objectives import MLPObjective, Objective, load_dataset, make_objective
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -49,9 +54,7 @@ from .optimizers import (
 )
 from .shiftbench import (
     DomainSpec,
-    MultiDomainDataset,
     ProtocolConfig,
-    SearchSpace,
     classification_accuracy,
     generate_domains,
     pool_domains,
@@ -99,112 +102,216 @@ def _csv_text(config: dict, columns: tuple[str, ...], rows: "list[dict]") -> str
     return buf.getvalue()
 
 
-def _check_keys(doc: dict, allowed: "set[str]", where: str) -> None:
+# ----------------------------------------------------------- config parsing
+
+
+def _convert(value, hint, where: str):
+    """``value`` checked against the field type ``hint`` and converted to it."""
+    if is_dataclass(hint):
+        return _parse(hint, value, where)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):  # only ``X | None`` occurs
+        return None if value is None else _convert(value, args[0], where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{where} must have {len(args)} entries, got {len(value)}")
+        return tuple(_convert(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float and number:
+        return float(value)
+    if hint is int and number and float(value).is_integer():
+        return int(value)
+    if hint in (str, dict) and isinstance(value, hint):
+        return value
+    raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+
+
+def _parse(cls, doc, where: str):
+    """The frozen dataclass ``cls`` built from the JSON object ``doc``.
+
+    Keys that are not fields of ``cls`` and missing fields without a default
+    raise ConfigError. Each value is checked against its field's type and
+    converted to it; fields typed as dataclasses are parsed the same way. The
+    dataclass's own ``__post_init__`` then checks the values' ranges.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc:
+            kwargs[f.name] = _convert(doc[f.name], hints[f.name], f"{where}.{f.name}")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} is missing required key '{f.name}'")
+    return cls(**kwargs)
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required key '{key}'")
-    return doc[key]
+@dataclass(frozen=True)
+class DataConfig:
+    """A generated multi-domain dataset: generator settings and seed."""
+
+    spec: DomainSpec
+    seed: int = 0
 
 
-def _parse_optimizer(doc: dict) -> OptimizerConfig:
-    names = {f.name for f in fields(OptimizerConfig)}
-    _check_keys(doc, names, "optimizer")
-    _require(doc, "method", "optimizer")
-    _require(doc, "eta0", "optimizer")
-    return OptimizerConfig(**doc)
+@dataclass(frozen=True)
+class MLPConfig:
+    """An ``mlp`` objective over a dataset file or the ``data`` block's domains."""
+
+    kind: str
+    layer_sizes: tuple[int, ...] | None = None
+    dataset: str | None = None
+    hidden_units: int = 16
+    train_domains: tuple[int, ...] | None = None
 
 
-def _parse_budget(doc: dict | None) -> FlatnessBudget:
-    if doc is None:
-        return FlatnessBudget()
-    _check_keys(doc, {"n_random", "n_ascent_steps", "ascent_lr"}, "budget")
-    return FlatnessBudget(**doc)
+@dataclass(frozen=True, kw_only=True)
+class ReportConfig:
+    """Settings of the flatness report ``train`` writes at its final point."""
+
+    rho: float = 0.1
+    alpha: float = 0.5
+    k_eigs: int = 2
+    n_probes: int = 64
+    budget: FlatnessBudget = field(default_factory=FlatnessBudget)
+
+    def __post_init__(self) -> None:
+        if not self.rho > 0.0:
+            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.k_eigs < 1:
+            raise ConfigError(f"k_eigs must be >= 1, got {self.k_eigs}")
+        if self.n_probes < 2:
+            raise BudgetError(f"need at least 2 probes, got {self.n_probes}")
 
 
-def _parse_search(doc: dict | None) -> SearchSpace:
-    if doc is None:
-        return SearchSpace()
-    names = {f.name for f in fields(SearchSpace)}
-    _check_keys(doc, names, "protocol.search")
-    return SearchSpace(**{k: tuple(v) for k, v in doc.items()})
+@dataclass(frozen=True, kw_only=True)
+class FlatnessConfig(ReportConfig):
+    """``flatness``: one report at ``theta``, or at the initial point if absent."""
+
+    objective: dict
+    rho: float = field()  # required here: field() drops the inherited default
+    seed: int = 0
+    data: DataConfig | None = None
+    theta: tuple[float, ...] | None = None
+    fd_step: float = 1e-4
 
 
-def _parse_protocol(doc: dict | None) -> ProtocolConfig:
-    if doc is None:
-        return ProtocolConfig()
-    names = {f.name for f in fields(ProtocolConfig)}
-    _check_keys(doc, names, "protocol")
-    doc = dict(doc)
-    search = _parse_search(doc.pop("search", None))
-    return ProtocolConfig(search=search, **doc)
+@dataclass(frozen=True)
+class TrainConfig:
+    iterations: int
+    objective: dict
+    optimizer: OptimizerConfig
+    seed: int = 0
+    run_id: str = "run"
+    data: DataConfig | None = None
+    theta0: tuple[float, ...] | None = None
+    flatness: ReportConfig = field(default_factory=ReportConfig)
 
 
-def _protocol_dict(protocol: ProtocolConfig) -> dict:
-    doc = asdict(protocol)
-    doc["search"] = protocol.search.to_dict()
-    return doc
+@dataclass(frozen=True)
+class ConvergeConfig:
+    iterations: int
+    objective: dict
+    optimizer: OptimizerConfig
+    seed: int = 0
+    data: DataConfig | None = None
+    theta0: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.optimizer.schedule != "inverse_sqrt":
+            raise ConfigError(
+                "converge requires schedule 'inverse_sqrt'; the decay analysis "
+                "does not apply to constant schedules"
+            )
 
 
-def _parse_data(doc: dict) -> tuple[MultiDomainDataset, dict]:
-    _check_keys(doc, {"spec", "seed"}, "data")
-    spec_doc = _require(doc, "spec", "data")
-    names = {f.name for f in fields(DomainSpec)}
-    _check_keys(spec_doc, names, "data.spec")
-    spec = DomainSpec(**spec_doc)
-    data_seed = int(doc.get("seed", 0))
-    md = generate_domains(spec, data_seed)
-    return md, {"spec": spec.to_dict(), "seed": data_seed}
+@dataclass(frozen=True)
+class BenchConfig:
+    data: DataConfig
+    methods: tuple[str, ...]
+    seed: int = 0
+    protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
+
+    def __post_init__(self) -> None:
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"unknown method '{m}' in bench config")
 
 
-def _build_objective(
-    doc: dict, data_block: dict | None, seed: int
-) -> tuple[Objective, dict, MultiDomainDataset | None, dict | None]:
-    """Returns (objective, resolved objective doc, generated data, resolved data doc)."""
-    _require(doc, "kind", "objective")
-    if doc["kind"] != "mlp":
-        obj = make_objective(doc)
-        return obj, dict(doc), None, None
-    md = None
-    data_doc = None
-    if data_block is not None:
-        md, data_doc = _parse_data(data_block)
-    _check_keys(
-        doc, {"kind", "layer_sizes", "dataset", "hidden_units", "train_domains"}, "objective"
-    )
-    if "dataset" in doc:
-        dataset = load_dataset(doc["dataset"])
-        if "layer_sizes" not in doc:
+SWEEP_COLUMNS = ("value", "test_accuracy", "lambda_max", "wall_ms", "status")
+SWEEP_PARAMS = {"rho": "rho0", "alpha": "alpha", "beta": "beta", "fad_ratio": "fad_ratio"}
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    param: str
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.param not in SWEEP_PARAMS:
+            raise ConfigError(
+                f"grid param must be one of {sorted(SWEEP_PARAMS)}, got '{self.param}'"
+            )
+        if not self.values:
+            raise ConfigError("grid.values is empty")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    data: DataConfig
+    iterations: int
+    optimizer: OptimizerConfig
+    grid: GridConfig
+    seed: int = 0
+    test_domain: int | None = None  # the last domain when absent
+    hidden_units: int = 16
+    timing_repeats: int = 1
+
+    def __post_init__(self) -> None:
+        if self.timing_repeats < 1:
+            raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
+        if self.test_domain is not None and not 0 <= self.test_domain < self.data.spec.n_domains:
+            raise ConfigError(f"test_domain {self.test_domain} out of range")
+        self.grid_configs()  # every grid point must be a valid optimizer config
+
+    def grid_configs(self) -> list[OptimizerConfig]:
+        name = SWEEP_PARAMS[self.grid.param]
+        return [replace(self.optimizer, **{name: v}) for v in self.grid.values]
+
+
+# ----------------------------------------------------------------- commands
+
+
+def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dict]:
+    """Returns (objective, resolved objective doc)."""
+    if doc.get("kind") != "mlp":
+        return make_objective(doc), doc
+    spec = _parse(MLPConfig, doc, "objective")
+    if spec.dataset is not None:
+        if spec.layer_sizes is None:
             raise ConfigError("mlp objective with a dataset file needs layer_sizes")
-        obj = MLPObjective(tuple(doc["layer_sizes"]), dataset)
-        return obj, dict(doc), md, data_doc
-    if md is None:
+        return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
+    if data is None:
         raise ConfigError("mlp objective needs either a 'dataset' path or a 'data' block")
-    train_domains = tuple(doc.get("train_domains", range(md.n_domains)))
-    dataset = pool_domains(md, train_domains)
-    if "layer_sizes" in doc:
-        layer_sizes = tuple(doc["layer_sizes"])
-    else:
-        hidden = int(doc.get("hidden_units", 16))
-        layer_sizes = (md.feature_dim, hidden, md.num_classes)
-    obj = MLPObjective(layer_sizes, dataset)
-    resolved = {
-        "kind": "mlp",
-        "layer_sizes": list(layer_sizes),
-        "train_domains": list(train_domains),
-    }
-    return obj, resolved, md, data_doc
+    md = generate_domains(data.spec, data.seed)
+    train_domains = spec.train_domains
+    if train_domains is None:
+        train_domains = tuple(range(md.n_domains))
+    layer_sizes = spec.layer_sizes or (md.feature_dim, spec.hidden_units, md.num_classes)
+    obj = MLPObjective(layer_sizes, pool_domains(md, train_domains))
+    return obj, asdict(replace(spec, layer_sizes=layer_sizes, train_domains=train_domains))
 
 
-def _initial_point(obj: Objective, doc: dict, seed: int) -> np.ndarray:
-    if "theta0" in doc:
-        return np.asarray(doc["theta0"], dtype=np.float64)
+def _initial_point(obj: Objective, theta0: tuple[float, ...] | None, seed: int) -> np.ndarray:
+    if theta0 is not None:
+        return np.asarray(theta0, dtype=np.float64)
     if isinstance(obj, MLPObjective):
         return obj.init_params(np.random.default_rng([seed, 2]))
     if obj.kind == "quadratic":
@@ -212,257 +319,114 @@ def _initial_point(obj: Objective, doc: dict, seed: int) -> np.ndarray:
     return np.zeros(obj.dim)
 
 
-def cmd_train(doc: dict, out_dir: Path) -> None:
-    allowed = {
-        "seed",
-        "run_id",
-        "iterations",
-        "objective",
-        "optimizer",
-        "data",
-        "theta0",
-        "flatness",
-    }
-    _check_keys(doc, allowed, "train config")
-    seed = int(doc.get("seed", 0))
-    run_id = str(doc.get("run_id", "run"))
-    iterations = int(_require(doc, "iterations", "train config"))
-    opt = _parse_optimizer(_require(doc, "optimizer", "train config"))
-    obj, obj_doc, _, data_doc = _build_objective(
-        _require(doc, "objective", "train config"), doc.get("data"), seed
-    )
-    theta0 = _initial_point(obj, doc, seed)
-    flat_doc = doc.get("flatness") or {}
-    _check_keys(
-        flat_doc, {"rho", "alpha", "k_eigs", "n_probes", "budget"}, "flatness"
-    )
-    resolved = {
-        "seed": seed,
-        "run_id": run_id,
-        "iterations": iterations,
-        "objective": obj_doc,
-        "optimizer": asdict(opt),
-        "theta0": theta0.tolist(),
-        "flatness": {
-            "rho": float(flat_doc.get("rho", 0.1)),
-            "alpha": float(flat_doc.get("alpha", 0.5)),
-            "k_eigs": int(flat_doc.get("k_eigs", 2)),
-            "n_probes": int(flat_doc.get("n_probes", 64)),
-        },
-    }
-    if data_doc is not None:
-        resolved["data"] = data_doc
+def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
+    obj, obj_doc = _build_objective(cfg.objective, cfg.data)
+    theta0 = _initial_point(obj, cfg.theta0, cfg.seed)
+    cfg = replace(cfg, objective=obj_doc, theta0=tuple(theta0.tolist()))
+    embedded = asdict(cfg)
     rows: list[dict] = []
-    csv_path = out_dir / f"{run_id}.csv"
+    csv_path = out_dir / f"{cfg.run_id}.csv"
     try:
         record = run_training(
-            obj, theta0, opt, iterations, seed=seed, run_id=run_id, log_sink=rows.append
+            obj,
+            theta0,
+            cfg.optimizer,
+            cfg.iterations,
+            seed=cfg.seed,
+            run_id=cfg.run_id,
+            log_sink=rows.append,
         )
     except NumericalError:
-        _atomic_write_text(csv_path, _csv_text(resolved, LOG_COLUMNS, rows))
+        _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
         raise
-    _atomic_write_text(csv_path, _csv_text(resolved, LOG_COLUMNS, rows))
-    budget = _parse_budget(flat_doc.get("budget"))
+    _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
+    flat = cfg.flatness
     report = build_flatness_report(
         obj,
         record.theta_final,
-        rho=resolved["flatness"]["rho"],
-        alpha=resolved["flatness"]["alpha"],
-        budget=budget,
-        k_eigs=resolved["flatness"]["k_eigs"],
-        n_probes=resolved["flatness"]["n_probes"],
-        seed=seed,
+        rho=flat.rho,
+        alpha=flat.alpha,
+        budget=flat.budget,
+        k_eigs=flat.k_eigs,
+        n_probes=flat.n_probes,
+        seed=cfg.seed,
     )
     out = report.to_dict()
-    out["final_loss"] = record.rows[-1]["loss"] if record.rows else None
-    out["config"] = resolved
-    _write_json(out_dir / f"{run_id}_flatness.json", out)
+    out["final_loss"] = record.rows[-1]["loss"]
+    out["config"] = embedded
+    _write_json(out_dir / f"{cfg.run_id}_flatness.json", out)
 
 
-def cmd_flatness(doc: dict, out_dir: Path) -> None:
-    allowed = {
-        "seed",
-        "objective",
-        "data",
-        "theta",
-        "rho",
-        "alpha",
-        "budget",
-        "k_eigs",
-        "n_probes",
-        "fd_step",
-    }
-    _check_keys(doc, allowed, "flatness config")
-    seed = int(doc.get("seed", 0))
-    obj, obj_doc, _, data_doc = _build_objective(
-        _require(doc, "objective", "flatness config"), doc.get("data"), seed
-    )
-    theta = (
-        np.asarray(doc["theta"], dtype=np.float64)
-        if "theta" in doc
-        else _initial_point(obj, doc, seed)
-    )
-    rho = float(_require(doc, "rho", "flatness config"))
-    alpha = float(doc.get("alpha", 0.5))
-    budget = _parse_budget(doc.get("budget"))
+def cmd_flatness(cfg: FlatnessConfig, out_dir: Path) -> None:
+    obj, obj_doc = _build_objective(cfg.objective, cfg.data)
+    theta = _initial_point(obj, cfg.theta, cfg.seed)
     report = build_flatness_report(
         obj,
         theta,
-        rho=rho,
-        alpha=alpha,
-        budget=budget,
-        k_eigs=int(doc.get("k_eigs", 2)),
-        n_probes=int(doc.get("n_probes", 64)),
-        fd_step=float(doc.get("fd_step", 1e-4)),
-        seed=seed,
+        rho=cfg.rho,
+        alpha=cfg.alpha,
+        budget=cfg.budget,
+        k_eigs=cfg.k_eigs,
+        n_probes=cfg.n_probes,
+        fd_step=cfg.fd_step,
+        seed=cfg.seed,
     )
-    resolved = {
-        "seed": seed,
-        "objective": obj_doc,
-        "theta": theta.tolist(),
-        "rho": rho,
-        "alpha": alpha,
-        "budget": budget.to_dict(),
-        "k_eigs": int(doc.get("k_eigs", 2)),
-        "n_probes": int(doc.get("n_probes", 64)),
-        "fd_step": float(doc.get("fd_step", 1e-4)),
-    }
-    if data_doc is not None:
-        resolved["data"] = data_doc
     out = report.to_dict()
     # independent curvature read-off from the regularizer, for cross-checking
-    out["lambda_max_from_fad"] = lambda_max_from_fad(report.r_fad, rho, alpha)
-    out["config"] = resolved
+    out["lambda_max_from_fad"] = lambda_max_from_fad(report.r_fad, cfg.rho, cfg.alpha)
+    out["config"] = asdict(replace(cfg, objective=obj_doc, theta=tuple(theta.tolist())))
     _write_json(out_dir / "flatness.json", out)
 
 
-def cmd_converge(doc: dict, out_dir: Path) -> None:
-    allowed = {"seed", "iterations", "objective", "optimizer", "data", "theta0"}
-    _check_keys(doc, allowed, "converge config")
-    seed = int(doc.get("seed", 0))
-    iterations = int(_require(doc, "iterations", "converge config"))
-    opt = _parse_optimizer(_require(doc, "optimizer", "converge config"))
-    if opt.schedule != "inverse_sqrt":
-        raise ConfigError(
-            "converge requires schedule 'inverse_sqrt'; the decay analysis "
-            "does not apply to constant schedules"
-        )
-    obj, obj_doc, _, data_doc = _build_objective(
-        _require(doc, "objective", "converge config"), doc.get("data"), seed
-    )
-    theta0 = _initial_point(obj, doc, seed)
+def cmd_converge(cfg: ConvergeConfig, out_dir: Path) -> None:
+    obj, obj_doc = _build_objective(cfg.objective, cfg.data)
+    theta0 = _initial_point(obj, cfg.theta0, cfg.seed)
     record = run_training(
-        obj, theta0, opt, iterations, seed=seed, capture_traces=True
+        obj, theta0, cfg.optimizer, cfg.iterations, seed=cfg.seed, capture_traces=True
     )
-    report = convergence_check(record.traces, opt.eta0, opt.rho0)
-    resolved = {
-        "seed": seed,
-        "iterations": iterations,
-        "objective": obj_doc,
-        "optimizer": asdict(opt),
-        "theta0": theta0.tolist(),
-    }
-    if data_doc is not None:
-        resolved["data"] = data_doc
+    report = convergence_check(record.traces, cfg.optimizer.eta0, cfg.optimizer.rho0)
     out = report.to_dict()
-    out["config"] = resolved
+    out["config"] = asdict(replace(cfg, objective=obj_doc, theta0=tuple(theta0.tolist())))
     _write_json(out_dir / "convergence.json", out)
 
 
-def cmd_bench(doc: dict, out_dir: Path) -> None:
-    allowed = {"seed", "data", "methods", "protocol"}
-    _check_keys(doc, allowed, "bench config")
-    seed = int(doc.get("seed", 0))
-    md, data_doc = _parse_data(_require(doc, "data", "bench config"))
-    methods = list(_require(doc, "methods", "bench config"))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method '{m}' in bench config")
-    protocol = _parse_protocol(doc.get("protocol"))
-    result = run_protocol(md, methods, protocol, seed=seed)
-    resolved = {
-        "seed": seed,
-        "data": data_doc,
-        "methods": methods,
-        "protocol": _protocol_dict(protocol),
-    }
+def cmd_bench(cfg: BenchConfig, out_dir: Path) -> None:
+    md = generate_domains(cfg.data.spec, cfg.data.seed)
+    result = run_protocol(md, list(cfg.methods), cfg.protocol, seed=cfg.seed)
+    embedded = asdict(cfg)
     out = result.to_dict()
-    out["config"] = resolved
+    out["config"] = embedded
     _write_json(out_dir / "bench.json", out)
-    table = f"# config: {_canonical_json(resolved)}\n" + result.table_csv()
+    table = f"# config: {_canonical_json(embedded)}\n" + result.table_csv()
     _atomic_write_text(out_dir / "bench_table.csv", table)
     _write_json(
         out_dir / "bench_hparams.json",
-        {"config": resolved, "selected": result.selected_hparams_doc()},
+        {"config": embedded, "selected": result.selected_hparams_doc()},
     )
 
 
-SWEEP_COLUMNS = ("value", "test_accuracy", "lambda_max", "wall_ms", "status")
-SWEEP_PARAMS = {"rho": "rho0", "alpha": "alpha", "beta": "beta", "fad_ratio": "fad_ratio"}
-
-
-def cmd_sweep(doc: dict, out_dir: Path) -> None:
-    allowed = {
-        "seed",
-        "data",
-        "test_domain",
-        "hidden_units",
-        "iterations",
-        "optimizer",
-        "grid",
-        "timing_repeats",
-    }
-    _check_keys(doc, allowed, "sweep config")
-    seed = int(doc.get("seed", 0))
-    iterations = int(_require(doc, "iterations", "sweep config"))
-    repeats = int(doc.get("timing_repeats", 1))
-    if repeats < 1:
-        raise ConfigError(f"timing_repeats must be >= 1, got {repeats}")
-    md, data_doc = _parse_data(_require(doc, "data", "sweep config"))
-    test_domain = int(doc.get("test_domain", md.n_domains - 1))
-    if not (0 <= test_domain < md.n_domains):
-        raise ConfigError(f"test_domain {test_domain} out of range")
-    grid = _require(doc, "grid", "sweep config")
-    _check_keys(grid, {"param", "values"}, "grid")
-    param = _require(grid, "param", "grid")
-    if param not in SWEEP_PARAMS:
-        raise ConfigError(
-            f"grid param must be one of {sorted(SWEEP_PARAMS)}, got '{param}'"
-        )
-    values = [float(v) for v in _require(grid, "values", "grid")]
-    if not values:
-        raise ConfigError("grid.values is empty")
-    base = _parse_optimizer(_require(doc, "optimizer", "sweep config"))
-    hidden = int(doc.get("hidden_units", 16))
-    train_domains = tuple(i for i in range(md.n_domains) if i != test_domain)
+def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
+    md = generate_domains(cfg.data.spec, cfg.data.seed)
+    if cfg.test_domain is None:
+        cfg = replace(cfg, test_domain=md.n_domains - 1)
+    train_domains = tuple(i for i in range(md.n_domains) if i != cfg.test_domain)
     train_ds = pool_domains(md, train_domains)
-    obj = MLPObjective((md.feature_dim, hidden, md.num_classes), train_ds)
-    theta0 = obj.init_params(np.random.default_rng([seed, 2]))
-    resolved = {
-        "seed": seed,
-        "iterations": iterations,
-        "timing_repeats": repeats,
-        "data": data_doc,
-        "test_domain": test_domain,
-        "hidden_units": hidden,
-        "optimizer": asdict(base),
-        "grid": {"param": param, "values": values},
-    }
+    obj = MLPObjective((md.feature_dim, cfg.hidden_units, md.num_classes), train_ds)
+    theta0 = obj.init_params(np.random.default_rng([cfg.seed, 2]))
     rows = []
-    for value in values:
-        cfg = replace(base, **{SWEEP_PARAMS[param]: value})
+    for value, point in zip(cfg.grid.values, cfg.grid_configs()):
         try:
             walls = []
             record = None
-            for _ in range(repeats):
+            for _ in range(cfg.timing_repeats):
                 t0 = time.perf_counter()
-                record = run_training(obj, theta0, cfg, iterations, seed=seed)
+                record = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
                 walls.append((time.perf_counter() - t0) * 1000.0)
             acc = classification_accuracy(
-                obj, record.theta_final, md.domains[test_domain]
+                obj, record.theta_final, md.domains[cfg.test_domain]
             )
             eigs, _ = power_iteration_lambda_max(
-                obj, record.theta_final, k=1, rng=np.random.default_rng([seed, 4])
+                obj, record.theta_final, k=1, rng=np.random.default_rng([cfg.seed, 4])
             )
             rows.append(
                 {
@@ -483,22 +447,33 @@ def cmd_sweep(doc: dict, out_dir: Path) -> None:
                     "status": f"error:{type(err).__name__}",
                 }
             )
-    _atomic_write_text(out_dir / "sweep.csv", _csv_text(resolved, SWEEP_COLUMNS, rows))
+    _atomic_write_text(out_dir / "sweep.csv", _csv_text(asdict(cfg), SWEEP_COLUMNS, rows))
 
 
-_HANDLERS = {
-    "train": cmd_train,
-    "flatness": cmd_flatness,
-    "converge": cmd_converge,
-    "bench": cmd_bench,
-    "sweep": cmd_sweep,
+_COMMANDS = {
+    "train": (TrainConfig, cmd_train),
+    "flatness": (FlatnessConfig, cmd_flatness),
+    "converge": (ConvergeConfig, cmd_converge),
+    "bench": (BenchConfig, cmd_bench),
+    "sweep": (SweepConfig, cmd_sweep),
 }
+
+
+def _reject_non_finite(text: str) -> float:
+    raise ConfigError(f"config holds the non-finite number {text}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_non_finite(text)
+    return value
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_float, parse_constant=_reject_non_finite)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except json.JSONDecodeError as err:
@@ -515,8 +490,8 @@ def main(argv: "list[str] | None" = None) -> int:
         "flatness-aware optimizers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _HANDLERS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
+    for name in _COMMANDS:
+        p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out-dir", default=".", help="directory for result files")
@@ -524,8 +499,9 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         doc = _load_config(args.config)
         if args.seed is not None:
-            doc["seed"] = int(args.seed)
-        _HANDLERS[args.command](doc, Path(args.out_dir))
+            doc["seed"] = args.seed
+        cls, handler = _COMMANDS[args.command]
+        handler(_parse(cls, doc, f"{args.command} config"), Path(args.out_dir))
     except _CONFIG_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return CONFIG_EXIT

@@ -18,7 +18,7 @@ the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,12 @@ from .objectives import (
 class FlatnessBudget:
     """Restart/step budget for the ball-ascent estimators.
 
-    ``ascent_lr = None`` selects gradient-normalized steps of length 10*rho
-    (a projected power-type update, accurate on near-quadratic bowls); a float
-    requests plain fixed-rate gradient ascent with that learning rate.
+    Each ascent step is gradient-normalized with length 10*rho (a projected
+    power-type update, accurate on near-quadratic bowls).
     """
 
     n_random: int = 16
     n_ascent_steps: int = 50
-    ascent_lr: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_random < 1 or self.n_ascent_steps < 1:
@@ -53,15 +51,6 @@ class FlatnessBudget:
                 f"budget must be positive, got restarts={self.n_random}, "
                 f"steps={self.n_ascent_steps}"
             )
-        if self.ascent_lr is not None and self.ascent_lr <= 0.0:
-            raise BudgetError(f"ascent_lr must be positive, got {self.ascent_lr}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_random": self.n_random,
-            "n_ascent_steps": self.n_ascent_steps,
-            "ascent_lr": self.ascent_lr,
-        }
 
 
 def _uniform_in_ball(dim: int, rho: float, rng: np.random.Generator) -> Vector:
@@ -81,17 +70,11 @@ def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
     return center + offset * (rho / norm)
 
 
-def _ascent_move(
-    center: Vector, rho: float, x: Vector, direction: Vector, budget: FlatnessBudget
-) -> Vector:
+def _ascent_move(center: Vector, rho: float, x: Vector, direction: Vector) -> Vector:
     norm = float(np.linalg.norm(direction))
     if norm == 0.0:
         return x
-    if budget.ascent_lr is not None:
-        step = budget.ascent_lr
-    else:
-        step = 10.0 * rho / norm
-    return _project_to_ball(center, rho, x + step * direction)
+    return _project_to_ball(center, rho, x + (10.0 * rho / norm) * direction)
 
 
 def zeroth_order_flatness(
@@ -118,7 +101,7 @@ def zeroth_order_flatness(
         best = max(best, eval_loss(obj, x, batch))
         for _ in range(budget.n_ascent_steps):
             g = eval_grad(obj, x, batch)
-            x = _ascent_move(theta, rho, x, g, budget)
+            x = _ascent_move(theta, rho, x, g)
             best = max(best, eval_loss(obj, x, batch))
     return max(best - base, 0.0)
 
@@ -151,7 +134,7 @@ def first_order_flatness(
             if norm_g == 0.0:
                 break
             direction = hvp_fd(obj, x, g, batch, fd_step) / norm_g
-            x = _ascent_move(theta, rho, x, direction, budget)
+            x = _ascent_move(theta, rho, x, direction)
         best = max(best, float(np.linalg.norm(eval_grad(obj, x, batch))))
     return rho * best
 
@@ -334,7 +317,7 @@ def build_flatness_report(
         obj, theta, batch, k=k_eigs, tol=tol, max_iter=max_iter, fd_step=fd_step, rng=rng
     )
     trace, trace_se = hutchinson_trace(obj, theta, batch, n_probes, fd_step, rng)
-    budget_doc = budget.to_dict()
+    budget_doc = asdict(budget)
     budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": fd_step})
     return FlatnessReport(
         rho=float(rho),

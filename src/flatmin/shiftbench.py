@@ -55,24 +55,10 @@ class DomainSpec:
         if self.noise < 0.0:
             raise ConfigError(f"noise must be nonnegative, got {self.noise}")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_domains": self.n_domains,
-            "per_domain_n": self.per_domain_n,
-            "num_classes": self.num_classes,
-            "feature_dim": self.feature_dim,
-            "transform": self.transform,
-            "angle_step_deg": self.angle_step_deg,
-            "translation_step": self.translation_step,
-            "class_separation": self.class_separation,
-            "noise": self.noise,
-        }
-
 
 @dataclass(frozen=True)
 class MultiDomainDataset:
     domains: tuple[Dataset, ...]
-    domain_params: tuple[dict, ...]
     num_classes: int
     feature_dim: int
 
@@ -106,24 +92,19 @@ def generate_domains(spec: DomainSpec, seed: int) -> MultiDomainDataset:
     base, extra = divmod(spec.per_domain_n, spec.num_classes)
     counts = [base + (1 if c < extra else 0) for c in range(spec.num_classes)]
     domains = []
-    params = []
     for d in range(spec.n_domains):
         labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), counts)
         canonical = means[labels] + spec.noise * rng.standard_normal(
             (spec.per_domain_n, spec.feature_dim)
         )
         if spec.transform == "rotation":
-            angle = d * spec.angle_step_deg
-            inputs = canonical @ _rotation(spec.feature_dim, angle).T
-            params.append({"rotation_deg": angle, "noise": spec.noise})
+            inputs = canonical @ _rotation(spec.feature_dim, d * spec.angle_step_deg).T
         elif spec.transform == "translation":
             offset = np.zeros(spec.feature_dim)
             offset[0] = d * spec.translation_step
             inputs = canonical + offset
-            params.append({"translation": offset.tolist(), "noise": spec.noise})
         else:
             inputs = canonical
-            params.append({"noise": spec.noise})
         order = rng.permutation(spec.per_domain_n)
         domains.append(
             Dataset(
@@ -134,7 +115,6 @@ def generate_domains(spec: DomainSpec, seed: int) -> MultiDomainDataset:
         )
     return MultiDomainDataset(
         domains=tuple(domains),
-        domain_params=tuple(params),
         num_classes=spec.num_classes,
         feature_dim=spec.feature_dim,
     )
@@ -197,18 +177,6 @@ class SearchSpace:
     fad_rho: tuple[float, ...] = (0.05, 0.1, 0.2, 0.5, 1.0, 2.0)
     fad_alpha: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     fad_beta: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "log2_batch": list(self.log2_batch),
-            "log10_lr": list(self.log10_lr),
-            "log10_momentum": list(self.log10_momentum),
-            "log10_weight_decay": list(self.log10_weight_decay),
-            "sam_rho": list(self.sam_rho),
-            "fad_rho": list(self.fad_rho),
-            "fad_alpha": list(self.fad_alpha),
-            "fad_beta": list(self.fad_beta),
-        }
 
 
 def _log_uniform(rng: np.random.Generator, base: float, lo: float, hi: float) -> float:
