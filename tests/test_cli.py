@@ -117,6 +117,40 @@ def test_diverging_training_exits_3_and_keeps_partial_log(tmp_path):
     assert 2 < len(lines) < 502  # config line + header + partial rows
 
 
+def test_train_embeds_the_flatness_budget_and_reruns_from_its_report(tmp_path):
+    doc = train_doc(flatness={"rho": 0.2, "budget": {"n_random": 3, "n_ascent_steps": 7}})
+    cfg = write_config(tmp_path, doc)
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("train", "--config", cfg, "--out-dir", str(dir_a)) == 0
+    report = json.loads((dir_a / "demo_flatness.json").read_text())
+    assert report["config"]["flatness"]["budget"] == {"n_random": 3, "n_ascent_steps": 7}
+    cfg2 = write_config(tmp_path, report["config"], name="embedded.json")
+    assert run_cli("train", "--config", cfg2, "--out-dir", str(dir_b)) == 0
+    assert (dir_a / "demo_flatness.json").read_bytes() == (
+        dir_b / "demo_flatness.json"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flatness",
+    [{"rho": -1}, {"budget": {"n_random": 0}}, {"k_eigs": 0}, {"n_probes": 1}, {"alpha": 2.0}],
+    ids=["rho", "budget", "k_eigs", "n_probes", "alpha"],
+)
+def test_bad_flatness_block_exits_2_before_training(tmp_path, flatness):
+    cfg = write_config(tmp_path, train_doc(flatness=flatness))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "demo.csv").exists()
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
+def test_non_finite_number_exits_2_before_training(tmp_path, number):
+    path = tmp_path / "config.json"
+    text = json.dumps(train_doc(optimizer={"method": "fad", "eta0": 0.05, "rho0": 0.1}))
+    path.write_text(text.replace('"rho0": 0.1', f'"rho0": 0.1, "beta": {number}'))
+    assert run_cli("train", "--config", str(path), "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "demo.csv").exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 

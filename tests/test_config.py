@@ -1,0 +1,133 @@
+"""Config parsing: JSON object -> frozen dataclass -> asdict -> JSON.
+
+Every artifact embeds ``asdict`` of its parsed config, so parsing that
+embedded dict must give back the same object, and a config with any key its
+dataclass does not have must be rejected.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import asdict, fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flatmin.cli import _parse
+from flatmin.errors import ConfigError
+from flatmin.optimizers import METHODS, SCHEDULES, OptimizerConfig
+from flatmin.shiftbench import TRANSFORMS, DomainSpec, ProtocolConfig, SearchSpace
+
+
+def numbers(lo=-1e3, hi=1e3, **kw):
+    """Floats in [lo, hi], or ints there, which float fields also accept."""
+    floats = st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
+    ints = st.integers(min_value=int(lo) + 1, max_value=int(hi))
+    return st.one_of(floats, ints)
+
+
+unit = numbers(0.0, 1.0)
+half_open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+positive = numbers(0.0, 1e3, exclude_min=True)
+nonnegative = numbers(0.0, 1e3)
+
+
+@st.composite
+def optimizer_docs(draw):
+    method = draw(st.sampled_from(METHODS))
+    doc = {"method": method, "eta0": draw(positive)}
+    if method in ("sam", "gam", "fad"):
+        doc["rho0"] = draw(positive)
+    optional = {
+        "alpha": unit,
+        "beta": nonnegative,
+        "xi": nonnegative,
+        "schedule": st.sampled_from(SCHEDULES),
+        "fad_ratio": unit,
+        "momentum": half_open_unit,
+        "adam_beta1": half_open_unit,
+        "adam_beta2": half_open_unit,
+        "adam_eps": positive,
+        "weight_decay": nonnegative,
+        "batch_size": st.none() | st.integers(min_value=1, max_value=512),
+    }
+    return {**doc, **draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+@st.composite
+def domain_docs(draw):
+    num_classes = draw(st.integers(min_value=2, max_value=6))
+    optional = {
+        "n_domains": st.integers(min_value=3, max_value=8),
+        "feature_dim": st.integers(min_value=2, max_value=6),
+        "transform": st.sampled_from(TRANSFORMS),
+        "angle_step_deg": numbers(),
+        "translation_step": numbers(),
+        "class_separation": numbers(),
+        "noise": nonnegative,
+    }
+    doc = {
+        "num_classes": num_classes,
+        "per_domain_n": draw(st.integers(min_value=10 * num_classes, max_value=1000)),
+    }
+    return {**doc, **draw(st.fixed_dictionaries({}, optional=optional))}
+
+
+def value_lists(field_name):
+    if field_name in ("log2_batch", "log10_lr", "log10_momentum", "log10_weight_decay"):
+        return st.lists(numbers(-10.0, 10.0), min_size=2, max_size=2)
+    return st.lists(positive, max_size=8)
+
+
+search_docs = st.fixed_dictionaries(
+    {}, optional={f.name: value_lists(f.name) for f in fields(SearchSpace)}
+)
+
+protocol_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "n_hparam_trials": st.integers(min_value=1, max_value=50),
+        "val_fraction": st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        "seeds_per_trial": st.integers(min_value=1, max_value=10),
+        "iterations": st.integers(min_value=1, max_value=10_000),
+        "hidden_units": st.integers(min_value=1, max_value=256),
+        "search": search_docs,
+        "report_rho": positive,
+        "report_alpha": unit,
+        "report_probes": st.integers(min_value=2, max_value=256),
+        "report_k_eigs": st.integers(min_value=1, max_value=8),
+        "report_restarts": st.integers(min_value=1, max_value=64),
+        "report_ascent_steps": st.integers(min_value=1, max_value=200),
+    },
+)
+
+CASES = [
+    (OptimizerConfig, optimizer_docs()),
+    (ProtocolConfig, protocol_docs),
+    (DomainSpec, domain_docs()),
+]
+
+
+@pytest.mark.parametrize("cls,docs", CASES, ids=[cls.__name__ for cls, _ in CASES])
+def test_parse_asdict_json_parse_round_trips(cls, docs):
+    @settings(max_examples=60, deadline=None)
+    @given(doc=docs)
+    def check(doc):
+        parsed = _parse(cls, doc, "config")
+        assert _parse(cls, json.loads(json.dumps(asdict(parsed))), "config") == parsed
+
+    check()
+
+
+@pytest.mark.parametrize("cls,docs", CASES, ids=[cls.__name__ for cls, _ in CASES])
+def test_parse_rejects_any_extra_key(cls, docs):
+    names = {f.name for f in fields(cls)}
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=docs, extra=st.text(min_size=1, max_size=12).filter(lambda k: k not in names))
+    def check(doc, extra):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            _parse(cls, {**doc, extra: 1}, "config")
+
+    check()
