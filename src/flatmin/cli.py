@@ -118,7 +118,11 @@ def _convert(value, hint, where: str):
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{where} must have {len(args)} entries, got {len(value)}")
         return tuple(_convert(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # also rejects ints too large for a float
+    )
     if hint is float and number:
         return float(value)
     if hint is int and number and float(value).is_integer():
@@ -301,12 +305,12 @@ def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dic
     if data is None:
         raise ConfigError("mlp objective needs either a 'dataset' path or a 'data' block")
     md = generate_domains(data.spec, data.seed)
-    train_domains = spec.train_domains
-    if train_domains is None:
-        train_domains = tuple(range(md.n_domains))
-    layer_sizes = spec.layer_sizes or (md.feature_dim, spec.hidden_units, md.num_classes)
-    obj = MLPObjective(layer_sizes, pool_domains(md, train_domains))
-    return obj, asdict(replace(spec, layer_sizes=layer_sizes, train_domains=train_domains))
+    if spec.train_domains is None:
+        spec = replace(spec, train_domains=tuple(range(md.n_domains)))
+    if spec.layer_sizes is None:
+        spec = replace(spec, layer_sizes=(md.feature_dim, spec.hidden_units, md.num_classes))
+    obj = MLPObjective(spec.layer_sizes, pool_domains(md, spec.train_domains))
+    return obj, asdict(spec)
 
 
 def _initial_point(obj: Objective, theta0: tuple[float, ...] | None, seed: int) -> np.ndarray:

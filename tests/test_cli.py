@@ -142,7 +142,11 @@ def test_bad_flatness_block_exits_2_before_training(tmp_path, flatness):
     assert not (tmp_path / "demo.csv").exists()
 
 
-@pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "number",
+    ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "1e999", "1e400"],
+)
 def test_non_finite_number_exits_2_before_training(tmp_path, number):
     path = tmp_path / "config.json"
     text = json.dumps(train_doc(optimizer={"method": "fad", "eta0": 0.05, "rho0": 0.1}))
