@@ -7,7 +7,10 @@ the package produces bit for bit as it was. These tests pin sha256 hashes of
   of all seven methods on the README task, once with constant schedules and
   once with ``inverse_sqrt`` schedules, coupled weight decay and
   ``fad_ratio = 0.5``;
-* the files of one tiny ``flatmin bench`` run.
+* the files of one tiny ``flatmin bench`` run;
+* flatness reports (``r0``, ``r1``, top eigenvalues and trace) on the README
+  task at an init point and at a fad-trained point, once at the default
+  budget on full data and once with a small budget on a batch of 32 rows.
 
 Floating-point results depend on the numpy/BLAS build, so on a different
 build these hashes may need to be taken again from a known-good commit.
@@ -23,7 +26,8 @@ import numpy as np
 import pytest
 
 from flatmin.cli import main
-from flatmin.objectives import MLPObjective
+from flatmin.flatness import FlatnessBudget, build_flatness_report
+from flatmin.objectives import MLPObjective, sample_batch
 from flatmin.optimizers import METHODS, OptimizerConfig, run_training
 from flatmin.shiftbench import DomainSpec, generate_domains, pool_domains
 
@@ -145,3 +149,37 @@ def test_bench_files_are_unchanged(tmp_path):
     assert sha256((out / "bench_table.csv").read_bytes()) == BENCH_HASHES["bench_table.csv"]
     assert sha256((out / "bench_hparams.json").read_bytes()) == BENCH_HASHES["bench_hparams.json"]
     assert bench_json_hash((out / "bench.json").read_bytes()) == BENCH_HASHES["bench.json"]
+
+
+REPORT_HASHES = {
+    ("init", "full"): "0fe1a842fa12225d451a8f61e51c3cbc7bf4cfcef22d1c333a8254d280a7d4dc",
+    ("init", "batch32"): "0323dd2f12d548000d9f2a12815fe7384e112cb8b7e8f1d946e4a9b276a43115",
+    ("fad", "full"): "4aa4383f0e4e35c57b3dacbf3eb443b219f4b7e239840987f6fde56ce3ce3c06",
+    ("fad", "batch32"): "390166a2d1be3dbbc9f372c977dcec547fb715d4d089dde18a4f0512cbcfeaa3",
+}
+
+
+@pytest.fixture(scope="module")
+def report_points(readme_task):
+    obj, theta0 = readme_task
+    trained = run_training(obj, theta0, CONSTANT["fad"], 200, seed=3).theta_final
+    return {"init": theta0, "fad": trained}
+
+
+def report_hash(obj, theta, variant) -> str:
+    if variant == "full":
+        report = build_flatness_report(obj, theta, rho=0.1, alpha=0.5, seed=4)
+    else:
+        batch = sample_batch(obj.dataset, 32, np.random.default_rng(5))
+        report = build_flatness_report(
+            obj, theta, rho=0.1, alpha=0.5, batch=batch, budget=FlatnessBudget(4, 10),
+            n_probes=16, seed=4,
+        )
+    return sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+
+
+@pytest.mark.parametrize("variant", ["full", "batch32"])
+@pytest.mark.parametrize("point", ["init", "fad"])
+def test_flatness_report_is_unchanged(readme_task, report_points, point, variant):
+    obj, _ = readme_task
+    assert report_hash(obj, report_points[point], variant) == REPORT_HASHES[(point, variant)]
