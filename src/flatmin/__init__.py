@@ -34,6 +34,7 @@ from .objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
+    eval_loss_and_grad,
     hvp_fd,
     load_dataset,
     make_objective,

@@ -49,6 +49,7 @@ from .optimizers import (
     LOG_COLUMNS,
     METHODS,
     OptimizerConfig,
+    RunRecord,
     convergence_check,
     run_training,
 )
@@ -185,13 +186,13 @@ class ReportConfig:
     budget: FlatnessBudget = field(default_factory=FlatnessBudget)
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0:
+        if not (self.rho > 0.0):
             raise ConfigError(f"rho must be positive, got {self.rho}")
-        if not 0.0 <= self.alpha <= 1.0:
+        if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.k_eigs < 1:
+        if not (self.k_eigs >= 1):
             raise ConfigError(f"k_eigs must be >= 1, got {self.k_eigs}")
-        if self.n_probes < 2:
+        if not (self.n_probes >= 2):
             raise BudgetError(f"need at least 2 probes, got {self.n_probes}")
 
 
@@ -279,7 +280,7 @@ class SweepConfig:
     timing_repeats: int = 1
 
     def __post_init__(self) -> None:
-        if self.timing_repeats < 1:
+        if not (self.timing_repeats >= 1):
             raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
         if self.test_domain is not None and not 0 <= self.test_domain < self.data.spec.n_domains:
             raise ConfigError(f"test_domain {self.test_domain} out of range")
@@ -417,15 +418,27 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
     train_ds = pool_domains(md, train_domains)
     obj = MLPObjective((md.feature_dim, cfg.hidden_units, md.num_classes), train_ds)
     theta0 = obj.init_params(np.random.default_rng([cfg.seed, 2]))
+    points = cfg.grid_configs()
+    walls: list[list[float]] = [[] for _ in points]
+    records: list[RunRecord | FlatminError | None] = [None] * len(points)
+    # repeat r of every grid point runs before repeat r+1, so a slow stretch of
+    # the host, or the first run's warm-up, falls on every point alike
+    for _ in range(cfg.timing_repeats):
+        for i, point in enumerate(points):
+            if isinstance(records[i], FlatminError):
+                continue
+            t0 = time.perf_counter()
+            try:
+                records[i] = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
+            except FlatminError as err:
+                records[i] = err
+                continue
+            walls[i].append((time.perf_counter() - t0) * 1000.0)
     rows = []
-    for value, point in zip(cfg.grid.values, cfg.grid_configs()):
+    for value, record, point_walls in zip(cfg.grid.values, records, walls):
         try:
-            walls = []
-            record = None
-            for _ in range(cfg.timing_repeats):
-                t0 = time.perf_counter()
-                record = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
-                walls.append((time.perf_counter() - t0) * 1000.0)
+            if isinstance(record, FlatminError):
+                raise record
             acc = classification_accuracy(
                 obj, record.theta_final, md.domains[cfg.test_domain]
             )
@@ -437,7 +450,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
                     "value": value,
                     "test_accuracy": acc,
                     "lambda_max": float(eigs[0]),
-                    "wall_ms": float(np.median(walls)),
+                    "wall_ms": float(np.median(point_walls)),
                     "status": "ok",
                 }
             )

@@ -30,6 +30,7 @@ from .objectives import (
     Vector,
     eval_grad,
     eval_loss,
+    eval_loss_and_grad,
     hvp_fd,
 )
 
@@ -46,7 +47,7 @@ class FlatnessBudget:
     n_ascent_steps: int = 50
 
     def __post_init__(self) -> None:
-        if self.n_random < 1 or self.n_ascent_steps < 1:
+        if not (self.n_random >= 1 and self.n_ascent_steps >= 1):
             raise BudgetError(
                 f"budget must be positive, got restarts={self.n_random}, "
                 f"steps={self.n_ascent_steps}"
@@ -88,9 +89,10 @@ def zeroth_order_flatness(
     """Estimate max over the rho-ball of loss(theta') - loss(theta), clamped at 0.
 
     Multi-restart projected gradient ascent; every evaluated point lies inside
-    the ball, so the estimate never exceeds the true maximum.
+    the ball, so the estimate never exceeds the true maximum. Each ascent
+    iterate takes its loss and gradient from one fused call.
     """
-    if rho <= 0.0:
+    if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     rng = rng or np.random.default_rng(0)
@@ -98,11 +100,11 @@ def zeroth_order_flatness(
     best = base
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
-        best = max(best, eval_loss(obj, x, batch))
         for _ in range(budget.n_ascent_steps):
-            g = eval_grad(obj, x, batch)
+            loss, g = eval_loss_and_grad(obj, x, batch)
+            best = max(best, loss)
             x = _ascent_move(theta, rho, x, g)
-            best = max(best, eval_loss(obj, x, batch))
+        best = max(best, eval_loss(obj, x, batch))
     return max(best - base, 0.0)
 
 
@@ -118,9 +120,10 @@ def first_order_flatness(
     """Estimate rho times the largest gradient norm over the rho-ball.
 
     Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||,
-    approximated with one finite-difference Hessian-vector product per step.
+    approximated with one finite-difference Hessian-vector product per step;
+    that product reuses the step's gradient, so a step costs 2 gradients.
     """
-    if rho <= 0.0:
+    if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     rng = rng or np.random.default_rng(0)
@@ -133,7 +136,7 @@ def first_order_flatness(
             best = max(best, norm_g)
             if norm_g == 0.0:
                 break
-            direction = hvp_fd(obj, x, g, batch, fd_step) / norm_g
+            direction = hvp_fd(obj, x, g, batch, fd_step, g0=g) / norm_g
             x = _ascent_move(theta, rho, x, direction)
         best = max(best, float(np.linalg.norm(eval_grad(obj, x, batch))))
     return rho * best
@@ -157,7 +160,7 @@ def total_objective(
     seed: int = 0,
 ) -> float:
     """loss(theta) + beta * (alpha*r0 + (1-alpha)*r1) with estimated r0, r1."""
-    if beta < 0.0:
+    if not (beta >= 0.0):
         raise ConfigError(f"beta must be nonnegative, got {beta}")
     rng = np.random.default_rng(seed)
     r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)
@@ -167,7 +170,7 @@ def total_objective(
 
 def lambda_max_from_fad(r_fad: float, rho: float, alpha: float) -> float:
     """Invert the quadratic-model identity to read lambda_max off the regularizer."""
-    if rho <= 0.0:
+    if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
@@ -190,9 +193,9 @@ def power_iteration_lambda_max(
     flags). An entry converged when successive Rayleigh quotients differed by
     less than ``tol``; False means max_iter was exhausted first.
     """
-    if k < 1 or k > obj.dim:
+    if not (1 <= k <= obj.dim):
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
-    if max_iter < 1:
+    if not (max_iter >= 1):
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     rng = rng or np.random.default_rng(0)
     basis: list[Vector] = []
@@ -246,15 +249,20 @@ def hutchinson_trace(
     fd_step: float = DEFAULT_FD_STEP,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Hessian trace estimate (mean, standard error) from Rademacher probes."""
-    if n_probes < 2:
+    """Hessian trace estimate (mean, standard error) from Rademacher probes.
+
+    Every probe's product shares one gradient at ``theta``, so the estimate
+    costs ``n_probes + 1`` gradients.
+    """
+    if not (n_probes >= 2):
         raise BudgetError(f"need at least 2 probes, got {n_probes}")
     rng = rng or np.random.default_rng(0)
+    g0 = eval_grad(obj, theta, batch)
     signs = np.array([-1.0, 1.0])
     vals = np.empty(n_probes)
     for i in range(n_probes):
         v = rng.choice(signs, size=obj.dim)
-        vals[i] = float(v @ hvp_fd(obj, theta, v, batch, fd_step))
+        vals[i] = float(v @ hvp_fd(obj, theta, v, batch, fd_step, g0=g0))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_probes))
 
 
@@ -305,7 +313,7 @@ def build_flatness_report(
     seed: int = 0,
 ) -> FlatnessReport:
     """Run all estimators at one point with a single seeded RNG stream."""
-    if rho <= 0.0:
+    if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     k_eigs = min(k_eigs, obj.dim)

@@ -52,7 +52,9 @@ class Dataset:
     domain_ids: IntVector
 
     def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
+        # C order, like the row copies a batch takes, so full-data and batch
+        # products run the same kernels
+        inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         domains = np.asarray(self.domain_ids, dtype=np.int64)
         if inputs.ndim != 2:
@@ -145,16 +147,8 @@ class Objective:
     dataset: Dataset | None = None
 
     def _rows(self, batch: Batch | None) -> IntVector | None:
-        if self.dataset is None:
-            return None
-        if batch is None:
-            return np.arange(self.dataset.n, dtype=np.int64)
-        idx = batch.indices
-        if idx.size == 0:
-            raise BatchSizeError("batch is empty")
-        if idx.min() < 0 or idx.max() >= self.dataset.n:
-            raise DimensionError("batch indices outside dataset")
-        return idx
+        """Dataset rows a batch selects; None for surfaces without a dataset."""
+        return None
 
     def _loss(self, theta: Vector, rows: IntVector | None) -> float:
         raise NotImplementedError
@@ -162,25 +156,46 @@ class Objective:
     def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
         raise NotImplementedError
 
+    def _loss_and_grad(self, theta: Vector, rows: IntVector | None) -> tuple[float, Vector]:
+        return self._loss(theta, rows), self._grad(theta, rows)
 
-def eval_loss(obj: Objective, theta: Vector, batch: Batch | None = None) -> float:
-    """Loss at ``theta`` over ``batch`` (or the full dataset / analytic surface)."""
-    theta = _as_param_vector(theta, obj.dim)
-    value = float(obj._loss(theta, obj._rows(batch)))
+
+def _checked_loss(value: float) -> float:
+    value = float(value)
     if not np.isfinite(value):
         raise NumericalError(f"loss is non-finite ({value})")
     return value
 
 
-def eval_grad(obj: Objective, theta: Vector, batch: Batch | None = None) -> Vector:
-    """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would use."""
-    theta = _as_param_vector(theta, obj.dim)
-    grad = np.asarray(obj._grad(theta, obj._rows(batch)), dtype=np.float64)
+def _checked_grad(obj: Objective, grad: Vector) -> Vector:
+    grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (obj.dim,):
         raise DimensionError(f"gradient shape {grad.shape} != ({obj.dim},)")
     if not np.all(np.isfinite(grad)):
         raise NumericalError("gradient contains non-finite values")
     return grad
+
+
+def eval_loss(obj: Objective, theta: Vector, batch: Batch | None = None) -> float:
+    """Loss at ``theta`` over ``batch`` (or the full dataset / analytic surface)."""
+    theta = _as_param_vector(theta, obj.dim)
+    return _checked_loss(obj._loss(theta, obj._rows(batch)))
+
+
+def eval_grad(obj: Objective, theta: Vector, batch: Batch | None = None) -> Vector:
+    """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would use."""
+    theta = _as_param_vector(theta, obj.dim)
+    return _checked_grad(obj, obj._grad(theta, obj._rows(batch)))
+
+
+def eval_loss_and_grad(
+    obj: Objective, theta: Vector, batch: Batch | None = None
+) -> tuple[float, Vector]:
+    """``(eval_loss, eval_grad)`` at ``theta``, bit for bit, from one forward pass
+    where the objective supports it."""
+    theta = _as_param_vector(theta, obj.dim)
+    loss, grad = obj._loss_and_grad(theta, obj._rows(batch))
+    return _checked_loss(loss), _checked_grad(obj, grad)
 
 
 def hvp_fd(
@@ -189,23 +204,26 @@ def hvp_fd(
     v: Vector,
     batch: Batch | None = None,
     h: float = DEFAULT_FD_STEP,
+    g0: Vector | None = None,
 ) -> Vector:
     """Hessian-vector product H(theta) @ v by forward-differencing the gradient.
 
     The probe step ``h`` is applied along v normalized to unit length, then the
     difference quotient is rescaled by ||v||, so accuracy does not depend on the
-    magnitude of v.
+    magnitude of v. ``g0`` is the gradient at ``theta`` over ``batch`` when the
+    caller already has it; otherwise it is computed here.
     """
     theta = _as_param_vector(theta, obj.dim)
     v = _as_param_vector(v, obj.dim)
-    if h <= 0.0:
+    if not (h > 0.0):
         raise ConfigError(f"finite-difference step must be positive, got {h}")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise DegenerateDirectionError("hvp direction has zero norm")
     unit = v / norm
     g1 = eval_grad(obj, theta + h * unit, batch)
-    g0 = eval_grad(obj, theta, batch)
+    if g0 is None:
+        g0 = eval_grad(obj, theta, batch)
     return (g1 - g0) * (norm / h)
 
 
@@ -357,6 +375,9 @@ class MLPObjective(Objective):
         self.layer_sizes = sizes
         self.dataset = dataset
         self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
+        # the rows of a full-data call; ``_forward`` reads the dataset itself for them
+        self._all_rows = np.arange(dataset.n, dtype=np.int64)
+        self._all_rows.flags.writeable = False
 
     @property
     def num_classes(self) -> int:
@@ -391,32 +412,50 @@ class MLPObjective(Objective):
         w, b = layers[-1]
         return a @ w + b
 
-    def _forward(self, theta: Vector, rows: IntVector) -> tuple[list[Matrix], Matrix]:
+    def _rows(self, batch: Batch | None) -> IntVector:
+        if batch is None:
+            return self._all_rows
+        idx = batch.indices
+        if idx.size == 0:
+            raise BatchSizeError("batch is empty")
+        if idx.min() < 0 or idx.max() >= self.dataset.n:
+            raise DimensionError("batch indices outside dataset")
+        return idx
+
+    def _forward(
+        self, theta: Vector, rows: IntVector
+    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], tuple[IntVector, IntVector], Matrix]:
+        """Layers, activations, the (row, label) index of each picked logit, and
+        the logits shifted by their row maximum."""
         layers = self._unpack(theta)
-        acts = [self.dataset.inputs[rows]]
+        data = self.dataset
+        if rows is self._all_rows:
+            acts = [data.inputs]
+            pick = (rows, data.labels)
+        else:
+            acts = [data.inputs[rows]]
+            pick = (np.arange(rows.size), data.labels[rows])
         for w, b in layers[:-1]:
             acts.append(np.tanh(acts[-1] @ w + b))
         w, b = layers[-1]
-        return acts, acts[-1] @ w + b
+        logits = acts[-1] @ w + b
+        return layers, acts, pick, logits - logits.max(axis=1, keepdims=True)
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
-        assert rows is not None
-        _, logits = self._forward(theta, rows)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        picked = shifted[np.arange(rows.size), self.dataset.labels[rows]]
-        return float(np.mean(logz - picked))
+    @staticmethod
+    def _mean_nll(shifted: Matrix, expsum: Vector, pick: tuple[IntVector, IntVector]) -> float:
+        return float(np.mean(np.log(expsum) - shifted[pick]))
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
-        assert rows is not None
-        layers = self._unpack(theta)
-        acts, logits = self._forward(theta, rows)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        delta = probs
-        delta[np.arange(rows.size), self.dataset.labels[rows]] -= 1.0
-        delta /= rows.size
+    @staticmethod
+    def _backward(
+        layers: list[tuple[Matrix, Vector]],
+        acts: list[Matrix],
+        pick: tuple[IntVector, IntVector],
+        expz: Matrix,
+        expsum: Vector,
+    ) -> Vector:
+        delta = expz / expsum[:, None]
+        delta[pick] -= 1.0
+        delta /= expz.shape[0]
         grads: list[Vector] = []
         for li in range(len(layers) - 1, -1, -1):
             w, _ = layers[li]
@@ -427,6 +466,25 @@ class MLPObjective(Objective):
             if li > 0:
                 delta = (delta @ w.T) * (1.0 - acts[li] * acts[li])
         return np.concatenate(grads[::-1])
+
+    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
+        assert rows is not None
+        _, _, pick, shifted = self._forward(theta, rows)
+        return self._mean_nll(shifted, np.exp(shifted).sum(axis=1), pick)
+
+    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
+        assert rows is not None
+        layers, acts, pick, shifted = self._forward(theta, rows)
+        expz = np.exp(shifted)
+        return self._backward(layers, acts, pick, expz, expz.sum(axis=1))
+
+    def _loss_and_grad(self, theta: Vector, rows: IntVector | None) -> tuple[float, Vector]:
+        assert rows is not None
+        layers, acts, pick, shifted = self._forward(theta, rows)
+        expz = np.exp(shifted)
+        expsum = expz.sum(axis=1)
+        grad = self._backward(layers, acts, pick, expz, expsum)
+        return self._mean_nll(shifted, expsum, pick), grad
 
 
 def random_spd_matrix(

@@ -67,15 +67,15 @@ class OptimizerConfig:
             raise ConfigError(f"unknown schedule '{self.schedule}', expected one of {SCHEDULES}")
         if not (self.eta0 > 0.0):
             raise ConfigError(f"eta0 must be positive, got {self.eta0}")
-        if self.rho0 < 0.0:
+        if not (self.rho0 >= 0.0):
             raise ConfigError(f"rho0 must be nonnegative, got {self.rho0}")
         if self.method in ("sam", "gam", "fad") and not (self.rho0 > 0.0):
             raise ConfigError(f"method '{self.method}' needs rho0 > 0")
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 0.0:
+        if not (self.beta >= 0.0):
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.xi < 0.0:
+        if not (self.xi >= 0.0):
             raise ConfigError(f"xi must be nonnegative, got {self.xi}")
         if not (0.0 <= self.fad_ratio <= 1.0):
             raise ConfigError(f"fad_ratio must be in [0, 1], got {self.fad_ratio}")
@@ -87,9 +87,9 @@ class OptimizerConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {val}")
         if not (self.adam_eps > 0.0):
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.weight_decay < 0.0:
+        if not (self.weight_decay >= 0.0):
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.batch_size is not None and self.batch_size < 1:
+        if self.batch_size is not None and not (self.batch_size >= 1):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchSizeError, ConfigError, NumericalError, ProtocolError
+from .errors import BatchSizeError, BudgetError, ConfigError, NumericalError, ProtocolError
 from .flatness import FlatnessBudget, build_flatness_report
 from .objectives import Dataset, MLPObjective, Vector
 from .optimizers import OptimizerConfig, run_training
@@ -37,22 +37,22 @@ class DomainSpec:
     noise: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.n_domains < 3:
+        if not (self.n_domains >= 3):
             raise ConfigError(f"need at least 3 domains, got {self.n_domains}")
-        if self.num_classes < 2:
+        if not (self.num_classes >= 2):
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if self.per_domain_n < 10 * self.num_classes:
+        if not (self.per_domain_n >= 10 * self.num_classes):
             raise ConfigError(
                 f"per_domain_n must be >= 10 * num_classes "
                 f"({10 * self.num_classes}), got {self.per_domain_n}"
             )
-        if self.feature_dim < 2:
+        if not (self.feature_dim >= 2):
             raise ConfigError(f"feature_dim must be >= 2, got {self.feature_dim}")
         if self.transform not in TRANSFORMS:
             raise ConfigError(
                 f"unknown transform '{self.transform}', expected one of {TRANSFORMS}"
             )
-        if self.noise < 0.0:
+        if not (self.noise >= 0.0):
             raise ConfigError(f"noise must be nonnegative, got {self.noise}")
 
 
@@ -224,16 +224,25 @@ class ProtocolConfig:
     report_ascent_steps: int = 30
 
     def __post_init__(self) -> None:
-        if self.n_hparam_trials < 1:
+        if not (self.n_hparam_trials >= 1):
             raise ConfigError(f"n_hparam_trials must be >= 1, got {self.n_hparam_trials}")
-        if self.seeds_per_trial < 1:
+        if not (self.seeds_per_trial >= 1):
             raise ConfigError(f"seeds_per_trial must be >= 1, got {self.seeds_per_trial}")
-        if self.iterations < 1:
+        if not (self.iterations >= 1):
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.hidden_units < 1:
+        if not (self.hidden_units >= 1):
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        if not (self.report_rho > 0.0):
+            raise ConfigError(f"report_rho must be positive, got {self.report_rho}")
+        if not (0.0 <= self.report_alpha <= 1.0):
+            raise ConfigError(f"report_alpha must be in [0, 1], got {self.report_alpha}")
+        if not (self.report_k_eigs >= 1):
+            raise ConfigError(f"report_k_eigs must be >= 1, got {self.report_k_eigs}")
+        if not (self.report_probes >= 2):
+            raise BudgetError(f"report_probes must be >= 2, got {self.report_probes}")
+        FlatnessBudget(self.report_restarts, self.report_ascent_steps)  # checks the budget
 
 
 def classification_accuracy(obj: MLPObjective, theta: Vector, dataset: Dataset) -> float:

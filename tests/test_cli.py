@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from flatmin import cli
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, main
 from flatmin.optimizers import LOG_COLUMNS
 
@@ -363,6 +364,34 @@ def test_sweep_marks_failed_rows(tmp_path):
     for line in (tmp_path / "sweep.csv").read_text().strip().split("\n")[2:]:
         assert line.endswith(",error:NumericalError")
         assert ",nan," in line
+
+
+def test_sweep_interleaves_timing_repeats(tmp_path, monkeypatch):
+    order = []
+    train = cli.run_training
+
+    def recorded(obj, theta0, config, iterations, seed):
+        order.append(config.fad_ratio)
+        return train(obj, theta0, config, iterations, seed=seed)
+
+    monkeypatch.setattr(cli, "run_training", recorded)
+    doc = sweep_doc(timing_repeats=3, grid={"param": "fad_ratio", "values": [0.0, 0.5, 1.0]})
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+    assert order == [0.0, 0.5, 1.0] * 3
+
+
+def sweep_rows_without_wall_ms(tmp_path, name, **overrides):
+    cfg = write_config(tmp_path, sweep_doc(**overrides), name=f"{name}.json")
+    assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path / name)) == 0
+    lines = (tmp_path / name / "sweep.csv").read_text().strip().split("\n")
+    return [line.split(",")[:3] + line.split(",")[4:] for line in lines[1:]]
+
+
+def test_sweep_repeats_change_only_wall_ms(tmp_path):
+    once = sweep_rows_without_wall_ms(tmp_path, "once")
+    thrice = sweep_rows_without_wall_ms(tmp_path, "thrice", timing_repeats=3)
+    assert thrice == once
 
 
 def test_sweep_rejects_invalid_grid_value(tmp_path):

@@ -2,7 +2,8 @@
 
 Every artifact embeds ``asdict`` of its parsed config, so parsing that
 embedded dict must give back the same object, and a config with any key its
-dataclass does not have must be rejected.
+dataclass does not have must be rejected. A library caller who builds a
+config directly gets the same range checks, NaN included.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatmin.cli import _parse
-from flatmin.errors import ConfigError
+from flatmin.cli import DataConfig, GridConfig, ReportConfig, SweepConfig, _parse
+from flatmin.errors import BudgetError, ConfigError
+from flatmin.flatness import FlatnessBudget
 from flatmin.optimizers import METHODS, SCHEDULES, OptimizerConfig
 from flatmin.shiftbench import TRANSFORMS, DomainSpec, ProtocolConfig, SearchSpace
 
@@ -131,3 +133,43 @@ def test_parse_rejects_any_extra_key(cls, docs):
             _parse(cls, {**doc, extra: 1}, "config")
 
     check()
+
+
+def fad_config(**kw):
+    return OptimizerConfig(**{"method": "fad", "eta0": 0.1, "rho0": 0.1, **kw})
+
+
+def sweep_config(**kw):
+    return SweepConfig(
+        data=DataConfig(DomainSpec()),
+        iterations=1,
+        optimizer=OptimizerConfig("sgd", eta0=0.1),
+        grid=GridConfig("alpha", (0.5,)),
+        **kw,
+    )
+
+
+GUARDED_FIELDS = {
+    fad_config: (
+        "eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum",
+        "adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "batch_size",
+    ),
+    DomainSpec: ("n_domains", "num_classes", "per_domain_n", "feature_dim", "noise"),
+    ProtocolConfig: (
+        "n_hparam_trials", "val_fraction", "seeds_per_trial", "iterations", "hidden_units",
+        "report_rho", "report_alpha", "report_probes", "report_k_eigs", "report_restarts",
+        "report_ascent_steps",
+    ),
+    FlatnessBudget: ("n_random", "n_ascent_steps"),
+    ReportConfig: ("rho", "alpha", "k_eigs", "n_probes"),
+    sweep_config: ("timing_repeats",),
+}
+GUARDED = [(build, name) for build, names in GUARDED_FIELDS.items() for name in names]
+
+
+@pytest.mark.parametrize(
+    "build,name", GUARDED, ids=[f"{build.__name__}.{name}" for build, name in GUARDED]
+)
+def test_nan_in_a_guarded_field_is_rejected(build, name):
+    with pytest.raises((ConfigError, BudgetError)):
+        build(**{name: float("nan")})

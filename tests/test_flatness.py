@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flatmin import flatness, objectives
 from flatmin.errors import BudgetError, ConfigError
 from flatmin.flatness import (
     FlatnessBudget,
@@ -24,8 +25,11 @@ from flatmin.flatness import (
     zeroth_order_flatness,
 )
 from flatmin.objectives import (
+    Dataset,
+    MLPObjective,
     QuadraticObjective,
     eval_loss,
+    hvp_fd,
     random_spd_matrix,
 )
 
@@ -256,3 +260,95 @@ def test_flatness_report_caps_k_to_dimension():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     report = build_flatness_report(obj, np.zeros(2), rho=0.1, alpha=0.5, k_eigs=5)
     assert len(report.top_eigs) == 2
+
+
+# -------------------------------------------------------------- oracle calls
+
+
+def small_mlp():
+    rng = np.random.default_rng(1)
+    data = Dataset(rng.standard_normal((30, 2)), rng.integers(3, size=30), np.zeros(30))
+    obj = MLPObjective((2, 4, 3), data)
+    return obj, obj.init_params(rng)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the oracle calls the estimators make, the grads inside hvp_fd included."""
+    counts = {"grad": 0, "loss": 0, "loss_and_grad": 0}
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(flatness, "eval_grad", counted("grad", flatness.eval_grad))
+    monkeypatch.setattr(objectives, "eval_grad", counted("grad", objectives.eval_grad))
+    monkeypatch.setattr(flatness, "eval_loss", counted("loss", flatness.eval_loss))
+    monkeypatch.setattr(
+        flatness, "eval_loss_and_grad", counted("loss_and_grad", flatness.eval_loss_and_grad)
+    )
+    return counts
+
+
+BUDGET = FlatnessBudget(n_random=3, n_ascent_steps=4)
+
+
+def test_zeroth_order_makes_one_fused_call_per_ascent_step(calls):
+    obj, theta = small_mlp()
+    zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET)
+    assert calls == {
+        "grad": 0,
+        "loss": BUDGET.n_random + 1,
+        "loss_and_grad": BUDGET.n_random * BUDGET.n_ascent_steps,
+    }
+
+
+def test_first_order_reuses_each_steps_gradient_in_its_hvp(calls):
+    obj, theta = small_mlp()
+    first_order_flatness(obj, theta, 0.1, budget=BUDGET)
+    expected = 1 + BUDGET.n_random * (2 * BUDGET.n_ascent_steps + 1)
+    assert calls == {"grad": expected, "loss": 0, "loss_and_grad": 0}
+
+
+def test_hutchinson_shares_one_base_gradient(calls):
+    obj, theta = small_mlp()
+    hutchinson_trace(obj, theta, n_probes=5)
+    assert calls == {"grad": 5 + 1, "loss": 0, "loss_and_grad": 0}
+
+
+def test_power_iteration_keeps_two_gradients_per_product(calls):
+    obj, theta = small_mlp()
+    _, converged = power_iteration_lambda_max(obj, theta, max_iter=3, tol=0.0)
+    assert converged == [False]
+    assert calls == {"grad": 2 * 3, "loss": 0, "loss_and_grad": 0}
+
+
+# ------------------------------------------------------------- NaN settings
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda obj: zeroth_order_flatness(obj, np.zeros(2), rho=NAN),
+        lambda obj: first_order_flatness(obj, np.zeros(2), rho=NAN),
+        lambda obj: lambda_max_from_fad(0.06, NAN, 0.5),
+        lambda obj: build_flatness_report(obj, np.zeros(2), rho=NAN, alpha=0.5),
+        lambda obj: total_objective(obj, np.zeros(2), 0.1, 0.5, beta=NAN),
+        lambda obj: hvp_fd(obj, np.zeros(2), np.ones(2), h=NAN),
+        lambda obj: power_iteration_lambda_max(obj, np.zeros(2), k=NAN),
+        lambda obj: power_iteration_lambda_max(obj, np.zeros(2), max_iter=NAN),
+        lambda obj: hutchinson_trace(obj, np.zeros(2), n_probes=NAN),
+    ],
+    ids=[
+        "r0_rho", "r1_rho", "read_off_rho", "report_rho", "total_beta", "hvp_h",
+        "eig_k", "eig_max_iter", "trace_probes",
+    ],
+)
+def test_nan_setting_is_rejected(call):
+    with pytest.raises((ConfigError, BudgetError)):
+        call(QuadraticObjective(np.array([2.0, 8.0])))

@@ -25,6 +25,7 @@ from flatmin.objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
+    eval_loss_and_grad,
     hvp_fd,
     load_dataset,
     make_objective,
@@ -220,6 +221,71 @@ def test_eval_loss_is_pure():
     g = eval_grad(obj, theta)
     g[:] = 0.0  # mutating a returned gradient must not leak into later calls
     assert np.any(eval_grad(obj, theta) != 0.0)
+
+
+# ------------------------------------------------ fused loss and gradient
+
+
+def every_kind():
+    """(name, objective, point) for each objective kind, MLPs of two depths."""
+    rng = np.random.default_rng(17)
+    data = tiny_dataset(n=40, seed=3)
+    cases = [
+        ("quadratic_diag", QuadraticObjective(np.array([2.0, 8.0, 0.5]))),
+        ("quadratic_matrix", QuadraticObjective(random_spd_matrix(4, rng))),
+        ("rosenbrock", RosenbrockObjective(4)),
+        ("double_well", DoubleWellObjective()),
+        ("mlp", MLPObjective((2, 5, 3), data)),
+        ("mlp_deep", MLPObjective((2, 6, 4, 3), data)),
+    ]
+    return [(name, obj, rng.standard_normal(obj.dim)) for name, obj in cases]
+
+
+KINDS = every_kind()
+BATCH = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
+
+
+@pytest.mark.parametrize("batch", [None, BATCH], ids=["full", "batch"])
+@pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
+def test_loss_and_grad_equals_separate_calls_bit_for_bit(name, obj, theta, batch):
+    loss, grad = eval_loss_and_grad(obj, theta, batch)
+    assert loss == eval_loss(obj, theta, batch)
+    assert np.array_equal(grad, eval_grad(obj, theta, batch))
+
+
+@pytest.mark.parametrize("name,obj,theta", KINDS[-2:], ids=[k[0] for k in KINDS[-2:]])
+def test_full_data_path_equals_an_all_rows_batch(name, obj, theta):
+    # the full-data path reads the dataset in place; an explicit batch of
+    # every row takes the indexed copy, and both must agree bit for bit
+    every_row = Batch(np.arange(obj.dataset.n))
+    assert eval_loss(obj, theta) == eval_loss(obj, theta, every_row)
+    assert np.array_equal(eval_grad(obj, theta), eval_grad(obj, theta, every_row))
+
+
+def test_full_data_path_with_column_major_inputs():
+    data = tiny_dataset(n=40, seed=3)
+    fortran = Dataset(np.asfortranarray(data.inputs), data.labels, data.domain_ids)
+    theta = np.random.default_rng(2).standard_normal(MLPObjective((2, 5, 3), data).dim)
+    a, b = MLPObjective((2, 5, 3), data), MLPObjective((2, 5, 3), fortran)
+    every_row = Batch(np.arange(40))
+    assert np.array_equal(eval_grad(b, theta), eval_grad(a, theta, every_row))
+    assert eval_loss(b, theta) == eval_loss(a, theta, every_row)
+
+
+def test_loss_and_grad_checks_like_the_separate_calls():
+    obj = QuadraticObjective(np.array([2.0, 8.0]))
+    with pytest.raises(DimensionError):
+        eval_loss_and_grad(obj, np.zeros(3))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        eval_loss_and_grad(obj, np.array([1e200, 1e200]))
+
+
+@pytest.mark.parametrize("batch", [None, BATCH], ids=["full", "batch"])
+@pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
+def test_hvp_with_given_base_gradient_is_bit_identical(name, obj, theta, batch):
+    v = np.random.default_rng(9).standard_normal(obj.dim)
+    given = hvp_fd(obj, theta, v, batch, g0=eval_grad(obj, theta, batch))
+    assert np.array_equal(given, hvp_fd(obj, theta, v, batch))
 
 
 # -------------------------------------------------------------- batch draw
