@@ -227,9 +227,11 @@ def test_eval_loss_is_pure():
 
 
 def every_kind():
-    """(name, objective, point) for each objective kind, MLPs of two depths."""
+    """(name, objective, point) for each objective kind; MLPs of two depths,
+    and one over inputs given in column-major order."""
     rng = np.random.default_rng(17)
     data = tiny_dataset(n=40, seed=3)
+    column_major = Dataset(np.asfortranarray(data.inputs), data.labels, data.domain_ids)
     cases = [
         ("quadratic_diag", QuadraticObjective(np.array([2.0, 8.0, 0.5]))),
         ("quadratic_matrix", QuadraticObjective(random_spd_matrix(4, rng))),
@@ -237,11 +239,13 @@ def every_kind():
         ("double_well", DoubleWellObjective()),
         ("mlp", MLPObjective((2, 5, 3), data)),
         ("mlp_deep", MLPObjective((2, 6, 4, 3), data)),
+        ("mlp_column_major", MLPObjective((2, 5, 3), column_major)),
     ]
     return [(name, obj, rng.standard_normal(obj.dim)) for name, obj in cases]
 
 
 KINDS = every_kind()
+MLPS = [k for k in KINDS if k[0].startswith("mlp")]
 BATCH = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
 
 
@@ -253,23 +257,13 @@ def test_loss_and_grad_equals_separate_calls_bit_for_bit(name, obj, theta, batch
     assert np.array_equal(grad, eval_grad(obj, theta, batch))
 
 
-@pytest.mark.parametrize("name,obj,theta", KINDS[-2:], ids=[k[0] for k in KINDS[-2:]])
+@pytest.mark.parametrize("name,obj,theta", MLPS, ids=[k[0] for k in MLPS])
 def test_full_data_path_equals_an_all_rows_batch(name, obj, theta):
     # the full-data path reads the dataset in place; an explicit batch of
     # every row takes the indexed copy, and both must agree bit for bit
     every_row = Batch(np.arange(obj.dataset.n))
     assert eval_loss(obj, theta) == eval_loss(obj, theta, every_row)
     assert np.array_equal(eval_grad(obj, theta), eval_grad(obj, theta, every_row))
-
-
-def test_full_data_path_with_column_major_inputs():
-    data = tiny_dataset(n=40, seed=3)
-    fortran = Dataset(np.asfortranarray(data.inputs), data.labels, data.domain_ids)
-    theta = np.random.default_rng(2).standard_normal(MLPObjective((2, 5, 3), data).dim)
-    a, b = MLPObjective((2, 5, 3), data), MLPObjective((2, 5, 3), fortran)
-    every_row = Batch(np.arange(40))
-    assert np.array_equal(eval_grad(b, theta), eval_grad(a, theta, every_row))
-    assert eval_loss(b, theta) == eval_loss(a, theta, every_row)
 
 
 def test_loss_and_grad_checks_like_the_separate_calls():
