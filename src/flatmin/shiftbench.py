@@ -242,7 +242,8 @@ class ProtocolConfig:
             raise ConfigError(f"report_k_eigs must be >= 1, got {self.report_k_eigs}")
         if not (self.report_probes >= 2):
             raise BudgetError(f"report_probes must be >= 2, got {self.report_probes}")
-        FlatnessBudget(self.report_restarts, self.report_ascent_steps)  # checks the budget
+        # the report budget must fail here, before any training, not at the first report
+        FlatnessBudget(self.report_restarts, self.report_ascent_steps)
 
 
 def classification_accuracy(obj: MLPObjective, theta: Vector, dataset: Dataset) -> float:

@@ -319,13 +319,6 @@ def test_hutchinson_shares_one_base_gradient(calls):
     assert calls == {"grad": 5 + 1, "loss": 0, "loss_and_grad": 0}
 
 
-def test_power_iteration_keeps_two_gradients_per_product(calls):
-    obj, theta = small_mlp()
-    _, converged = power_iteration_lambda_max(obj, theta, max_iter=3, tol=0.0)
-    assert converged == [False]
-    assert calls == {"grad": 2 * 3, "loss": 0, "loss_and_grad": 0}
-
-
 # ------------------------------------------------------------- NaN settings
 
 NAN = float("nan")
