@@ -37,7 +37,6 @@ from .objectives import (
     eval_loss_and_grad,
     hvp_fd,
     load_dataset,
-    make_objective,
     random_spd_matrix,
     sample_batch,
     save_dataset,

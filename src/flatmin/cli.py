@@ -44,7 +44,8 @@ from .flatness import (
     lambda_max_from_fad,
     power_iteration_lambda_max,
 )
-from .objectives import MLPObjective, Objective, load_dataset, make_objective
+from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
+from .objectives import RosenbrockObjective, load_dataset, random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -168,11 +169,51 @@ class DataConfig:
 class MLPConfig:
     """An ``mlp`` objective over a dataset file or the ``data`` block's domains."""
 
-    kind: str
+    kind: str = "mlp"
     layer_sizes: tuple[int, ...] | None = None
     dataset: str | None = None
     hidden_units: int = 16
     train_domains: tuple[int, ...] | None = None
+
+
+@dataclass(frozen=True)
+class RandomSPDConfig:
+    dim: int
+    seed: int = 0
+    eig_low: float = 0.5
+    eig_high: float = 10.0
+    min_top_gap: float = 1.0
+
+
+@dataclass(frozen=True)
+class QuadraticConfig:
+    """A ``quadratic`` objective: exactly one of ``diag``, ``matrix`` or ``random_spd``."""
+
+    kind: str = "quadratic"
+    diag: tuple[float, ...] | None = None
+    matrix: tuple[tuple[float, ...], ...] | None = None
+    random_spd: RandomSPDConfig | None = None
+
+    def __post_init__(self) -> None:
+        if [self.diag, self.matrix, self.random_spd].count(None) != 2:
+            raise ConfigError("quadratic needs exactly one of diag | matrix | random_spd")
+
+
+@dataclass(frozen=True)
+class RosenbrockConfig:
+    kind: str = "rosenbrock"
+    dim: int = 2
+
+
+@dataclass(frozen=True)
+class DoubleWellConfig:
+    kind: str = "double_well"
+    centers: tuple[float, float] = (-1.0, 1.0)
+    curvatures: tuple[float, float] = (8.0, 0.5)
+    offsets: tuple[float, float] = (0.0, 0.0)
+
+
+_OBJECTIVES = {c.kind: c for c in (QuadraticConfig, RosenbrockConfig, DoubleWellConfig, MLPConfig)}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -295,14 +336,29 @@ class SweepConfig:
 
 
 def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dict]:
-    """Returns (objective, resolved objective doc)."""
-    if doc.get("kind") != "mlp":
-        return make_objective(doc), doc
-    spec = _parse(MLPConfig, doc, "objective")
+    """Returns (objective, the parsed objective block with every default filled in)."""
+    cls = _OBJECTIVES.get(doc.get("kind"))
+    if cls is None:
+        raise ConfigError(f"objective 'kind' must be one of {sorted(_OBJECTIVES)}")
+    spec = _parse(cls, doc, "objective")
+    if isinstance(spec, QuadraticConfig):
+        curvature = spec.diag if spec.diag is not None else spec.matrix
+        if spec.random_spd is not None:
+            rs = spec.random_spd
+            rng = np.random.default_rng(rs.seed)
+            curvature = random_spd_matrix(rs.dim, rng, rs.eig_low, rs.eig_high, rs.min_top_gap)
+        return QuadraticObjective(curvature), asdict(spec)
+    if isinstance(spec, RosenbrockConfig):
+        return RosenbrockObjective(spec.dim), asdict(spec)
+    if isinstance(spec, DoubleWellConfig):
+        return DoubleWellObjective(spec.centers, spec.curvatures, spec.offsets), asdict(spec)
     if spec.dataset is not None:
         if spec.layer_sizes is None:
             raise ConfigError("mlp objective with a dataset file needs layer_sizes")
-        return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
+        try:
+            return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
+        except OSError as err:
+            raise ConfigError(f"dataset file cannot be read: {err}") from err
     if data is None:
         raise ConfigError("mlp objective needs either a 'dataset' path or a 'data' block")
     md = generate_domains(data.spec, data.seed)
@@ -491,8 +547,8 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_float=_finite_float, parse_constant=_reject_non_finite)
-    except FileNotFoundError as err:
-        raise ConfigError(f"config file not found: {path}") from err
+    except OSError as err:
+        raise ConfigError(f"config file cannot be read: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(doc, dict):

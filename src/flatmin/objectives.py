@@ -308,7 +308,7 @@ class DoubleWellObjective(Objective):
     ):
         if len(centers) != 2 or len(curvatures) != 2 or len(offsets) != 2:
             raise ConfigError("double_well takes exactly two basins")
-        if min(curvatures) <= 0.0:
+        if not all(c > 0.0 for c in curvatures):
             raise ConfigError("basin curvatures must be positive")
         self.centers = (float(centers[0]), float(centers[1]))
         self.curvatures = (float(curvatures[0]), float(curvatures[1]))
@@ -510,61 +510,3 @@ def random_spd_matrix(
     mat = (q * eigs) @ q.T
     return (mat + mat.T) / 2.0
 
-
-def make_objective(spec: dict, dataset: Dataset | None = None) -> Objective:
-    """Build an objective from a plain config dict (see the CLI docs)."""
-    if "kind" not in spec:
-        raise ConfigError("objective config needs a 'kind'")
-    spec = dict(spec)
-    kind = spec.pop("kind")
-    if kind == "quadratic":
-        unknown = set(spec) - {"diag", "matrix", "random_spd"}
-        if unknown:
-            raise ConfigError(f"unknown quadratic keys: {sorted(unknown)}")
-        given = [k for k in ("diag", "matrix", "random_spd") if k in spec]
-        if len(given) != 1:
-            raise ConfigError("quadratic needs exactly one of diag | matrix | random_spd")
-        if "diag" in spec:
-            return QuadraticObjective(np.asarray(spec["diag"], dtype=np.float64))
-        if "matrix" in spec:
-            return QuadraticObjective(np.asarray(spec["matrix"], dtype=np.float64))
-        rs = dict(spec["random_spd"])
-        unknown = set(rs) - {"dim", "seed", "eig_low", "eig_high", "min_top_gap"}
-        if unknown:
-            raise ConfigError(f"unknown random_spd keys: {sorted(unknown)}")
-        rng = np.random.default_rng(int(rs.get("seed", 0)))
-        return QuadraticObjective(
-            random_spd_matrix(
-                int(rs["dim"]),
-                rng,
-                eig_low=float(rs.get("eig_low", 0.5)),
-                eig_high=float(rs.get("eig_high", 10.0)),
-                min_top_gap=float(rs.get("min_top_gap", 1.0)),
-            )
-        )
-    if kind == "rosenbrock":
-        unknown = set(spec) - {"dim"}
-        if unknown:
-            raise ConfigError(f"unknown rosenbrock keys: {sorted(unknown)}")
-        return RosenbrockObjective(int(spec.get("dim", 2)))
-    if kind == "double_well":
-        unknown = set(spec) - {"centers", "curvatures", "offsets"}
-        if unknown:
-            raise ConfigError(f"unknown double_well keys: {sorted(unknown)}")
-        return DoubleWellObjective(
-            centers=tuple(spec.get("centers", (-1.0, 1.0))),
-            curvatures=tuple(spec.get("curvatures", (8.0, 0.5))),
-            offsets=tuple(spec.get("offsets", (0.0, 0.0))),
-        )
-    if kind == "mlp":
-        unknown = set(spec) - {"layer_sizes", "dataset"}
-        if unknown:
-            raise ConfigError(f"unknown mlp keys: {sorted(unknown)}")
-        if dataset is None:
-            if "dataset" not in spec:
-                raise ConfigError("mlp objective needs a dataset")
-            dataset = load_dataset(spec["dataset"])
-        if "layer_sizes" not in spec:
-            raise ConfigError("mlp objective needs layer_sizes")
-        return MLPObjective(tuple(spec["layer_sizes"]), dataset)
-    raise ConfigError(f"unknown objective kind '{kind}'")

@@ -54,6 +54,9 @@ class DomainSpec:
             )
         if not (self.noise >= 0.0):
             raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+        steps = (self.angle_step_deg, self.translation_step, self.class_separation)
+        if not np.isfinite(steps).all():
+            raise ConfigError(f"angle, translation and separation must be finite, got {steps}")
 
 
 @dataclass(frozen=True)

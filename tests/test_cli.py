@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from flatmin import cli
-from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, main
+from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
+from flatmin.errors import ConfigError
+from flatmin.objectives import Dataset, save_dataset
 from flatmin.optimizers import LOG_COLUMNS
 
 
@@ -181,6 +183,10 @@ def test_missing_config_file_exits_2(tmp_path):
     assert run_cli("train", "--config", str(tmp_path / "nope.json")) == CONFIG_EXIT
 
 
+def test_unreadable_config_path_exits_2(tmp_path):
+    assert run_cli("train", "--config", str(tmp_path)) == CONFIG_EXIT
+
+
 def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -252,6 +258,124 @@ def test_flatness_requires_rho(tmp_path):
     doc = {"objective": {"kind": "quadratic", "diag": [2.0, 8.0]}}
     cfg = write_config(tmp_path, doc)
     assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+
+
+# --------------------------------------------------------------- objectives
+
+
+def test_build_objective_each_kind(tmp_path):
+    def build(doc):
+        return _build_objective(doc, None)[0]
+
+    assert build({"kind": "quadratic", "diag": [2.0, 8.0]}).dim == 2
+    assert build({"kind": "quadratic", "matrix": [[2.0, 0.5], [0.5, 3.0]]}).dim == 2
+    assert build({"kind": "rosenbrock", "dim": 4}).dim == 4
+    assert build({"kind": "rosenbrock"}).dim == 2
+    assert build({"kind": "double_well"}).dim == 1
+    spec = {"kind": "quadratic", "random_spd": {"dim": 5, "seed": 3}}
+    a, b = build(spec), build(spec)
+    assert a.dim == 5
+    np.testing.assert_array_equal(a.hessian(), b.hessian())
+    path = tmp_path / "data.json"
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((12, 2)), rng.integers(3, size=12), np.zeros(12))
+    save_dataset(data, path)
+    assert build({"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(path)}).dim == 27
+
+
+def test_build_objective_rejects_bad_blocks():
+    for doc in (
+        {"kind": "quadratic", "diag": [1.0], "extra": 1},
+        {"kind": "quadratic", "random_spd": {"dim": 3, "seeds": 1}},
+        {"kind": "rosenbrock", "dims": 3},
+        {"kind": "nope"},
+        {"diag": [1.0]},
+        {"kind": "quadratic", "diag": [1.0], "matrix": [[1.0]]},
+        {"kind": "quadratic"},
+        {"kind": "double_well", "centers": [0.0, 1.0, 2.0]},
+    ):
+        with pytest.raises(ConfigError):
+            _build_objective(doc, None)
+
+
+def flatness_doc(objective):
+    return {
+        "seed": 1,
+        "objective": objective,
+        "rho": 0.1,
+        "n_probes": 4,
+        "k_eigs": 1,
+        "budget": {"n_random": 2, "n_ascent_steps": 5},
+    }
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        {"kind": "rosenbrock", "dim": "3"},
+        {"kind": "quadratic", "random_spd": {"dim": 3.7}},
+        {"kind": "double_well", "curvatures": [8.0, "0.5"]},
+    ],
+    ids=["string_dim", "fractional_dim", "string_curvature"],
+)
+def test_mistyped_objective_value_exits_2(tmp_path, objective):
+    cfg = write_config(tmp_path, flatness_doc(objective))
+    assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "flatness.json").exists()
+
+
+def test_missing_dataset_file_exits_2(tmp_path):
+    objective = {"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(tmp_path / "nope.json")}
+    cfg = write_config(tmp_path, train_doc(objective=objective))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "demo.csv").exists()
+
+
+# objective blocks as given and as embedded, every default filled in
+OBJECTIVES = {
+    "diag": (
+        {"kind": "quadratic", "diag": [2.0, 8.0]},
+        {"kind": "quadratic", "diag": [2.0, 8.0], "matrix": None, "random_spd": None},
+    ),
+    "matrix": (
+        {"kind": "quadratic", "matrix": [[2, 0.5], [0.5, 3]]},
+        {"kind": "quadratic", "diag": None, "matrix": [[2.0, 0.5], [0.5, 3.0]], "random_spd": None},
+    ),
+    "random_spd": (
+        {"kind": "quadratic", "random_spd": {"dim": 3}},
+        {
+            "kind": "quadratic",
+            "diag": None,
+            "matrix": None,
+            "random_spd": {
+                "dim": 3, "seed": 0, "eig_low": 0.5, "eig_high": 10.0, "min_top_gap": 1.0
+            },
+        },
+    ),
+    "rosenbrock": ({"kind": "rosenbrock"}, {"kind": "rosenbrock", "dim": 2}),
+    "double_well": (
+        {"kind": "double_well", "offsets": [0, 0.3]},
+        {
+            "kind": "double_well",
+            "centers": [-1.0, 1.0],
+            "curvatures": [8.0, 0.5],
+            "offsets": [0.0, 0.3],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OBJECTIVES)
+def test_flatness_embeds_the_full_objective_and_reruns_from_it(tmp_path, name):
+    given, embedded = OBJECTIVES[name]
+    cfg = write_config(tmp_path, flatness_doc(given))
+    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("flatness", "--config", cfg, "--out-dir", str(dir_a)) == 0
+    config = json.loads((dir_a / "flatness.json").read_text())["config"]
+    assert config["objective"] == embedded
+    cfg2 = write_config(tmp_path, config, name="embedded.json")
+    assert run_cli("flatness", "--config", cfg2, "--out-dir", str(dir_b)) == 0
+    assert (dir_a / "flatness.json").read_bytes() == (dir_b / "flatness.json").read_bytes()
 
 
 # -------------------------------------------------------------------- bench

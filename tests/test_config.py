@@ -15,7 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatmin.cli import DataConfig, GridConfig, ReportConfig, SweepConfig, _parse
+from flatmin.cli import (
+    DataConfig,
+    DoubleWellConfig,
+    GridConfig,
+    MLPConfig,
+    QuadraticConfig,
+    RandomSPDConfig,
+    ReportConfig,
+    RosenbrockConfig,
+    SweepConfig,
+    _parse,
+)
 from flatmin.errors import BudgetError, ConfigError
 from flatmin.flatness import FlatnessBudget
 from flatmin.optimizers import METHODS, SCHEDULES, OptimizerConfig
@@ -104,10 +115,52 @@ protocol_docs = st.fixed_dictionaries(
     },
 )
 
+random_spd_docs = st.fixed_dictionaries(
+    {"dim": st.integers(min_value=1, max_value=64)},
+    optional={
+        "seed": st.integers(min_value=0, max_value=2**32),
+        "eig_low": positive,
+        "eig_high": positive,
+        "min_top_gap": numbers(1.0, 10.0),
+    },
+)
+
+
+def objective_docs(kind, required=None, **optional):
+    """Docs of one objective kind; ``kind`` itself may be left to its default."""
+    optional["kind"] = st.just(kind)
+    return st.fixed_dictionaries(required or {}, optional=optional)
+
+
+pairs = st.lists(numbers(), min_size=2, max_size=2)
+int_lists = st.lists(st.integers(min_value=1, max_value=64), max_size=4)
+quadratic_docs = st.one_of(
+    objective_docs("quadratic", {"diag": st.lists(numbers(), min_size=1, max_size=6)}),
+    objective_docs("quadratic", {"matrix": st.lists(pairs, min_size=2, max_size=2)}),
+    objective_docs("quadratic", {"random_spd": random_spd_docs}),
+)
+
 CASES = [
     (OptimizerConfig, optimizer_docs()),
     (ProtocolConfig, protocol_docs),
     (DomainSpec, domain_docs()),
+    (RandomSPDConfig, random_spd_docs),
+    (QuadraticConfig, quadratic_docs),
+    (RosenbrockConfig, objective_docs("rosenbrock", dim=st.integers(min_value=2, max_value=64))),
+    (
+        DoubleWellConfig,
+        objective_docs("double_well", centers=pairs, curvatures=pairs, offsets=pairs),
+    ),
+    (
+        MLPConfig,
+        objective_docs(
+            "mlp",
+            layer_sizes=st.none() | int_lists,
+            dataset=st.none() | st.text(max_size=12),
+            hidden_units=st.integers(min_value=1, max_value=64),
+            train_domains=st.none() | int_lists,
+        ),
+    ),
 ]
 
 
@@ -154,7 +207,10 @@ GUARDED_FIELDS = {
         "eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum",
         "adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "batch_size",
     ),
-    DomainSpec: ("n_domains", "num_classes", "per_domain_n", "feature_dim", "noise"),
+    DomainSpec: (
+        "n_domains", "num_classes", "per_domain_n", "feature_dim", "noise", "angle_step_deg",
+        "translation_step", "class_separation",
+    ),
     ProtocolConfig: (
         "n_hparam_trials", "val_fraction", "seeds_per_trial", "iterations", "hidden_units",
         "report_rho", "report_alpha", "report_probes", "report_k_eigs", "report_restarts",

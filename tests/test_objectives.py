@@ -28,7 +28,6 @@ from flatmin.objectives import (
     eval_loss_and_grad,
     hvp_fd,
     load_dataset,
-    make_objective,
     random_spd_matrix,
     sample_batch,
     save_dataset,
@@ -153,6 +152,12 @@ def test_double_well_is_continuous_at_crossings():
 def test_double_well_validation():
     with pytest.raises(ConfigError):
         DoubleWellObjective(curvatures=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("curvatures", [(np.nan, 0.5), (0.5, np.nan)], ids=["first", "second"])
+def test_double_well_rejects_nan_curvature(curvatures):
+    with pytest.raises(ConfigError):
+        DoubleWellObjective(curvatures=curvatures)
 
 
 def test_mlp_gradient_matches_finite_differences():
@@ -342,34 +347,6 @@ def test_dataset_subset():
     sub = ds.subset(np.array([1, 3, 5]))
     assert sub.n == 3
     np.testing.assert_array_equal(sub.inputs, ds.inputs[[1, 3, 5]])
-
-
-# ----------------------------------------------------------------- factory
-
-
-def test_make_objective_each_kind():
-    assert make_objective({"kind": "quadratic", "diag": [2.0, 8.0]}).dim == 2
-    assert make_objective({"kind": "rosenbrock", "dim": 4}).dim == 4
-    assert make_objective({"kind": "double_well"}).dim == 1
-    spec = {"kind": "quadratic", "random_spd": {"dim": 5, "seed": 3}}
-    a = make_objective(spec)
-    b = make_objective(spec)
-    np.testing.assert_array_equal(a.hessian(), b.hessian())
-    ds = tiny_dataset()
-    assert make_objective({"kind": "mlp", "layer_sizes": [2, 4, 3]}, ds).dim == 27
-
-
-def test_make_objective_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        make_objective({"kind": "quadratic", "diag": [1.0], "extra": 1})
-    with pytest.raises(ConfigError):
-        make_objective({"kind": "rosenbrock", "dims": 3})
-    with pytest.raises(ConfigError):
-        make_objective({"kind": "nope"})
-    with pytest.raises(ConfigError):
-        make_objective({"diag": [1.0]})
-    with pytest.raises(ConfigError):
-        make_objective({"kind": "quadratic", "diag": [1.0], "matrix": [[1.0]]})
 
 
 def test_random_spd_matrix_contract():
