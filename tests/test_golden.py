@@ -10,7 +10,10 @@ the package produces bit for bit as it was. These tests pin sha256 hashes of
 * the files of one tiny ``flatmin bench`` run;
 * flatness reports (``r0``, ``r1``, top eigenvalues and trace) on the README
   task at an init point and at a fad-trained point, once at the default
-  budget on full data and once with a small budget on a batch of 32 rows.
+  budget on full data and once with a small budget on a batch of 32 rows;
+* the bytes of ``convergence.json`` from ``flatmin converge`` on a quadratic
+  and on the README task with fad and ``inverse_sqrt`` schedules (the file
+  holds no timing, so the whole file is hashed).
 
 Floating-point results depend on the numpy/BLAS build, so on a different
 build these hashes may need to be taken again from a known-good commit.
@@ -183,3 +186,39 @@ def report_hash(obj, theta, variant) -> str:
 def test_flatness_report_is_unchanged(readme_task, report_points, point, variant):
     obj, _ = readme_task
     assert report_hash(obj, report_points[point], variant) == REPORT_HASHES[(point, variant)]
+
+
+CONVERGE_DOCS = {
+    "quadratic": {
+        "seed": 0,
+        "iterations": 120,
+        "objective": {"kind": "quadratic", "diag": [2.0, 8.0]},
+        "optimizer": {"method": "fad", "eta0": 0.05, "rho0": 0.1, "schedule": "inverse_sqrt"},
+    },
+    "mlp": {
+        "seed": 3,
+        "iterations": 300,
+        "objective": {"kind": "mlp", "hidden_units": 16},
+        "data": {
+            "spec": {"n_domains": 3, "per_domain_n": 150, "num_classes": 3, "noise": 0.4},
+            "seed": 11,
+        },
+        "optimizer": {
+            "method": "fad", "eta0": 0.5, "rho0": 0.2, "alpha": 0.5, "beta": 0.1,
+            "batch_size": 32, "schedule": "inverse_sqrt",
+        },
+    },
+}
+
+CONVERGE_HASHES = {
+    "quadratic": "d4ef51a1c76c0ff22f128f87f3ace30652ac641bad61c797902cfe7dad9626d9",
+    "mlp": "49f02983f013fbf683df528031fa2791c61ec04552d01ffcd511cf2519488525",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERGE_DOCS))
+def test_convergence_report_is_unchanged(tmp_path, name):
+    cfg = tmp_path / "converge.json.in"
+    cfg.write_text(json.dumps(CONVERGE_DOCS[name]))
+    assert main(["converge", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "convergence.json").read_bytes()) == CONVERGE_HASHES[name]
