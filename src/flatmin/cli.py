@@ -49,6 +49,7 @@ from .objectives import RosenbrockObjective, load_dataset, random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
+    MIN_CONVERGENCE_STEPS,
     OptimizerConfig,
     RunRecord,
     convergence_check,
@@ -271,6 +272,10 @@ class ConvergeConfig:
     theta0: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not (self.iterations >= MIN_CONVERGENCE_STEPS):
+            raise ConfigError(
+                f"converge needs iterations >= {MIN_CONVERGENCE_STEPS}, got {self.iterations}"
+            )
         if self.optimizer.schedule != "inverse_sqrt":
             raise ConfigError(
                 "converge requires schedule 'inverse_sqrt'; the decay analysis "
@@ -442,11 +447,8 @@ def cmd_flatness(cfg: FlatnessConfig, out_dir: Path) -> None:
 def cmd_converge(cfg: ConvergeConfig, out_dir: Path) -> None:
     obj, obj_doc = _build_objective(cfg.objective, cfg.data)
     theta0 = _initial_point(obj, cfg.theta0, cfg.seed)
-    record = run_training(
-        obj, theta0, cfg.optimizer, cfg.iterations, seed=cfg.seed, capture_traces=True
-    )
-    report = convergence_check(record.traces, cfg.optimizer.eta0, cfg.optimizer.rho0)
-    out = report.to_dict()
+    record = run_training(obj, theta0, cfg.optimizer, cfg.iterations, seed=cfg.seed)
+    out = asdict(convergence_check(record.rows, cfg.optimizer.eta0, cfg.optimizer.rho0))
     out["config"] = asdict(replace(cfg, objective=obj_doc, theta0=tuple(theta0.tolist())))
     _write_json(out_dir / "convergence.json", out)
 
@@ -486,7 +488,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
             t0 = time.perf_counter()
             try:
                 records[i] = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
-            except FlatminError as err:
+            except _NUMERIC_ERRORS as err:
                 records[i] = err
                 continue
             walls[i].append((time.perf_counter() - t0) * 1000.0)
@@ -510,7 +512,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
                     "status": "ok",
                 }
             )
-        except FlatminError as err:
+        except _NUMERIC_ERRORS as err:
             rows.append(
                 {
                     "value": value,

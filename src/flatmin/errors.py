@@ -36,7 +36,7 @@ class BudgetError(FlatminError):
 
 
 class InsufficientDataError(FlatminError):
-    """Too few training traces for the requested diagnostic."""
+    """Too few training log rows for the requested diagnostic."""
 
 
 class ProtocolError(FlatminError):

@@ -379,10 +379,6 @@ class MLPObjective(Objective):
         self._all_rows = np.arange(dataset.n, dtype=np.int64)
         self._all_rows.flags.writeable = False
 
-    @property
-    def num_classes(self) -> int:
-        return self.layer_sizes[-1]
-
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
         chunks = []

@@ -15,7 +15,7 @@ on the same minibatch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -25,6 +25,8 @@ from .objectives import Batch, Objective, Vector, eval_grad, eval_loss, sample_b
 
 METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
 SCHEDULES = ("constant", "inverse_sqrt")
+# the fewest log rows convergence_check fits a decay profile to
+MIN_CONVERGENCE_STEPS = 10
 
 LOG_COLUMNS = (
     "run_id",
@@ -135,22 +137,6 @@ class StepTrace:
     g2: Vector | None = None
     g3: Vector | None = None
 
-    @property
-    def norm_g0(self) -> float:
-        return float(np.linalg.norm(self.g0))
-
-    @property
-    def norm_h0(self) -> float:
-        return float(np.linalg.norm(self.h0))
-
-    @property
-    def norm_h1(self) -> float:
-        return float(np.linalg.norm(self.h1))
-
-    @property
-    def norm_delta(self) -> float:
-        return float(np.linalg.norm(self.delta))
-
 
 def schedule_value(base: float, schedule: str, t: int) -> float:
     """Value of a scheduled coefficient at 1-indexed step t."""
@@ -255,12 +241,8 @@ STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
 
 @dataclass
 class RunRecord:
-    run_id: str
-    method: str
-    seed: int
     theta_final: Vector
     rows: list[dict]
-    traces: list[StepTrace] = field(default_factory=list)
 
 
 def trace_to_row(
@@ -274,10 +256,10 @@ def trace_to_row(
         "eta_t": trace.eta_t,
         "rho_t": trace.rho_t,
         "loss": trace.loss_before,
-        "norm_g0": trace.norm_g0,
-        "norm_h0": trace.norm_h0,
-        "norm_h1": trace.norm_h1,
-        "norm_delta": trace.norm_delta,
+        "norm_g0": float(np.linalg.norm(trace.g0)),
+        "norm_h0": float(np.linalg.norm(trace.h0)),
+        "norm_h1": float(np.linalg.norm(trace.h1)),
+        "norm_delta": float(np.linalg.norm(trace.delta)),
         "fad_applied": int(trace.fad_applied),
         "wall_ms": wall_ms,
     }
@@ -291,7 +273,6 @@ def run_training(
     seed: int = 0,
     run_id: str = "run",
     log_sink: Callable[[dict], None] | None = None,
-    capture_traces: bool = False,
 ) -> RunRecord:
     """Run ``iterations`` optimizer steps from theta0, streaming one log row each.
 
@@ -305,19 +286,16 @@ def run_training(
     theta = np.array(theta0, dtype=np.float64, copy=True)
     state = OptimizerState.fresh(seed)
     step_fn = STEP_FUNCTIONS[config.method]
-    record = RunRecord(run_id, config.method, int(seed), theta, [])
+    rows: list[dict] = []
     for _ in range(iterations):
         t0 = time.perf_counter()
         theta, trace = step_fn(obj, theta, state, config)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         row = trace_to_row(trace, run_id, config.method, int(seed), wall_ms)
-        record.rows.append(row)
+        rows.append(row)
         if log_sink is not None:
             log_sink(row)
-        if capture_traces:
-            record.traces.append(trace)
-    record.theta_final = theta
-    return record
+    return RunRecord(theta, rows)
 
 
 @dataclass(frozen=True)
@@ -340,31 +318,19 @@ class ConvergenceReport:
     schedule_ok: bool
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "n_steps": self.n_steps,
-            "c1": self.c1,
-            "c2": self.c2,
-            "residual": self.residual,
-            "r_squared": self.r_squared,
-            "min_delta_sq": self.min_delta_sq,
-            "first_decile_min": self.first_decile_min,
-            "last_decile_min": self.last_decile_min,
-            "schedule_ok": self.schedule_ok,
-            "note": self.note,
-        }
 
+def convergence_check(rows: list[dict], eta0: float, rho0: float) -> ConvergenceReport:
+    """Fit the decay profile of ||delta_t||^2 and check the 1/sqrt(t) schedules.
 
-def convergence_check(
-    traces: "list[StepTrace]", eta0: float, rho0: float
-) -> ConvergenceReport:
-    """Fit the decay profile of ||delta_t||^2 and check the 1/sqrt(t) schedules."""
-    n = len(traces)
-    if n < 10:
-        raise InsufficientDataError(f"need at least 10 traces, got {n}")
-    t = np.array([tr.t for tr in traces], dtype=np.float64)
-    eta = np.array([tr.eta_t for tr in traces])
-    rho = np.array([tr.rho_t for tr in traces])
+    Reads ``t``, ``eta_t``, ``rho_t`` and ``norm_delta`` from the log rows of
+    a run (``RunRecord.rows``).
+    """
+    n = len(rows)
+    if n < MIN_CONVERGENCE_STEPS:
+        raise InsufficientDataError(f"need at least {MIN_CONVERGENCE_STEPS} log rows, got {n}")
+    t = np.array([r["t"] for r in rows], dtype=np.float64)
+    eta = np.array([r["eta_t"] for r in rows])
+    rho = np.array([r["rho_t"] for r in rows])
     ok_eta = np.allclose(eta * np.sqrt(t), eta0, rtol=1e-9, atol=0.0)
     ok_rho = np.allclose(rho * np.sqrt(t), rho0, rtol=1e-9, atol=1e-300)
     schedule_ok = bool(ok_eta and ok_rho)
@@ -373,7 +339,7 @@ def convergence_check(
         if schedule_ok
         else "schedule violates the 1/sqrt(t) decay the guarantee assumes"
     )
-    d2 = np.array([tr.norm_delta**2 for tr in traces])
+    d2 = np.array([r["norm_delta"] ** 2 for r in rows])
     cum = np.cumsum(d2)
     half = t >= (n // 2)
     y = cum[half] * np.sqrt(t[half])

@@ -272,14 +272,9 @@ def select_trial(val_accuracies: "list[float | None]") -> int:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    index: int
     hparams: dict
     val_accuracy: float | None
     error: str | None = None
-
-    @property
-    def valid(self) -> bool:
-        return self.val_accuracy is not None
 
 
 @dataclass
@@ -414,9 +409,9 @@ def run_protocol(
                         seed=_derived_seed(seed, 19, split.test_domain, mi, trial),
                     )
                     acc = classification_accuracy(train_obj, rec.theta_final, val_ds)
-                    outcomes.append(TrialOutcome(trial, hp, acc))
+                    outcomes.append(TrialOutcome(hp, acc))
                 except (NumericalError, BatchSizeError) as err:
-                    outcomes.append(TrialOutcome(trial, hp, None, error=str(err)))
+                    outcomes.append(TrialOutcome(hp, None, error=str(err)))
                 clock += 1
                 result.events.append(
                     (clock, "trial_scored", method, split.test_domain, trial)

@@ -310,8 +310,8 @@ def test_criterion_6_convergence_decay():
     ratios, r2s = [], []
     for seed in range(5):
         theta0 = obj.init_params(np.random.default_rng([seed, 2]))
-        rec = run_training(obj, theta0, cfg, 5000, seed=seed, capture_traces=True)
-        report = convergence_check(rec.traces, cfg.eta0, cfg.rho0)
+        rec = run_training(obj, theta0, cfg, 5000, seed=seed)
+        report = convergence_check(rec.rows, cfg.eta0, cfg.rho0)
         assert report.schedule_ok
         ratios.append(report.last_decile_min / report.first_decile_min)
         r2s.append(report.r_squared)

@@ -9,8 +9,10 @@ columns.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from flatmin import cli
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
 from flatmin.errors import ConfigError
 from flatmin.objectives import Dataset, save_dataset
-from flatmin.optimizers import LOG_COLUMNS
+from flatmin.optimizers import LOG_COLUMNS, MIN_CONVERGENCE_STEPS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -230,6 +232,21 @@ def test_converge_rejects_constant_schedule(tmp_path):
     }
     cfg = write_config(tmp_path, doc)
     assert run_cli("converge", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+
+
+def test_converge_rejects_a_short_run_before_training(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("converge trained on a config it should have rejected")
+
+    monkeypatch.setattr(cli, "run_training", never)
+    doc = {
+        "iterations": MIN_CONVERGENCE_STEPS - 1,
+        "objective": {"kind": "quadratic", "diag": [2.0, 8.0]},
+        "optimizer": {"method": "fad", "eta0": 0.05, "rho0": 0.1, "schedule": "inverse_sqrt"},
+    }
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("converge", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "convergence.json").exists()
 
 
 # ----------------------------------------------------------------- flatness
@@ -528,6 +545,21 @@ def test_sweep_rejects_unknown_grid_param(tmp_path):
     assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"iterations": 0},
+        # the training pool holds 60 rows
+        {"optimizer": {"method": "fad", "eta0": 0.1, "rho0": 0.1, "batch_size": 500}},
+    ],
+    ids=["zero_iterations", "batch_larger_than_pool"],
+)
+def test_sweep_config_problem_exits_2_without_a_table(tmp_path, overrides):
+    cfg = write_config(tmp_path, sweep_doc(**overrides))
+    assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------------ hygiene
 
 
@@ -547,3 +579,28 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "demo.csv").exists()
+
+
+# ------------------------------------------------------------------- README
+
+
+def readme_config_blocks():
+    """(command, JSON document) for each whole config block under a command heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = []
+    for section in readme.split("\n### ")[1:]:
+        command = section.split("\n", 1)[0].strip()
+        for block in re.findall(r"```json\n(.*?)```", section, re.DOTALL):
+            if command in cli._COMMANDS and block.lstrip().startswith("{"):
+                blocks.append((command, json.loads(block)))
+    return blocks
+
+
+def test_readme_config_examples_parse():
+    blocks = readme_config_blocks()
+    assert sorted(command for command, _ in blocks) == ["bench", "flatness", "sweep", "train"]
+    for command, doc in blocks:
+        cls, _ = cli._COMMANDS[command]
+        cfg = cli._parse(cls, doc, f"README {command} config")
+        if "objective" in doc:
+            _build_objective(cfg.objective, cfg.data)

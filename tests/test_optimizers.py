@@ -9,6 +9,8 @@ format promises.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -215,13 +217,9 @@ def test_fad_ratio_does_not_disturb_batch_stream():
     # same seed has to see the same batches, so g0 agrees step by step
     obj = tiny_mlp()
     theta0 = obj.init_params(np.random.default_rng(1))
-    rec_on = run_training(
-        obj, theta0, fad_config(fad_ratio=1.0, batch_size=8), 1, seed=9, capture_traces=True
-    )
-    rec_off = run_training(
-        obj, theta0, fad_config(fad_ratio=0.0, batch_size=8), 1, seed=9, capture_traces=True
-    )
-    np.testing.assert_array_equal(rec_on.traces[0].g0, rec_off.traces[0].g0)
+    _, on = step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=1.0, batch_size=8))
+    _, off = step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=0.0, batch_size=8))
+    np.testing.assert_array_equal(on.g0, off.g0)
 
 
 # ---------------------------------------------------------- adam and decay
@@ -402,16 +400,16 @@ def test_trace_to_row_norms_match():
 def test_convergence_check_needs_enough_traces():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     cfg = fad_config(schedule="inverse_sqrt")
-    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 5, capture_traces=True)
+    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 5)
     with pytest.raises(InsufficientDataError):
-        convergence_check(rec.traces, cfg.eta0, cfg.rho0)
+        convergence_check(rec.rows, cfg.eta0, cfg.rho0)
 
 
 def test_convergence_check_flags_constant_schedule():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     cfg = fad_config(schedule="constant")
-    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 20, capture_traces=True)
-    report = convergence_check(rec.traces, cfg.eta0, cfg.rho0)
+    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 20)
+    report = convergence_check(rec.rows, cfg.eta0, cfg.rho0)
     assert not report.schedule_ok
     assert "violates" in report.note
 
@@ -419,14 +417,14 @@ def test_convergence_check_flags_constant_schedule():
 def test_convergence_check_on_a_decaying_run():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     cfg = fad_config(schedule="inverse_sqrt", eta0=0.05)
-    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 200, capture_traces=True)
-    report = convergence_check(rec.traces, cfg.eta0, cfg.rho0)
+    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 200)
+    report = convergence_check(rec.rows, cfg.eta0, cfg.rho0)
     assert report.schedule_ok
     assert report.n_steps == 200
-    # recompute the decile minima straight from the traces
-    d2 = np.array([t.norm_delta**2 for t in rec.traces])
+    # recompute the decile minima straight from the log rows
+    d2 = np.array([r["norm_delta"] ** 2 for r in rec.rows])
     assert report.first_decile_min == d2[:20].min()
     assert report.last_decile_min == d2[-20:].min()
     assert report.last_decile_min < report.first_decile_min
     assert 0.0 <= report.r_squared <= 1.0
-    assert report.to_dict()["n_steps"] == 200
+    assert asdict(report)["n_steps"] == 200
