@@ -12,8 +12,10 @@ the package produces bit for bit as it was. These tests pin sha256 hashes of
   task at an init point and at a fad-trained point, once at the default
   budget on full data and once with a small budget on a batch of 32 rows;
 * the bytes of ``convergence.json`` from ``flatmin converge`` on a quadratic
-  and on the README task with fad and ``inverse_sqrt`` schedules (the file
-  holds no timing, so the whole file is hashed).
+  and on the README task with fad and ``inverse_sqrt`` schedules, and of
+  ``flatness.json`` from ``flatmin flatness`` on a quadratic at a given
+  ``theta`` and on the README task at its init point with a small budget
+  (neither file holds timing, so the whole file is hashed).
 
 Floating-point results depend on the numpy/BLAS build, so on a different
 build these hashes may need to be taken again from a known-good commit.
@@ -222,3 +224,39 @@ def test_convergence_report_is_unchanged(tmp_path, name):
     cfg.write_text(json.dumps(CONVERGE_DOCS[name]))
     assert main(["converge", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
     assert sha256((tmp_path / "convergence.json").read_bytes()) == CONVERGE_HASHES[name]
+
+
+FLATNESS_DOCS = {
+    "quadratic": {
+        "seed": 1,
+        "objective": {"kind": "quadratic", "diag": [2.0, 8.0]},
+        "theta": [0.3, -0.2],
+        "rho": 0.1,
+        "alpha": 0.5,
+    },
+    "mlp": {
+        "seed": 3,
+        "objective": {"kind": "mlp", "hidden_units": 16},
+        "data": {
+            "spec": {"n_domains": 3, "per_domain_n": 150, "num_classes": 3, "noise": 0.4},
+            "seed": 11,
+        },
+        "rho": 0.1,
+        "alpha": 0.5,
+        "n_probes": 8,
+        "budget": {"n_random": 2, "n_ascent_steps": 5},
+    },
+}
+
+FLATNESS_HASHES = {
+    "quadratic": "ba8454cafbb1ddf309a6d5b73e160511aa282c01291a8dcfeb86845d83557f5f",
+    "mlp": "9caf86e353a40f7a05a38153d31fdac4a0368642b87e95a6e2e95aea50a22288",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLATNESS_DOCS))
+def test_flatness_command_file_is_unchanged(tmp_path, name):
+    cfg = tmp_path / "flatness.json.in"
+    cfg.write_text(json.dumps(FLATNESS_DOCS[name]))
+    assert main(["flatness", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
+    assert sha256((tmp_path / "flatness.json").read_bytes()) == FLATNESS_HASHES[name]
