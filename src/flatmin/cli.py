@@ -457,8 +457,12 @@ def cmd_bench(cfg: BenchConfig, out_dir: Path) -> None:
     md = generate_domains(cfg.data.spec, cfg.data.seed)
     result = run_protocol(md, list(cfg.methods), cfg.protocol, seed=cfg.seed)
     embedded = asdict(cfg)
-    out = result.to_dict()
-    out["config"] = embedded
+    out = {
+        "methods": list(result.methods),
+        "n_domains": result.n_domains,
+        "cells": [asdict(c) for c in result.cells],
+        "config": embedded,
+    }
     _write_json(out_dir / "bench.json", out)
     table = f"# config: {_canonical_json(embedded)}\n" + result.table_csv()
     _atomic_write_text(out_dir / "bench_table.csv", table)

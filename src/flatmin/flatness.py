@@ -276,26 +276,14 @@ class FlatnessReport:
     r1: float
     r_fad: float
     lambda_max: float
-    top_eigs: tuple[float, ...]
+    top_eigs: list[float]
     trace: float
     trace_stderr: float
     budget: dict
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "alpha": self.alpha,
-            "r0": self.r0,
-            "r1": self.r1,
-            "r_fad": self.r_fad,
-            "lambda_max": self.lambda_max,
-            "top_eigs": list(self.top_eigs),
-            "trace": self.trace,
-            "trace_stderr": self.trace_stderr,
-            "budget": dict(self.budget),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def build_flatness_report(
@@ -308,8 +296,6 @@ def build_flatness_report(
     k_eigs: int = 2,
     n_probes: int = 64,
     fd_step: float = DEFAULT_FD_STEP,
-    tol: float = 1e-8,
-    max_iter: int = 1000,
     seed: int = 0,
 ) -> FlatnessReport:
     """Run all estimators at one point with a single seeded RNG stream."""
@@ -321,9 +307,7 @@ def build_flatness_report(
     r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)
     r1 = first_order_flatness(obj, theta, rho, batch, budget, rng, fd_step)
     r_fad = fad_regularizer(r0, r1, alpha)
-    eigs, _ = power_iteration_lambda_max(
-        obj, theta, batch, k=k_eigs, tol=tol, max_iter=max_iter, fd_step=fd_step, rng=rng
-    )
+    eigs, _ = power_iteration_lambda_max(obj, theta, batch, k=k_eigs, fd_step=fd_step, rng=rng)
     trace, trace_se = hutchinson_trace(obj, theta, batch, n_probes, fd_step, rng)
     budget_doc = asdict(budget)
     budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": fd_step})
@@ -334,7 +318,7 @@ def build_flatness_report(
         r1=float(r1),
         r_fad=float(r_fad),
         lambda_max=float(eigs[0]),
-        top_eigs=tuple(float(e) for e in eigs),
+        top_eigs=[float(e) for e in eigs],
         trace=float(trace),
         trace_stderr=float(trace_se),
         budget=budget_doc,

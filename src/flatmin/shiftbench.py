@@ -290,23 +290,6 @@ class BenchCell:
     lambda_maxes: tuple[float, ...]
     hessian_traces: tuple[float, ...]
     flatness: tuple[dict, ...]
-    train_indices: np.ndarray
-    val_indices: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "test_domain": self.test_domain,
-            "mean_accuracy": self.mean_accuracy,
-            "std_accuracy": self.std_accuracy,
-            "seed_accuracies": list(self.seed_accuracies),
-            "selected_trial": self.selected_trial,
-            "selected_hparams": dict(self.selected_hparams),
-            "trial_val_accuracies": list(self.trial_val_accuracies),
-            "lambda_maxes": list(self.lambda_maxes),
-            "hessian_traces": list(self.hessian_traces),
-            "flatness": [dict(f) for f in self.flatness],
-        }
 
 
 @dataclass
@@ -315,19 +298,14 @@ class BenchResult:
     n_domains: int
     cells: list[BenchCell]
     events: list[tuple] = field(default_factory=list)
+    # held-out domain -> (train, validation) row indices into the pooled domains
+    splits: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def cell(self, method: str, test_domain: int) -> BenchCell:
         for c in self.cells:
             if c.method == method and c.test_domain == test_domain:
                 return c
         raise KeyError((method, test_domain))
-
-    def to_dict(self) -> dict:
-        return {
-            "methods": list(self.methods),
-            "n_domains": self.n_domains,
-            "cells": [c.to_dict() for c in self.cells],
-        }
 
     def table_csv(self) -> str:
         lines = ["domain_out," + ",".join(self.methods)]
@@ -390,6 +368,7 @@ def run_protocol(
         pool = pool_domains(md, split.train_domains)
         split_rng = np.random.default_rng([seed, 7, split.test_domain])
         tr_idx, va_idx = stratified_split(pool, protocol.val_fraction, split_rng)
+        result.splits[split.test_domain] = (tr_idx, va_idx)
         train_ds, val_ds = pool.subset(tr_idx), pool.subset(va_idx)
         train_obj = MLPObjective(layer_sizes, train_ds)
         for mi, method in enumerate(methods):
@@ -472,8 +451,6 @@ def run_protocol(
                     lambda_maxes=tuple(lams),
                     hessian_traces=tuple(hessian_traces),
                     flatness=tuple(reports),
-                    train_indices=tr_idx,
-                    val_indices=va_idx,
                 )
             )
     return result

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -407,7 +408,7 @@ def test_criterion_8_protocol_hygiene(tmp_path):
         k: v for k, v in protocol.items()
     }), seed=2)
     for cell in result.cells:
-        assert np.intersect1d(cell.train_indices, cell.val_indices).size == 0
+        assert np.intersect1d(*result.splits[cell.test_domain]).size == 0
         assert cell.selected_trial == select_trial(list(cell.trial_val_accuracies))
         mine = [e for e in result.events if e[2] == cell.method and e[3] == cell.test_domain]
         scored = [e[0] for e in mine if e[1] == "trial_scored"]
@@ -417,7 +418,7 @@ def test_criterion_8_protocol_hygiene(tmp_path):
 
     # cross-check the files against the in-process run
     table = json.loads((dir_a / "bench.json").read_text())
-    assert table["cells"] == [c.to_dict() for c in result.cells]
+    assert table["cells"] == json.loads(json.dumps([asdict(c) for c in result.cells]))
 
     # (c): rerun from the embedded config; every artifact must match bytewise
     embedded = table["config"]

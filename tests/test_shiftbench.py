@@ -286,8 +286,9 @@ def test_run_protocol_split_hygiene(tiny_protocol_result):
     md, result = tiny_protocol_result
     for cell in result.cells:
         pool = pool_domains(md, tuple(d for d in range(3) if d != cell.test_domain))
-        assert np.intersect1d(cell.train_indices, cell.val_indices).size == 0
-        combined = np.sort(np.concatenate([cell.train_indices, cell.val_indices]))
+        train_indices, val_indices = result.splits[cell.test_domain]
+        assert np.intersect1d(train_indices, val_indices).size == 0
+        combined = np.sort(np.concatenate([train_indices, val_indices]))
         assert np.array_equal(combined, np.arange(pool.n))
         # the held-out domain never contributes a training or validation row
         assert cell.test_domain not in pool.domain_ids
