@@ -181,6 +181,39 @@ class SearchSpace:
     fad_alpha: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     fad_beta: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0)
 
+    def __post_init__(self) -> None:
+        for name, base in (
+            ("log2_batch", 2.0),
+            ("log10_lr", 10.0),
+            ("log10_momentum", 10.0),
+            ("log10_weight_decay", 10.0),
+        ):
+            for end in getattr(self, name):
+                if not _finite_positive_power(base, end):
+                    raise ConfigError(f"{name} end {end} gives no finite positive {base:g}**end")
+        if not all(end >= 0.0 for end in self.log2_batch):
+            raise ConfigError(f"log2_batch ends must be >= 0, got {self.log2_batch}")
+        if not all(end <= 0.0 for end in self.log10_momentum):
+            raise ConfigError(f"log10_momentum ends must be <= 0, got {self.log10_momentum}")
+        for name, valid, what in (
+            ("sam_rho", lambda v: v > 0.0, "> 0"),
+            ("fad_rho", lambda v: v > 0.0, "> 0"),
+            ("fad_alpha", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            ("fad_beta", lambda v: v >= 0.0, ">= 0"),
+        ):
+            values = getattr(self, name)
+            if not values:
+                raise ConfigError(f"{name} is empty")
+            if not all(valid(v) for v in values):
+                raise ConfigError(f"every {name} value must be {what}, got {values}")
+
+
+def _finite_positive_power(base: float, end: float) -> bool:
+    try:
+        return 0.0 < base**end < np.inf
+    except OverflowError:
+        return False
+
 
 def _log_uniform(rng: np.random.Generator, base: float, lo: float, hi: float) -> float:
     return float(base ** rng.uniform(lo, hi))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatmin import cli
+from flatmin import cli, shiftbench
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
 from flatmin.errors import ConfigError
 from flatmin.objectives import Dataset, save_dataset
@@ -83,6 +83,7 @@ def test_train_writes_csv_and_flatness_report(tmp_path):
     assert report["config"] == embedded
     assert report["lambda_max"] == pytest.approx(8.0, rel=1e-4)
     assert report["final_loss"] is not None
+
 
 
 def test_train_rerun_is_identical_apart_from_wall_ms(tmp_path):
@@ -454,6 +455,30 @@ def test_bench_rejects_unknown_method(tmp_path):
     cfg = write_config(tmp_path, doc)
     assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
 
+
+
+@pytest.mark.parametrize(
+    "search",
+    [{"sam_rho": []}, {"sam_rho": [0.0]}, {"log10_lr": [400, 401]}, {"log2_batch": [-3, -2]}],
+    ids=["empty_set", "zero_rho", "lr_overflow", "batch_below_1"],
+)
+def test_bad_search_space_exits_2_before_training(tmp_path, monkeypatch, search):
+    calls = []
+    run_protocol = cli.run_protocol
+
+    def started(*args, **kwargs):
+        calls.append("run_protocol")
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", started)
+    monkeypatch.setattr(shiftbench, "run_training", lambda *a, **kw: calls.append("run_training"))
+    doc = bench_doc()
+    doc["methods"] = ["sgd", "sam"]
+    doc["protocol"]["search"] = search
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert calls == []
+    assert not (tmp_path / "bench.json").exists()
 
 def test_seed_override_lands_in_embedded_config(tmp_path):
     cfg = write_config(tmp_path, train_doc())

@@ -87,10 +87,23 @@ def domain_docs(draw):
     return {**doc, **draw(st.fixed_dictionaries({}, optional=optional))}
 
 
+SEARCH_VALUES = {
+    "log2_batch": numbers(0.0, 10.0),
+    "log10_lr": numbers(-10.0, 10.0),
+    "log10_momentum": numbers(-10.0, 0.0),
+    "log10_weight_decay": numbers(-10.0, 10.0),
+    "sam_rho": positive,
+    "fad_rho": positive,
+    "fad_alpha": unit,
+    "fad_beta": nonnegative,
+}
+
+
 def value_lists(field_name):
-    if field_name in ("log2_batch", "log10_lr", "log10_momentum", "log10_weight_decay"):
-        return st.lists(numbers(-10.0, 10.0), min_size=2, max_size=2)
-    return st.lists(positive, max_size=8)
+    """Valid values of one search field: a range's two ends, or a nonempty set."""
+    if field_name.startswith("log"):
+        return st.lists(SEARCH_VALUES[field_name], min_size=2, max_size=2)
+    return st.lists(SEARCH_VALUES[field_name], min_size=1, max_size=8)
 
 
 search_docs = st.fixed_dictionaries(
@@ -229,3 +242,27 @@ GUARDED = [(build, name) for build, names in GUARDED_FIELDS.items() for name in 
 def test_nan_in_a_guarded_field_is_rejected(build, name):
     with pytest.raises((ConfigError, BudgetError)):
         build(**{name: float("nan")})
+
+
+NAN = float("nan")
+INVALID_SEARCH = {
+    "empty_set": {"fad_beta": ()},
+    "zero_sam_rho": {"sam_rho": (0.1, 0.0)},
+    "negative_fad_rho": {"fad_rho": (-0.1,)},
+    "alpha_above_1": {"fad_alpha": (0.5, 1.5)},
+    "negative_beta": {"fad_beta": (-0.1,)},
+    "batch_end_below_0": {"log2_batch": (-1.0, 3.0)},
+    "momentum_end_above_0": {"log10_momentum": (-1.0, 0.5)},
+    "lr_overflows": {"log10_lr": (400.0, 401.0)},
+    "weight_decay_underflows": {"log10_weight_decay": (-400.0, -3.0)},
+    "nan_range_end": {"log10_lr": (NAN, -3.0)},
+    "nan_in_set": {"fad_alpha": (NAN,)},
+}
+
+
+@pytest.mark.parametrize("kw", INVALID_SEARCH.values(), ids=list(INVALID_SEARCH))
+def test_invalid_search_space_is_rejected(kw):
+    with pytest.raises(ConfigError):
+        SearchSpace(**kw)
+    with pytest.raises(ConfigError):
+        _parse(ProtocolConfig, {"search": {k: list(v) for k, v in kw.items()}}, "protocol")
