@@ -45,7 +45,7 @@ from .flatness import (
     power_iteration_lambda_max,
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
-from .objectives import RosenbrockObjective, load_dataset, random_spd_matrix
+from .objectives import RosenbrockObjective, eval_loss, load_dataset, random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -418,7 +418,7 @@ def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
         seed=cfg.seed,
     )
     out = report.to_dict()
-    out["final_loss"] = record.rows[-1]["loss"]
+    out["final_loss"] = eval_loss(obj, record.theta_final)
     out["config"] = embedded
     _write_json(out_dir / f"{cfg.run_id}_flatness.json", out)
 

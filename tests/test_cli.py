@@ -20,8 +20,8 @@ import pytest
 from flatmin import cli, shiftbench
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
 from flatmin.errors import ConfigError
-from flatmin.objectives import Dataset, save_dataset
-from flatmin.optimizers import LOG_COLUMNS, MIN_CONVERGENCE_STEPS
+from flatmin.objectives import Dataset, eval_loss, save_dataset
+from flatmin.optimizers import LOG_COLUMNS, MIN_CONVERGENCE_STEPS, run_training
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -85,6 +85,23 @@ def test_train_writes_csv_and_flatness_report(tmp_path):
     assert report["final_loss"] is not None
 
 
+
+def test_train_final_loss_is_the_full_data_loss_at_the_final_point(tmp_path):
+    doc = train_doc(
+        objective={"kind": "mlp", "hidden_units": 8},
+        optimizer={"method": "fad", "eta0": 0.2, "rho0": 0.1, "batch_size": 8},
+        data=data_block(),
+        iterations=20,
+    )
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "demo_flatness.json").read_text())
+    parsed = cli._parse(cli.TrainConfig, report["config"], "train config")
+    obj, _ = _build_objective(parsed.objective, parsed.data)
+    record = run_training(
+        obj, np.asarray(parsed.theta0), parsed.optimizer, parsed.iterations, seed=parsed.seed
+    )
+    assert report["final_loss"] == eval_loss(obj, record.theta_final)
 
 def test_train_rerun_is_identical_apart_from_wall_ms(tmp_path):
     cfg = write_config(tmp_path, train_doc())
