@@ -195,17 +195,15 @@ class SearchSpace:
             raise ConfigError(f"log2_batch ends must be >= 0, got {self.log2_batch}")
         if not all(end <= 0.0 for end in self.log10_momentum):
             raise ConfigError(f"log10_momentum ends must be <= 0, got {self.log10_momentum}")
-        for name, valid, what in (
-            ("sam_rho", lambda v: v > 0.0, "> 0"),
-            ("fad_rho", lambda v: v > 0.0, "> 0"),
-            ("fad_alpha", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-            ("fad_beta", lambda v: v >= 0.0, ">= 0"),
-        ):
-            values = getattr(self, name)
-            if not values:
+        for name in ("sam_rho", "fad_rho", "fad_alpha", "fad_beta"):
+            if not getattr(self, name):
                 raise ConfigError(f"{name} is empty")
-            if not all(valid(v) for v in values):
-                raise ConfigError(f"every {name} value must be {what}, got {values}")
+        if not all(v > 0.0 for v in (*self.sam_rho, *self.fad_rho)):
+            raise ConfigError(f"rho values must be > 0, got {self.sam_rho} and {self.fad_rho}")
+        if not all(0.0 <= v <= 1.0 for v in self.fad_alpha):
+            raise ConfigError(f"fad_alpha values must be in [0, 1], got {self.fad_alpha}")
+        if not all(v >= 0.0 for v in self.fad_beta):
+            raise ConfigError(f"fad_beta values must be >= 0, got {self.fad_beta}")
 
 
 def _finite_positive_power(base: float, end: float) -> bool:

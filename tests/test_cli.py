@@ -85,7 +85,6 @@ def test_train_writes_csv_and_flatness_report(tmp_path):
     assert report["final_loss"] is not None
 
 
-
 def test_train_final_loss_is_the_full_data_loss_at_the_final_point(tmp_path):
     doc = train_doc(
         objective={"kind": "mlp", "hidden_units": 8},
@@ -102,6 +101,7 @@ def test_train_final_loss_is_the_full_data_loss_at_the_final_point(tmp_path):
         obj, np.asarray(parsed.theta0), parsed.optimizer, parsed.iterations, seed=parsed.seed
     )
     assert report["final_loss"] == eval_loss(obj, record.theta_final)
+
 
 def test_train_rerun_is_identical_apart_from_wall_ms(tmp_path):
     cfg = write_config(tmp_path, train_doc())
@@ -473,7 +473,6 @@ def test_bench_rejects_unknown_method(tmp_path):
     assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
 
 
-
 @pytest.mark.parametrize(
     "search",
     [{"sam_rho": []}, {"sam_rho": [0.0]}, {"log10_lr": [400, 401]}, {"log2_batch": [-3, -2]}],
@@ -496,6 +495,7 @@ def test_bad_search_space_exits_2_before_training(tmp_path, monkeypatch, search)
     assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
     assert calls == []
     assert not (tmp_path / "bench.json").exists()
+
 
 def test_seed_override_lands_in_embedded_config(tmp_path):
     cfg = write_config(tmp_path, train_doc())

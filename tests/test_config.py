@@ -264,5 +264,3 @@ INVALID_SEARCH = {
 def test_invalid_search_space_is_rejected(kw):
     with pytest.raises(ConfigError):
         SearchSpace(**kw)
-    with pytest.raises(ConfigError):
-        _parse(ProtocolConfig, {"search": {k: list(v) for k, v in kw.items()}}, "protocol")
