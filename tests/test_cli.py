@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatmin import cli, shiftbench
+from flatmin import cli, errors, shiftbench
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
 from flatmin.errors import ConfigError
 from flatmin.objectives import Dataset, eval_loss, save_dataset
@@ -217,6 +217,29 @@ def test_malformed_value_exits_2(tmp_path):
     doc = train_doc(optimizer={"method": "sgd", "eta0": "fast"})
     cfg = write_config(tmp_path, doc)
     assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+
+
+ERROR_EXITS = {
+    errors.ConfigError: CONFIG_EXIT,
+    errors.DimensionError: CONFIG_EXIT,
+    errors.BatchSizeError: CONFIG_EXIT,
+    errors.BudgetError: CONFIG_EXIT,
+    errors.InsufficientDataError: CONFIG_EXIT,
+    errors.NumericalError: NUMERIC_EXIT,
+    errors.DegenerateDirectionError: NUMERIC_EXIT,
+    errors.ProtocolError: NUMERIC_EXIT,
+}
+
+
+@pytest.mark.parametrize("error", ERROR_EXITS, ids=[e.__name__ for e in ERROR_EXITS])
+def test_each_error_type_maps_to_its_exit_code(tmp_path, monkeypatch, error):
+    def fail(cfg, out_dir):
+        raise error("raised by the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "flatness", (cli.FlatnessConfig, fail))
+    doc = {"objective": {"kind": "quadratic", "diag": [2.0, 8.0]}, "rho": 0.1}
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == ERROR_EXITS[error]
 
 
 # ----------------------------------------------------------------- converge
