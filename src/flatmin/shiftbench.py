@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchSizeError, BudgetError, ConfigError, NumericalError, ProtocolError
-from .flatness import FlatnessBudget, build_flatness_report
+from .errors import BudgetError, ConfigError, NumericalError, ProtocolError
+from .flatness import FlatnessBudget, FlatnessReport, build_flatness_report
 from .objectives import Dataset, MLPObjective, Vector
 from .optimizers import OptimizerConfig, run_training
 
@@ -121,23 +121,6 @@ def generate_domains(spec: DomainSpec, seed: int) -> MultiDomainDataset:
         num_classes=spec.num_classes,
         feature_dim=spec.feature_dim,
     )
-
-
-@dataclass(frozen=True)
-class LeaveOneOutSplit:
-    test_domain: int
-    train_domains: tuple[int, ...]
-
-
-def leave_one_out_splits(md: MultiDomainDataset) -> list[LeaveOneOutSplit]:
-    """One split per domain: that domain held out, all others pooled for training."""
-    return [
-        LeaveOneOutSplit(
-            test_domain=d,
-            train_domains=tuple(i for i in range(md.n_domains) if i != d),
-        )
-        for d in range(md.n_domains)
-    ]
 
 
 def pool_domains(md: MultiDomainDataset, domain_indices: tuple[int, ...]) -> Dataset:
@@ -355,21 +338,24 @@ class BenchResult:
         }
 
 
-def _optimizer_config(method: str, hp: dict, train_n: int) -> OptimizerConfig:
-    return OptimizerConfig(
-        method=method,
-        eta0=hp["eta0"],
-        rho0=hp.get("rho0", 0.0),
-        alpha=hp.get("alpha", 0.5),
-        beta=hp.get("beta", 0.1),
-        momentum=hp.get("momentum", 0.0),
-        weight_decay=hp["weight_decay"],
-        batch_size=min(hp["batch_size"], train_n),
-    )
-
-
 def _derived_seed(*parts: int) -> int:
     return int(np.random.default_rng(list(parts)).integers(2**31))
+
+
+def _train(
+    obj: MLPObjective, method: str, hp: dict, iterations: int, seed: int, tags: tuple, run: tuple
+) -> Vector:
+    """Final point of one run of ``hp``, its batch size capped at the training rows.
+
+    ``run`` is (held-out domain, method index, trial or retrain index); the
+    initial point is drawn from [seed, tags[0], *run] and the batch seed is
+    derived from [seed, tags[1], *run].
+    """
+    batch_size = min(hp["batch_size"], obj.dataset.n)
+    cfg = OptimizerConfig(method=method, **{**hp, "batch_size": batch_size})
+    theta0 = obj.init_params(np.random.default_rng([seed, tags[0], *run]))
+    record = run_training(obj, theta0, cfg, iterations, seed=_derived_seed(seed, tags[1], *run))
+    return record.theta_final
 
 
 def run_protocol(
@@ -386,102 +372,76 @@ def run_protocol(
     seeds_per_trial fresh seeds and report mean/std accuracy on the held-out
     domain plus a flatness report at each final point. Trials that fail
     numerically are excluded; a cell where every trial fails raises
-    ProtocolError.
+    ProtocolError. An event's clock is its 1-based position in ``events``.
     """
     seed = int(seed)
     result = BenchResult(methods=tuple(methods), n_domains=md.n_domains, cells=[])
-    clock = 0
     layer_sizes = (md.feature_dim, protocol.hidden_units, md.num_classes)
     report_budget = FlatnessBudget(
         n_random=protocol.report_restarts, n_ascent_steps=protocol.report_ascent_steps
     )
-    for split in leave_one_out_splits(md):
-        pool = pool_domains(md, split.train_domains)
-        split_rng = np.random.default_rng([seed, 7, split.test_domain])
+
+    def log(*event) -> None:
+        result.events.append((len(result.events) + 1, *event))
+
+    for d in range(md.n_domains):
+        pool = pool_domains(md, tuple(i for i in range(md.n_domains) if i != d))
+        split_rng = np.random.default_rng([seed, 7, d])
         tr_idx, va_idx = stratified_split(pool, protocol.val_fraction, split_rng)
-        result.splits[split.test_domain] = (tr_idx, va_idx)
+        result.splits[d] = (tr_idx, va_idx)
         train_ds, val_ds = pool.subset(tr_idx), pool.subset(va_idx)
         train_obj = MLPObjective(layer_sizes, train_ds)
         for mi, method in enumerate(methods):
             outcomes: list[TrialOutcome] = []
-            for trial in range(protocol.n_hparam_trials):
-                hp_rng = np.random.default_rng([seed, 11, split.test_domain, mi, trial])
+            for k in range(protocol.n_hparam_trials):
+                hp_rng = np.random.default_rng([seed, 11, d, mi, k])
                 hp = sample_hparams(method, hp_rng, protocol.search)
-                init_rng = np.random.default_rng([seed, 13, split.test_domain, mi, trial])
-                theta0 = train_obj.init_params(init_rng)
                 try:
-                    cfg = _optimizer_config(method, hp, train_ds.n)
-                    rec = run_training(
-                        train_obj,
-                        theta0,
-                        cfg,
-                        protocol.iterations,
-                        seed=_derived_seed(seed, 19, split.test_domain, mi, trial),
+                    theta = _train(
+                        train_obj, method, hp, protocol.iterations, seed, (13, 19), (d, mi, k)
                     )
-                    acc = classification_accuracy(train_obj, rec.theta_final, val_ds)
+                    acc = classification_accuracy(train_obj, theta, val_ds)
                     outcomes.append(TrialOutcome(hp, acc))
-                except (NumericalError, BatchSizeError) as err:
+                except NumericalError as err:
                     outcomes.append(TrialOutcome(hp, None, error=str(err)))
-                clock += 1
-                result.events.append(
-                    (clock, "trial_scored", method, split.test_domain, trial)
-                )
+                log("trial_scored", method, d, k)
             chosen = select_trial([o.val_accuracy for o in outcomes])
-            clock += 1
-            result.events.append((clock, "selected", method, split.test_domain, chosen))
+            log("selected", method, d, chosen)
             hp = outcomes[chosen].hparams
-            cfg = _optimizer_config(method, hp, train_ds.n)
             accs: list[float] = []
-            lams: list[float] = []
-            hessian_traces: list[float] = []
-            reports: list[dict] = []
+            reports: list[FlatnessReport] = []
             for s in range(protocol.seeds_per_trial):
-                init_rng = np.random.default_rng([seed, 23, split.test_domain, mi, s])
-                theta0 = train_obj.init_params(init_rng)
-                rec = run_training(
-                    train_obj,
-                    theta0,
-                    cfg,
-                    protocol.iterations,
-                    seed=_derived_seed(seed, 29, split.test_domain, mi, s),
+                theta = _train(
+                    train_obj, method, hp, protocol.iterations, seed, (23, 29), (d, mi, s)
                 )
-                accs.append(
-                    classification_accuracy(
-                        train_obj, rec.theta_final, md.domains[split.test_domain]
-                    )
-                )
-                clock += 1
-                result.events.append(
-                    (clock, "test_eval", method, split.test_domain, s)
-                )
+                accs.append(classification_accuracy(train_obj, theta, md.domains[d]))
+                log("test_eval", method, d, s)
                 report = build_flatness_report(
                     train_obj,
-                    rec.theta_final,
+                    theta,
                     rho=protocol.report_rho,
                     alpha=protocol.report_alpha,
                     budget=report_budget,
                     k_eigs=protocol.report_k_eigs,
                     n_probes=protocol.report_probes,
-                    seed=_derived_seed(seed, 31, split.test_domain, mi, s),
+                    seed=_derived_seed(seed, 31, d, mi, s),
                 )
-                lams.append(report.lambda_max)
-                hessian_traces.append(report.trace)
-                reports.append(report.to_dict())
+                reports.append(report)
             acc_arr = np.array(accs)
             std = float(acc_arr.std(ddof=1)) if acc_arr.size > 1 else 0.0
             result.cells.append(
                 BenchCell(
                     method=method,
-                    test_domain=split.test_domain,
+                    test_domain=d,
                     mean_accuracy=float(acc_arr.mean()),
                     std_accuracy=std,
                     seed_accuracies=tuple(accs),
                     selected_trial=chosen,
                     selected_hparams=hp,
                     trial_val_accuracies=tuple(o.val_accuracy for o in outcomes),
-                    lambda_maxes=tuple(lams),
-                    hessian_traces=tuple(hessian_traces),
-                    flatness=tuple(reports),
+                    lambda_maxes=tuple(r.lambda_max for r in reports),
+                    hessian_traces=tuple(r.trace for r in reports),
+                    flatness=tuple(r.to_dict() for r in reports),
                 )
             )
     return result

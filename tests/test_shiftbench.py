@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flatmin import shiftbench
 from flatmin.errors import ConfigError, ProtocolError
 from flatmin.objectives import MLPObjective
 from flatmin.shiftbench import (
@@ -20,7 +21,6 @@ from flatmin.shiftbench import (
     SearchSpace,
     classification_accuracy,
     generate_domains,
-    leave_one_out_splits,
     pool_domains,
     run_protocol,
     sample_hparams,
@@ -113,15 +113,6 @@ def test_domain_spec_validation():
 
 
 # -------------------------------------------------------------------- splits
-
-
-def test_leave_one_out_splits_cover_every_domain():
-    md = generate_domains(small_spec(), seed=0)
-    splits = leave_one_out_splits(md)
-    assert [s.test_domain for s in splits] == [0, 1, 2]
-    for s in splits:
-        assert s.test_domain not in s.train_domains
-        assert sorted((s.test_domain, *s.train_domains)) == [0, 1, 2]
 
 
 def test_pool_domains_concatenates():
@@ -306,6 +297,35 @@ def test_run_protocol_event_ordering(tiny_protocol_result):
         assert len(selected) == 1
         # every trial is scored before selection; tests only run after it
         assert max(scored) < selected[0] < min(tested)
+
+
+def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
+    md = generate_domains(small_spec(), seed=9)
+    protocol = ProtocolConfig(
+        n_hparam_trials=2,
+        seeds_per_trial=1,
+        iterations=5,
+        report_probes=2,
+        report_k_eigs=1,
+        report_restarts=1,
+        report_ascent_steps=1,
+    )
+    methods = ["sgd", "adam"]
+    trained_on = []
+    run_training = shiftbench.run_training
+
+    def recorded(obj, *args, **kwargs):
+        trained_on.append(set(np.unique(obj.dataset.domain_ids).tolist()))
+        return run_training(obj, *args, **kwargs)
+
+    monkeypatch.setattr(shiftbench, "run_training", recorded)
+    run_protocol(md, methods, protocol, seed=0)
+    excluded = []
+    for domains in trained_on:
+        assert len(domains) == 2 and domains < {0, 1, 2}
+        excluded.extend({0, 1, 2} - domains)
+    block = (protocol.n_hparam_trials + protocol.seeds_per_trial) * len(methods)
+    assert excluded == [0] * block + [1] * block + [2] * block
 
 
 def test_run_protocol_table_shape(tiny_protocol_result):
