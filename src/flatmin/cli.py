@@ -27,17 +27,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import (
-    BatchSizeError,
-    BudgetError,
-    ConfigError,
-    DegenerateDirectionError,
-    DimensionError,
-    FlatminError,
-    InsufficientDataError,
-    NumericalError,
-    ProtocolError,
-)
+from .errors import BudgetError, ConfigError, NumericalError
 from .flatness import (
     FlatnessBudget,
     build_flatness_report,
@@ -45,7 +35,8 @@ from .flatness import (
     power_iteration_lambda_max,
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
-from .objectives import RosenbrockObjective, eval_loss, load_dataset, random_spd_matrix
+from .objectives import DEFAULT_FD_STEP, RosenbrockObjective, eval_loss, load_dataset
+from .objectives import random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -66,16 +57,6 @@ from .shiftbench import (
 
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
-
-_CONFIG_ERRORS = (
-    ConfigError,
-    DimensionError,
-    BatchSizeError,
-    BudgetError,
-    InsufficientDataError,
-)
-_NUMERIC_ERRORS = (NumericalError, DegenerateDirectionError, ProtocolError)
-
 
 def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -247,7 +228,12 @@ class FlatnessConfig(ReportConfig):
     seed: int = 0
     data: DataConfig | None = None
     theta: tuple[float, ...] | None = None
-    fd_step: float = 1e-4
+    fd_step: float = DEFAULT_FD_STEP
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.fd_step > 0.0):
+            raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
 
 
 @dataclass(frozen=True)
@@ -482,24 +468,24 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
     theta0 = obj.init_params(np.random.default_rng([cfg.seed, 2]))
     points = cfg.grid_configs()
     walls: list[list[float]] = [[] for _ in points]
-    records: list[RunRecord | FlatminError | None] = [None] * len(points)
+    records: list[RunRecord | NumericalError | None] = [None] * len(points)
     # repeat r of every grid point runs before repeat r+1, so a slow stretch of
     # the host, or the first run's warm-up, falls on every point alike
     for _ in range(cfg.timing_repeats):
         for i, point in enumerate(points):
-            if isinstance(records[i], FlatminError):
+            if isinstance(records[i], NumericalError):
                 continue
             t0 = time.perf_counter()
             try:
                 records[i] = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
-            except _NUMERIC_ERRORS as err:
+            except NumericalError as err:
                 records[i] = err
                 continue
             walls[i].append((time.perf_counter() - t0) * 1000.0)
     rows = []
     for value, record, point_walls in zip(cfg.grid.values, records, walls):
         try:
-            if isinstance(record, FlatminError):
+            if isinstance(record, NumericalError):
                 raise record
             acc = classification_accuracy(
                 obj, record.theta_final, md.domains[cfg.test_domain]
@@ -516,7 +502,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
                     "status": "ok",
                 }
             )
-        except _NUMERIC_ERRORS as err:
+        except NumericalError as err:
             rows.append(
                 {
                     "value": value,
@@ -581,10 +567,10 @@ def main(argv: "list[str] | None" = None) -> int:
             doc["seed"] = args.seed
         cls, handler = _COMMANDS[args.command]
         handler(_parse(cls, doc, f"{args.command} config"), Path(args.out_dir))
-    except _CONFIG_ERRORS as err:
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return CONFIG_EXIT
-    except _NUMERIC_ERRORS as err:
+    except NumericalError as err:
         print(f"error: {err}", file=sys.stderr)
         return NUMERIC_EXIT
     except (TypeError, ValueError) as err:

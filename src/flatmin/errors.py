@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: configuration and input problems
-exit with 2, numerical failures with 3 (see :mod:`flatmin.cli`).
+The CLI maps these onto process exit codes by their base class: a
+:class:`ConfigError` (bad configuration or input) exits with 2 and a
+:class:`NumericalError` (a computation that cannot go on) with 3 (see
+:mod:`flatmin.cli`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ class ConfigError(FlatminError):
     """Invalid or inconsistent configuration (bad value, unknown key)."""
 
 
-class DimensionError(FlatminError):
+class DimensionError(ConfigError):
     """Parameter vector or operand has the wrong shape."""
 
 
@@ -23,21 +25,21 @@ class NumericalError(FlatminError):
     """A loss, gradient, or update became non-finite."""
 
 
-class DegenerateDirectionError(FlatminError):
+class DegenerateDirectionError(NumericalError):
     """A direction vector required to be nonzero has zero norm."""
 
 
-class BatchSizeError(FlatminError):
+class BatchSizeError(ConfigError):
     """Requested batch size is outside [1, n]."""
 
 
-class BudgetError(FlatminError):
+class BudgetError(ConfigError):
     """Probe or ascent budget is too small to produce an estimate."""
 
 
-class InsufficientDataError(FlatminError):
+class InsufficientDataError(ConfigError):
     """Too few training log rows for the requested diagnostic."""
 
 
-class ProtocolError(FlatminError):
+class ProtocolError(NumericalError):
     """Benchmark protocol could not complete (e.g. every trial failed)."""

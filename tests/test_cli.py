@@ -312,6 +312,17 @@ def test_flatness_report_with_cross_check(tmp_path):
     assert report["r1"] == pytest.approx(0.08, abs=1e-4)
 
 
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4], ids=["zero", "negative"])
+def test_bad_fd_step_exits_2_before_any_report(tmp_path, monkeypatch, fd_step):
+    calls = []
+    monkeypatch.setattr(cli, "build_flatness_report", lambda *a, **kw: calls.append(a))
+    doc = {"objective": {"kind": "rosenbrock"}, "rho": 0.1, "fd_step": fd_step}
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert calls == []
+    assert not (tmp_path / "flatness.json").exists()
+
+
 def test_flatness_requires_rho(tmp_path):
     doc = {"objective": {"kind": "quadratic", "diag": [2.0, 8.0]}}
     cfg = write_config(tmp_path, doc)
@@ -498,8 +509,14 @@ def test_bench_rejects_unknown_method(tmp_path):
 
 @pytest.mark.parametrize(
     "search",
-    [{"sam_rho": []}, {"sam_rho": [0.0]}, {"log10_lr": [400, 401]}, {"log2_batch": [-3, -2]}],
-    ids=["empty_set", "zero_rho", "lr_overflow", "batch_below_1"],
+    [
+        {"sam_rho": []},
+        {"sam_rho": [0.0]},
+        {"log10_lr": [400, 401]},
+        {"log2_batch": [-3, -2]},
+        {"log10_momentum": [0, 0]},
+    ],
+    ids=["empty_set", "zero_rho", "lr_overflow", "batch_below_1", "momentum_one"],
 )
 def test_bad_search_space_exits_2_before_training(tmp_path, monkeypatch, search):
     calls = []

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from flatmin.cli import (
     DataConfig,
     DoubleWellConfig,
+    FlatnessConfig,
     GridConfig,
     MLPConfig,
     QuadraticConfig,
@@ -90,7 +91,7 @@ def domain_docs(draw):
 SEARCH_VALUES = {
     "log2_batch": numbers(0.0, 10.0),
     "log10_lr": numbers(-10.0, 10.0),
-    "log10_momentum": numbers(-10.0, 0.0),
+    "log10_momentum": numbers(-10.0, -1.0),
     "log10_weight_decay": numbers(-10.0, 10.0),
     "sam_rho": positive,
     "fad_rho": positive,
@@ -205,6 +206,10 @@ def fad_config(**kw):
     return OptimizerConfig(**{"method": "fad", "eta0": 0.1, "rho0": 0.1, **kw})
 
 
+def flatness_config(**kw):
+    return FlatnessConfig(objective={"kind": "rosenbrock"}, rho=0.1, **kw)
+
+
 def sweep_config(**kw):
     return SweepConfig(
         data=DataConfig(DomainSpec()),
@@ -232,6 +237,7 @@ GUARDED_FIELDS = {
     FlatnessBudget: ("n_random", "n_ascent_steps"),
     ReportConfig: ("rho", "alpha", "k_eigs", "n_probes"),
     sweep_config: ("timing_repeats",),
+    flatness_config: ("fd_step",),
 }
 GUARDED = [(build, name) for build, names in GUARDED_FIELDS.items() for name in names]
 
@@ -253,6 +259,10 @@ INVALID_SEARCH = {
     "negative_beta": {"fad_beta": (-0.1,)},
     "batch_end_below_0": {"log2_batch": (-1.0, 3.0)},
     "momentum_end_above_0": {"log10_momentum": (-1.0, 0.5)},
+    "momentum_can_only_be_1": {"log10_momentum": (0.0, 0.0)},
+    "momentum_first_end_1": {"log10_momentum": (0.0, -1.0)},
+    "momentum_first_end_rounds_to_1": {"log10_momentum": (-1e-20, -1.0)},
+    "nan_momentum_end": {"log10_momentum": (NAN, -1.0)},
     "lr_overflows": {"log10_lr": (400.0, 401.0)},
     "weight_decay_underflows": {"log10_weight_decay": (-400.0, -3.0)},
     "nan_range_end": {"log10_lr": (NAN, -3.0)},
