@@ -180,7 +180,7 @@ class SearchSpace:
             raise ConfigError(f"log10_momentum ends must be <= 0, got {self.log10_momentum}")
         # uniform(a, b) can return a but never b, so a must give a momentum below 1
         if not (10.0 ** self.log10_momentum[0] < 1.0):
-            raise ConfigError(f"log10_momentum first end must be < 0, got {self.log10_momentum}")
+            raise ConfigError(f"log10_momentum first end gives momentum 1: {self.log10_momentum}")
         for name in ("sam_rho", "fad_rho", "fad_alpha", "fad_beta"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty")
