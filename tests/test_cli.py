@@ -9,6 +9,7 @@ columns.
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -654,10 +655,16 @@ def test_no_temp_files_left_behind(tmp_path):
 
 def test_module_entrypoint_smoke(tmp_path):
     cfg = write_config(tmp_path, train_doc(iterations=5))
+    # pytest's ``pythonpath`` setting reaches this process only; the child
+    # finds the package through PYTHONPATH, as from a checkout without the install
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-m", "flatmin", "train", "--config", cfg, "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "demo.csv").exists()
