@@ -11,6 +11,9 @@ the package produces bit for bit as it was. These tests pin sha256 hashes of
 * flatness reports (``r0``, ``r1``, top eigenvalues and trace) on the README
   task at an init point and at a fad-trained point, once at the default
   budget on full data and once with a small budget on a batch of 32 rows;
+* the outputs of ``eval_loss``, ``eval_grad`` and ``eval_loss_and_grad``
+  for the README MLP, a 10-class MLP and an MLP with a width-1 hidden layer,
+  on full data and on a batch that repeats rows and is longer than the data;
 * the bytes of ``convergence.json`` from ``flatmin converge`` on a quadratic
   and on the README task with fad and ``inverse_sqrt`` schedules, and of
   ``flatness.json`` from ``flatmin flatness`` on a quadratic at a given
@@ -32,7 +35,14 @@ import pytest
 
 from flatmin.cli import main
 from flatmin.flatness import FlatnessBudget, build_flatness_report
-from flatmin.objectives import MLPObjective, sample_batch
+from flatmin.objectives import (
+    Batch,
+    MLPObjective,
+    eval_grad,
+    eval_loss,
+    eval_loss_and_grad,
+    sample_batch,
+)
 from flatmin.optimizers import METHODS, OptimizerConfig, run_training
 from flatmin.shiftbench import DomainSpec, generate_domains, pool_domains
 
@@ -154,6 +164,42 @@ def test_bench_files_are_unchanged(tmp_path):
     assert sha256((out / "bench_table.csv").read_bytes()) == BENCH_HASHES["bench_table.csv"]
     assert sha256((out / "bench_hparams.json").read_bytes()) == BENCH_HASHES["bench_hparams.json"]
     assert bench_json_hash((out / "bench.json").read_bytes()) == BENCH_HASHES["bench.json"]
+
+
+ORACLE_HASHES = {
+    ("readme", "full"): "0a352a0de6235360f3e3d4f72db84103542ed84db62017ce8c067ae49dea1ce3",
+    ("readme", "repeats"): "41ee06994f75bf82f197267dd849d4e601aee866f25738a3ef59e9f381e8721c",
+    ("ten_class", "full"): "0b4861117e3f66441052f4729f7fa506934b0870dac1f2058a75e275467948ff",
+    ("ten_class", "repeats"): "213e7589005ce54c76b7a3d0d3a41ab7a008b22051d91c4b622a152a837d1cea",
+    ("width_one", "full"): "0c867de76a236f954e96f1cd7220e9f61bb7e68b83efe5540332776a000dca43",
+    ("width_one", "repeats"): "378d529eb1818e9ac56c01b1d155afa0c97c921199b7746a4b59c9c5144faa42",
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_mlps(readme_task):
+    readme, _ = readme_task
+    ten = generate_domains(DomainSpec(num_classes=10, per_domain_n=100, feature_dim=4), 12)
+    return {
+        "readme": readme,
+        "ten_class": MLPObjective((4, 12, 10), pool_domains(ten, (0, 1, 2))),
+        "width_one": MLPObjective((2, 8, 1, 3), readme.dataset),
+    }
+
+
+@pytest.mark.parametrize("variant", ["full", "repeats"])
+@pytest.mark.parametrize("model", ["readme", "ten_class", "width_one"])
+def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
+    obj = oracle_mlps[model]
+    rng = np.random.default_rng(8)
+    theta = 0.5 * rng.standard_normal(obj.dim)
+    batch = None
+    if variant == "repeats":
+        batch = Batch(rng.integers(0, obj.dataset.n, size=obj.dataset.n + 7))
+    loss, grad = eval_loss_and_grad(obj, theta, batch)
+    parts = [np.float64(eval_loss(obj, theta, batch)), eval_grad(obj, theta, batch)]
+    data = b"".join(np.asarray(x).tobytes() for x in [*parts, np.float64(loss), grad])
+    assert sha256(data) == ORACLE_HASHES[(model, variant)]
 
 
 REPORT_HASHES = {
