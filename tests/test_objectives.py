@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin.errors import (
     BatchSizeError,
@@ -285,6 +287,82 @@ def test_hvp_with_given_base_gradient_is_bit_identical(name, obj, theta, batch):
     v = np.random.default_rng(9).standard_normal(obj.dim)
     given = hvp_fd(obj, theta, v, batch, g0=eval_grad(obj, theta, batch))
     assert np.array_equal(given, hvp_fd(obj, theta, v, batch))
+
+
+# ------------------------------------------------ plain MLP reference
+
+
+def reference_forward(sizes, theta, inputs):
+    """Layers, the input of each layer, and the logits, written plainly."""
+    layers, off = [], 0
+    for fi, fo in zip(sizes[:-1], sizes[1:]):
+        w = theta[off : off + fi * fo].reshape(fi, fo)
+        off += fi * fo
+        layers.append((w, theta[off : off + fo]))
+        off += fo
+    acts = [inputs]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ w + b))
+    w, b = layers[-1]
+    return layers, acts, acts[-1] @ w + b
+
+
+def reference_loss_and_grad(obj, theta, batch):
+    """Mean cross-entropy and its gradient with the row maximum taken by
+    ``max(axis=1)`` and the label logits picked by a (row, label) index."""
+    data = obj.dataset
+    rows = np.arange(data.n) if batch is None else batch.indices
+    inputs = data.inputs if batch is None else data.inputs[rows]
+    layers, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    pick = (np.arange(rows.size), data.labels[rows])
+    expz = np.exp(shifted)
+    expsum = expz.sum(axis=1)
+    loss = float(np.mean(np.log(expsum) - shifted[pick]))
+    delta = expz / expsum[:, None]
+    delta[pick] -= 1.0
+    delta /= rows.size
+    grads = []
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        grads[:0] = [(acts[li].T @ delta).ravel(), delta.sum(axis=0)]
+        if li > 0:
+            delta = (delta @ w.T) * (1.0 - acts[li] * acts[li])
+    return loss, np.concatenate(grads)
+
+
+@st.composite
+def mlp_cases(draw):
+    """An MLP of 1 to 3 layers over C- or F-order inputs, a point, and a
+    batch that may repeat rows and hold more rows than the data."""
+    classes = draw(st.sampled_from([1, 2, 3, 8, 10]))
+    hidden = draw(st.lists(st.integers(min_value=1, max_value=6), max_size=2))
+    features = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=30))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    inputs = rng.standard_normal((n, features))
+    if draw(st.booleans()):
+        inputs = np.asfortranarray(inputs)
+    data = Dataset(inputs, rng.integers(classes, size=n), np.zeros(n, dtype=np.int64))
+    obj = MLPObjective((features, *hidden, classes), data)
+    theta = draw(st.floats(min_value=0.1, max_value=3.0)) * rng.standard_normal(obj.dim)
+    batch = Batch(rng.integers(n, size=draw(st.integers(min_value=1, max_value=2 * n + 3))))
+    return obj, inputs, theta, batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mlp_cases())
+def test_mlp_oracle_matches_the_plain_reference_bit_for_bit(case):
+    obj, inputs, theta, batch = case
+    for rows in (None, batch):
+        loss, grad = reference_loss_and_grad(obj, theta, rows)
+        assert eval_loss(obj, theta, rows) == loss
+        assert np.array_equal(eval_grad(obj, theta, rows), grad)
+        fused_loss, fused_grad = eval_loss_and_grad(obj, theta, rows)
+        assert fused_loss == loss
+        assert np.array_equal(fused_grad, grad)
+    logits = reference_forward(obj.layer_sizes, theta, inputs)[2]
+    assert np.array_equal(obj.logits(theta, inputs), logits)
 
 
 # -------------------------------------------------------------- batch draw
