@@ -378,6 +378,9 @@ class MLPObjective(Objective):
         # the rows of a full-data call; ``_forward`` reads the dataset itself for them
         self._all_rows = np.arange(dataset.n, dtype=np.int64)
         self._all_rows.flags.writeable = False
+        # and the flat index of each row's label logit in the [rows, classes] logits
+        self._all_pick = self._all_rows * sizes[-1] + dataset.labels
+        self._all_pick.flags.writeable = False
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -399,14 +402,21 @@ class MLPObjective(Objective):
             layers.append((w, b))
         return layers
 
+    @staticmethod
+    def _layer_outputs(
+        layers: list[tuple[Matrix, Vector]], inputs: Matrix
+    ) -> tuple[list[Matrix], Matrix]:
+        """The input of each layer, then the logits."""
+        acts = [inputs]
+        for w, b in layers[:-1]:
+            acts.append(np.tanh(acts[-1] @ w + b))
+        w, b = layers[-1]
+        return acts, acts[-1] @ w + b
+
     def logits(self, theta: Vector, inputs: Matrix) -> Matrix:
         theta = _as_param_vector(theta, self.dim)
-        a = np.asarray(inputs, dtype=np.float64)
-        layers = self._unpack(theta)
-        for w, b in layers[:-1]:
-            a = np.tanh(a @ w + b)
-        w, b = layers[-1]
-        return a @ w + b
+        inputs = np.asarray(inputs, dtype=np.float64)
+        return self._layer_outputs(self._unpack(theta), inputs)[1]
 
     def _rows(self, batch: Batch | None) -> IntVector:
         if batch is None:
@@ -420,37 +430,40 @@ class MLPObjective(Objective):
 
     def _forward(
         self, theta: Vector, rows: IntVector
-    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], tuple[IntVector, IntVector], Matrix]:
-        """Layers, activations, the (row, label) index of each picked logit, and
-        the logits shifted by their row maximum."""
+    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], IntVector, Matrix]:
+        """Layers, activations, the flat index of each picked logit, and the
+        logits shifted by their row maximum."""
         layers = self._unpack(theta)
         data = self.dataset
         if rows is self._all_rows:
-            acts = [data.inputs]
-            pick = (rows, data.labels)
+            inputs, pick = data.inputs, self._all_pick
         else:
-            acts = [data.inputs[rows]]
-            pick = (np.arange(rows.size), data.labels[rows])
-        for w, b in layers[:-1]:
-            acts.append(np.tanh(acts[-1] @ w + b))
-        w, b = layers[-1]
-        logits = acts[-1] @ w + b
-        return layers, acts, pick, logits - logits.max(axis=1, keepdims=True)
+            # a batch may repeat rows, so its pick index counts batch positions
+            inputs = data.inputs[rows]
+            pick = np.arange(rows.size) * self.layer_sizes[-1] + data.labels[rows]
+        acts, logits = self._layer_outputs(layers, inputs)
+        # the row maximum as a chain over the few columns: the same values as
+        # ``logits.max(axis=1)``, without the cost of a reduction along a short axis
+        top = logits[:, 0]
+        for j in range(1, logits.shape[1]):
+            top = np.maximum(top, logits[:, j])
+        return layers, acts, pick, logits - top[:, None]
 
     @staticmethod
-    def _mean_nll(shifted: Matrix, expsum: Vector, pick: tuple[IntVector, IntVector]) -> float:
-        return float(np.mean(np.log(expsum) - shifted[pick]))
+    def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
+        return float(np.mean(np.log(expsum) - shifted.take(pick)))
 
     @staticmethod
     def _backward(
         layers: list[tuple[Matrix, Vector]],
         acts: list[Matrix],
-        pick: tuple[IntVector, IntVector],
+        pick: IntVector,
         expz: Matrix,
         expsum: Vector,
     ) -> Vector:
         delta = expz / expsum[:, None]
-        delta[pick] -= 1.0
+        # delta is a fresh C-order array, so the reshape is a view of it
+        delta.reshape(-1)[pick] -= 1.0
         delta /= expz.shape[0]
         grads: list[Vector] = []
         for li in range(len(layers) - 1, -1, -1):
@@ -460,7 +473,10 @@ class MLPObjective(Objective):
             grads.append(gb)
             grads.append(gw.ravel())
             if li > 0:
-                delta = (delta @ w.T) * (1.0 - acts[li] * acts[li])
+                dtanh = acts[li] * acts[li]
+                np.subtract(1.0, dtanh, out=dtanh)
+                delta = delta @ w.T
+                delta *= dtanh
         return np.concatenate(grads[::-1])
 
     def _loss(self, theta: Vector, rows: IntVector | None) -> float:
