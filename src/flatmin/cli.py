@@ -27,10 +27,11 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .flatness import (
     FlatnessBudget,
     build_flatness_report,
+    check_report_settings,
     lambda_max_from_fad,
     power_iteration_lambda_max,
 )
@@ -209,14 +210,7 @@ class ReportConfig:
     budget: FlatnessBudget = field(default_factory=FlatnessBudget)
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0):
-            raise ConfigError(f"rho must be positive, got {self.rho}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not (self.k_eigs >= 1):
-            raise ConfigError(f"k_eigs must be >= 1, got {self.k_eigs}")
-        if not (self.n_probes >= 2):
-            raise BudgetError(f"need at least 2 probes, got {self.n_probes}")
+        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -231,9 +225,7 @@ class FlatnessConfig(ReportConfig):
     fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (self.fd_step > 0.0):
-            raise ConfigError(f"fd_step must be positive, got {self.fd_step}")
+        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes, self.fd_step)
 
 
 @dataclass(frozen=True)

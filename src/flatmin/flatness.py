@@ -32,6 +32,7 @@ from .objectives import (
     eval_loss,
     eval_loss_and_grad,
     hvp_fd,
+    norm,
 )
 
 
@@ -56,26 +57,26 @@ class FlatnessBudget:
 
 def _uniform_in_ball(dim: int, rho: float, rng: np.random.Generator) -> Vector:
     direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
+    length = norm(direction)
+    if length == 0.0:
         return np.zeros(dim)
     radius = rho * rng.uniform() ** (1.0 / dim)
-    return direction * (radius / norm)
+    return direction * (radius / length)
 
 
 def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
     offset = x - center
-    norm = float(np.linalg.norm(offset))
-    if norm <= rho:
+    length = norm(offset)
+    if length <= rho:
         return x
-    return center + offset * (rho / norm)
+    return center + offset * (rho / length)
 
 
 def _ascent_move(center: Vector, rho: float, x: Vector, direction: Vector) -> Vector:
-    norm = float(np.linalg.norm(direction))
-    if norm == 0.0:
+    length = norm(direction)
+    if length == 0.0:
         return x
-    return _project_to_ball(center, rho, x + (10.0 * rho / norm) * direction)
+    return _project_to_ball(center, rho, x + (10.0 * rho / length) * direction)
 
 
 def zeroth_order_flatness(
@@ -127,18 +128,18 @@ def first_order_flatness(
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     rng = rng or np.random.default_rng(0)
-    best = float(np.linalg.norm(eval_grad(obj, theta, batch)))
+    best = norm(eval_grad(obj, theta, batch))
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
         for _ in range(budget.n_ascent_steps):
             g = eval_grad(obj, x, batch)
-            norm_g = float(np.linalg.norm(g))
+            norm_g = norm(g)
             best = max(best, norm_g)
             if norm_g == 0.0:
                 break
             direction = hvp_fd(obj, x, g, batch, fd_step, g0=g) / norm_g
             x = _ascent_move(theta, rho, x, direction)
-        best = max(best, float(np.linalg.norm(eval_grad(obj, x, batch))))
+        best = max(best, norm(eval_grad(obj, x, batch)))
     return rho * best
 
 
@@ -197,6 +198,8 @@ def power_iteration_lambda_max(
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
     if not (max_iter >= 1):
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if not (tol > 0.0):
+        raise ConfigError(f"tol must be positive, got {tol}")
     rng = rng or np.random.default_rng(0)
     basis: list[Vector] = []
     values: list[float] = []
@@ -205,12 +208,12 @@ def power_iteration_lambda_max(
         v = rng.choice(np.array([-1.0, 1.0]), size=obj.dim)
         for u in basis:
             v = v - (u @ v) * u
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
+        length = norm(v)
+        if length == 0.0:
             values.append(0.0)
             flags.append(True)
             continue
-        v = v / norm
+        v = v / length
         rq_prev = np.inf
         converged = False
         rq = 0.0
@@ -219,14 +222,14 @@ def power_iteration_lambda_max(
             for u in basis:
                 w = w - (u @ w) * u
             rq = float(v @ w)
-            norm_w = float(np.linalg.norm(w))
+            norm_w = norm(w)
             if norm_w == 0.0:
                 converged = True
                 break
             v = w / norm_w
             for u in basis:
                 v = v - (u @ v) * u
-            v = v / np.linalg.norm(v)
+            v = v / norm(v)
             if abs(rq - rq_prev) < tol:
                 converged = True
                 break
@@ -286,6 +289,22 @@ class FlatnessReport:
         return asdict(self)
 
 
+def check_report_settings(
+    rho: float, alpha: float, k_eigs: int, n_probes: int, fd_step: float = DEFAULT_FD_STEP
+) -> None:
+    """Raise on a setting ``build_flatness_report`` would reject; NaN fails every check."""
+    if not (rho > 0.0):
+        raise ConfigError(f"rho must be positive, got {rho}")
+    if not (0.0 <= alpha <= 1.0):
+        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    if not (k_eigs >= 1):
+        raise ConfigError(f"k_eigs must be >= 1, got {k_eigs}")
+    if not (n_probes >= 2):
+        raise BudgetError(f"need at least 2 probes, got {n_probes}")
+    if not (fd_step > 0.0):
+        raise ConfigError(f"fd_step must be positive, got {fd_step}")
+
+
 def build_flatness_report(
     obj: Objective,
     theta: Vector,
@@ -298,9 +317,11 @@ def build_flatness_report(
     fd_step: float = DEFAULT_FD_STEP,
     seed: int = 0,
 ) -> FlatnessReport:
-    """Run all estimators at one point with a single seeded RNG stream."""
-    if not (rho > 0.0):
-        raise ConfigError(f"rho must be positive, got {rho}")
+    """Run all estimators at one point with a single seeded RNG stream.
+
+    Every setting is checked before the first oracle call.
+    """
+    check_report_settings(rho, alpha, k_eigs, n_probes, fd_step)
     budget = budget or FlatnessBudget()
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)

@@ -6,12 +6,16 @@ Analytic test functions (quadratic, rosenbrock, double_well) ignore batches;
 the mlp objective evaluates an empirical mean over the selected rows.
 
 All evaluations are pure: repeated calls with the same arguments return
-bitwise-identical results.
+bitwise-identical results. An ``MLPObjective`` keeps the rows it gathered for
+the last batch it saw, so that the several calls one optimizer step makes on
+a batch gather them once; results do not depend on that state, but one
+objective is not for concurrent use.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +36,13 @@ IntVector = NDArray[np.int64]
 
 # finite-difference step applied along a normalized direction
 DEFAULT_FD_STEP = 1e-4
+
+
+def norm(x: Vector) -> float:
+    """Euclidean norm of a 1-D float64 vector, bit for bit what ``np.linalg.norm``
+    returns, without its argument handling."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _as_param_vector(theta: object, dim: int) -> Vector:
@@ -116,15 +127,21 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class Batch:
-    """Row indices into a Dataset."""
+    """Row indices into a Dataset, held as a read-only copy of the given ones.
+
+    An objective may keep what it derived from a batch's indices for as long
+    as it sees the same ``indices`` array, which is why they cannot change.
+    """
 
     indices: IntVector
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.array(self.indices, dtype=np.int64)
         if idx.ndim != 1:
             raise DimensionError("batch indices must be 1-D")
-        object.__setattr__(self, "indices", idx)
+        idx.flags.writeable = False
+        # held as a view, whose flag cannot be set back while its base is read-only
+        object.__setattr__(self, "indices", idx[:])
 
     @property
     def size(self) -> int:
@@ -136,7 +153,7 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
     n = dataset.n
     if batch_size < 1 or batch_size > n:
         raise BatchSizeError(f"batch size {batch_size} outside [1, {n}]")
-    return Batch(rng.choice(n, size=batch_size, replace=False).astype(np.int64))
+    return Batch(rng.choice(n, size=batch_size, replace=False))
 
 
 class Objective:
@@ -162,7 +179,7 @@ class Objective:
 
 def _checked_loss(value: float) -> float:
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalError(f"loss is non-finite ({value})")
     return value
 
@@ -171,7 +188,7 @@ def _checked_grad(obj: Objective, grad: Vector) -> Vector:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (obj.dim,):
         raise DimensionError(f"gradient shape {grad.shape} != ({obj.dim},)")
-    if not np.all(np.isfinite(grad)):
+    if not np.isfinite(grad).all():
         raise NumericalError("gradient contains non-finite values")
     return grad
 
@@ -217,14 +234,14 @@ def hvp_fd(
     v = _as_param_vector(v, obj.dim)
     if not (h > 0.0):
         raise ConfigError(f"finite-difference step must be positive, got {h}")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    v_norm = norm(v)
+    if v_norm == 0.0:
         raise DegenerateDirectionError("hvp direction has zero norm")
-    unit = v / norm
+    unit = v / v_norm
     g1 = eval_grad(obj, theta + h * unit, batch)
     if g0 is None:
         g0 = eval_grad(obj, theta, batch)
-    return (g1 - g0) * (norm / h)
+    return (g1 - g0) * (v_norm / h)
 
 
 class QuadraticObjective(Objective):
@@ -381,6 +398,10 @@ class MLPObjective(Objective):
         # and the flat index of each row's label logit in the [rows, classes] logits
         self._all_pick = self._all_rows * sizes[-1] + dataset.labels
         self._all_pick.flags.writeable = False
+        # the last batch's rows, their inputs and pick index, kept while the same
+        # read-only ``Batch.indices`` array comes back; it starts as the full
+        # data, whose rows no batch holds
+        self._batch = (self._all_rows, dataset.inputs, self._all_pick)
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -409,9 +430,13 @@ class MLPObjective(Objective):
         """The input of each layer, then the logits."""
         acts = [inputs]
         for w, b in layers[:-1]:
-            acts.append(np.tanh(acts[-1] @ w + b))
+            z = acts[-1] @ w
+            z += b
+            acts.append(np.tanh(z, out=z))
         w, b = layers[-1]
-        return acts, acts[-1] @ w + b
+        logits = acts[-1] @ w
+        logits += b
+        return acts, logits
 
     def logits(self, theta: Vector, inputs: Matrix) -> Matrix:
         theta = _as_param_vector(theta, self.dim)
@@ -422,10 +447,15 @@ class MLPObjective(Objective):
         if batch is None:
             return self._all_rows
         idx = batch.indices
-        if idx.size == 0:
-            raise BatchSizeError("batch is empty")
-        if idx.min() < 0 or idx.max() >= self.dataset.n:
-            raise DimensionError("batch indices outside dataset")
+        if idx is not self._batch[0]:
+            if idx.size == 0:
+                raise BatchSizeError("batch is empty")
+            data = self.dataset
+            if idx.min() < 0 or idx.max() >= data.n:
+                raise DimensionError("batch indices outside dataset")
+            # a batch may repeat rows, so its pick index counts batch positions
+            pick = np.arange(idx.size) * self.layer_sizes[-1] + data.labels[idx]
+            self._batch = (idx, data.inputs[idx], pick)
         return idx
 
     def _forward(
@@ -434,13 +464,11 @@ class MLPObjective(Objective):
         """Layers, activations, the flat index of each picked logit, and the
         logits shifted by their row maximum."""
         layers = self._unpack(theta)
-        data = self.dataset
         if rows is self._all_rows:
-            inputs, pick = data.inputs, self._all_pick
+            inputs, pick = self.dataset.inputs, self._all_pick
         else:
-            # a batch may repeat rows, so its pick index counts batch positions
-            inputs = data.inputs[rows]
-            pick = np.arange(rows.size) * self.layer_sizes[-1] + data.labels[rows]
+            batch_rows, inputs, pick = self._batch
+            assert rows is batch_rows, "batch rows come from _rows"
         acts, logits = self._layer_outputs(layers, inputs)
         # the row maximum as a chain over the few columns: the same values as
         # ``logits.max(axis=1)``, without the cost of a reduction along a short axis
@@ -451,10 +479,11 @@ class MLPObjective(Objective):
 
     @staticmethod
     def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
-        return float(np.mean(np.log(expsum) - shifted.take(pick)))
+        # np.mean's own arithmetic: the pairwise sum, then one division
+        return float((np.log(expsum) - shifted.take(pick)).sum() / pick.size)
 
-    @staticmethod
     def _backward(
+        self,
         layers: list[tuple[Matrix, Vector]],
         acts: list[Matrix],
         pick: IntVector,
@@ -465,19 +494,20 @@ class MLPObjective(Objective):
         # delta is a fresh C-order array, so the reshape is a view of it
         delta.reshape(-1)[pick] -= 1.0
         delta /= expz.shape[0]
-        grads: list[Vector] = []
+        # each layer's weight then bias gradient is written in place, last layer first
+        grad = np.empty(self.dim)
+        end = grad.size
         for li in range(len(layers) - 1, -1, -1):
-            w, _ = layers[li]
-            gw = acts[li].T @ delta
-            gb = delta.sum(axis=0)
-            grads.append(gb)
-            grads.append(gw.ravel())
+            w, b = layers[li]
+            delta.sum(axis=0, out=grad[end - b.size : end])
+            end -= b.size + w.size
+            np.matmul(acts[li].T, delta, out=grad[end : end + w.size].reshape(w.shape))
             if li > 0:
                 dtanh = acts[li] * acts[li]
                 np.subtract(1.0, dtanh, out=dtanh)
                 delta = delta @ w.T
                 delta *= dtanh
-        return np.concatenate(grads[::-1])
+        return grad
 
     def _loss(self, theta: Vector, rows: IntVector | None) -> float:
         assert rows is not None

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NumericalError
-from .objectives import Batch, Objective, Vector, eval_grad, eval_loss, sample_batch
+from .objectives import Batch, Objective, Vector, eval_grad, eval_loss, norm, sample_batch
 
 METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
 SCHEDULES = ("constant", "inverse_sqrt")
@@ -194,7 +194,7 @@ def step(
         batch = sample_batch(obj.dataset, config.batch_size, state.rng)
     loss0 = eval_loss(obj, theta, batch)
     g0 = _grad(obj, theta, batch, wd)
-    h0 = h1 = np.zeros_like(g0)
+    h0 = h1 = np.zeros(g0.shape)
     g1 = g2 = g3 = None
     applied = False
     if method == "sgd":
@@ -207,7 +207,7 @@ def step(
     elif method in ("adam", "adamw"):
         delta = _adam_direction(g0, state, config, t)
     elif method == "sam":
-        g1 = _grad(obj, theta + rho * g0 / (np.linalg.norm(g0) + config.xi), batch, wd)
+        g1 = _grad(obj, theta + rho * g0 / (norm(g0) + config.xi), batch, wd)
         h0 = g1 - g0
         delta = g1
         applied = True
@@ -218,18 +218,18 @@ def step(
         if applied:
             xi = config.xi
             alpha = 0.0 if method == "gam" else config.alpha
-            g1 = _grad(obj, theta + rho * g0 / (np.linalg.norm(g0) + xi), batch, wd)
+            g1 = _grad(obj, theta + rho * g0 / (norm(g0) + xi), batch, wd)
             h0 = g1 - g0
-            ascent2 = theta + rho * h0 / (np.linalg.norm(h0) + xi)
+            ascent2 = theta + rho * h0 / (norm(h0) + xi)
             g2 = _grad(obj, ascent2, batch, wd)
-            g3 = _grad(obj, ascent2 + rho * g2 / (np.linalg.norm(g2) + xi), batch, wd)
+            g3 = _grad(obj, ascent2 + rho * g2 / (norm(g2) + xi), batch, wd)
             h1 = g3 - g2
             delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t
     theta_next = theta - eta * delta
-    if not np.all(np.isfinite(theta_next)):
+    if not np.isfinite(theta_next).all():
         raise NumericalError("parameter update produced non-finite values")
     trace = StepTrace(t, eta, rho, loss0, g0, h0, h1, delta, applied, g1=g1, g2=g2, g3=g3)
     return theta_next, trace
@@ -256,10 +256,10 @@ def trace_to_row(
         "eta_t": trace.eta_t,
         "rho_t": trace.rho_t,
         "loss": trace.loss_before,
-        "norm_g0": float(np.linalg.norm(trace.g0)),
-        "norm_h0": float(np.linalg.norm(trace.h0)),
-        "norm_h1": float(np.linalg.norm(trace.h1)),
-        "norm_delta": float(np.linalg.norm(trace.delta)),
+        "norm_g0": norm(trace.g0),
+        "norm_h0": norm(trace.h0),
+        "norm_h1": norm(trace.h1),
+        "norm_delta": norm(trace.delta),
         "fad_applied": int(trace.fad_applied),
         "wall_ms": wall_ms,
     }

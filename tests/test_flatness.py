@@ -390,3 +390,23 @@ NAN = float("nan")
 def test_nan_setting_is_rejected(call):
     with pytest.raises((ConfigError, BudgetError)):
         call(QuadraticObjective(np.array([2.0, 8.0])))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"alpha": 1.5}, {"alpha": NAN}, {"k_eigs": 0}, {"n_probes": 1}, {"fd_step": 0.0}],
+    ids=["alpha_above_one", "alpha_nan", "k_eigs_zero", "one_probe", "fd_step_zero"],
+)
+def test_report_rejects_a_bad_setting_before_any_oracle_call(calls, setting):
+    obj, theta = small_mlp()
+    with pytest.raises((ConfigError, BudgetError)):
+        build_flatness_report(obj, theta, **{"rho": 0.1, "alpha": 0.5, **setting})
+    assert calls == {"grad": 0, "loss": 0, "loss_and_grad": 0}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, NAN], ids=["zero", "negative", "nan"])
+def test_power_iteration_rejects_a_bad_tol_before_any_oracle_call(calls, tol):
+    obj, theta = small_mlp()
+    with pytest.raises(ConfigError):
+        power_iteration_lambda_max(obj, theta, tol=tol)
+    assert calls == {"grad": 0, "loss": 0, "loss_and_grad": 0}

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from flatmin.errors import (
     BatchSizeError,
@@ -30,6 +31,7 @@ from flatmin.objectives import (
     eval_loss_and_grad,
     hvp_fd,
     load_dataset,
+    norm,
     random_spd_matrix,
     sample_batch,
     save_dataset,
@@ -363,6 +365,79 @@ def test_mlp_oracle_matches_the_plain_reference_bit_for_bit(case):
         assert np.array_equal(fused_grad, grad)
     logits = reference_forward(obj.layer_sizes, theta, inputs)[2]
     assert np.array_equal(obj.logits(theta, inputs), logits)
+
+
+# ------------------------------------------------------ the last-batch memo
+
+
+def test_batch_memo_is_invisible():
+    # one objective sees full data and batches in turn, bad batches among
+    # them; each result must equal that of an objective that saw nothing before
+    data = tiny_dataset(n=40, seed=5)
+    obj = MLPObjective((2, 5, 3), data)
+    theta = np.random.default_rng(2).standard_normal(obj.dim)
+    source = np.array([7, 0, 31, 12, 12, 5, 39])
+    a = Batch(source)
+    b = Batch(np.array([5, 5, 20]))
+    one = Batch(np.array([4]))
+
+    def check(batch):
+        fresh = MLPObjective((2, 5, 3), data)
+        loss = eval_loss(fresh, theta, batch)
+        grad = eval_grad(fresh, theta, batch)
+        assert eval_loss(obj, theta, batch) == loss
+        assert np.array_equal(eval_grad(obj, theta, batch), grad)
+        fused_loss, fused_grad = eval_loss_and_grad(obj, theta, batch)
+        assert fused_loss == loss
+        assert np.array_equal(fused_grad, grad)
+
+    for batch in (None, a, b, a, Batch(a.indices), None, a, one):
+        check(batch)
+    # a rejected batch is rejected again, as itself and as an equal new batch
+    for rows, error in (([], BatchSizeError), ([40], DimensionError), ([-1], DimensionError)):
+        bad = Batch(np.array(rows, dtype=np.int64))
+        for batch in (bad, bad, Batch(bad.indices)):
+            with pytest.raises(error):
+                eval_grad(obj, theta, batch)
+        check(one)
+    # the batch keeps the rows it was built from, also while it is the last one seen
+    check(a)
+    source[:] = 1
+    check(a)
+    assert a.indices.tolist() == [7, 0, 31, 12, 12, 5, 39]
+    with pytest.raises(ValueError):
+        a.indices[0] = 1
+    with pytest.raises(ValueError):
+        a.indices.flags.writeable = True
+
+
+# ------------------------------------------------------------------- norm
+
+
+@st.composite
+def norm_vectors(draw):
+    """0 to 300 entries scaled by 1e-160 to 1e160, so that squares underflow
+    or overflow to inf, with zeros, -0.0 and subnormals among the entries; as
+    a contiguous, strided or reversed view."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    step = draw(st.sampled_from([1, 2, -1, -3]))
+    entries = st.floats(min_value=-10.0, max_value=10.0) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308]
+    )
+    base = draw(arrays(np.float64, n * abs(step), elements=entries))
+    scale = 10.0 ** draw(st.integers(min_value=-160, max_value=160))
+    if draw(st.booleans()):
+        base *= scale
+    return base[::step]
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=norm_vectors())
+def test_norm_is_np_linalg_norm_bit_for_bit(x):
+    with np.errstate(over="ignore"):
+        got, expected = norm(x), np.linalg.norm(x)
+    assert isinstance(got, float)
+    assert np.float64(got).tobytes() == expected.tobytes()
 
 
 # -------------------------------------------------------------- batch draw
