@@ -11,9 +11,10 @@ combination pins the top Hessian eigenvalue via
 
     lambda_max = r_fad / (rho^2 * (1 - alpha/2)).
 
-Curvature is probed matrix-free: power iteration with finite-difference
-Hessian-vector products for the leading eigenvalues, and Rademacher probes for
-the trace.
+Curvature is probed matrix-free: Lanczos on finite-difference Hessian-vector
+products for the largest algebraic eigenvalues (one Krylov space reports a
+repeated eigenvalue once unless it breaks down), and Rademacher probes for the
+trace.
 """
 
 from __future__ import annotations
@@ -178,6 +179,13 @@ def lambda_max_from_fad(r_fad: float, rho: float, alpha: float) -> float:
     return r_fad / (rho * rho * (1.0 - alpha / 2.0))
 
 
+def _orthogonalise(basis: list[Vector], x: Vector) -> Vector:
+    """``x`` less its part in the span of the orthonormal ``basis``, in two passes."""
+    q = np.array(basis)
+    x = x - q.T @ (q @ x)
+    return x - q.T @ (q @ x)  # the second pass removes what roundoff left
+
+
 def power_iteration_lambda_max(
     obj: Objective,
     theta: Vector,
@@ -188,11 +196,14 @@ def power_iteration_lambda_max(
     fd_step: float = DEFAULT_FD_STEP,
     rng: np.random.Generator | None = None,
 ) -> tuple[Vector, list[bool]]:
-    """Top-k Hessian eigenvalues by deflated power iteration on FD products.
+    """Top-k Hessian eigenvalues by Lanczos with full reorthogonalisation on FD products.
 
-    Returns (eigenvalues sorted nonincreasing, per-eigenvalue convergence
-    flags). An entry converged when successive Rayleigh quotients differed by
-    less than ``tol``; False means max_iter was exhausted first.
+    Returns (the k largest algebraic Ritz values, nonincreasing; per-value
+    convergence flags) after at most ``min(max_iter, dim)`` products. A value
+    converged when its Ritz residual ``beta * |s_last|`` is below ``tol``; a
+    value the steps ran out before is NaN and False. One Krylov space holds a
+    repeated eigenvalue once; when it breaks down before it holds k values, a
+    fresh Rademacher start goes on with a zero coupling.
     """
     if not (1 <= k <= obj.dim):
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
@@ -201,47 +212,29 @@ def power_iteration_lambda_max(
     if not (tol > 0.0):
         raise ConfigError(f"tol must be positive, got {tol}")
     rng = rng or np.random.default_rng(0)
+    signs = np.array([-1.0, 1.0])
     basis: list[Vector] = []
-    values: list[float] = []
-    flags: list[bool] = []
-    for _ in range(k):
-        v = rng.choice(np.array([-1.0, 1.0]), size=obj.dim)
-        for u in basis:
-            v = v - (u @ v) * u
-        length = norm(v)
-        if length == 0.0:
-            values.append(0.0)
-            flags.append(True)
-            continue
-        v = v / length
-        rq_prev = np.inf
-        converged = False
-        rq = 0.0
-        for _ in range(max_iter):
-            w = hvp_fd(obj, theta, v, batch, fd_step)
-            for u in basis:
-                w = w - (u @ w) * u
-            rq = float(v @ w)
-            norm_w = norm(w)
-            if norm_w == 0.0:
-                converged = True
-                break
-            v = w / norm_w
-            for u in basis:
-                v = v - (u @ v) * u
-            v = v / norm(v)
-            if abs(rq - rq_prev) < tol:
-                converged = True
-                break
-            rq_prev = rq
-        basis.append(v)
-        values.append(rq)
-        flags.append(converged)
-    order = np.argsort(values)[::-1]
-    return (
-        np.array([values[i] for i in order], dtype=np.float64),
-        [flags[i] for i in order],
-    )
+    alphas, betas = [], []  # betas[j] couples basis[j] and basis[j + 1]
+    w = rng.choice(signs, size=obj.dim)
+    for _ in range(min(max_iter, obj.dim)):
+        basis.append(w / norm(w))
+        w = hvp_fd(obj, theta, basis[-1], batch, fd_step)
+        alphas.append(float(basis[-1] @ w))
+        w = _orthogonalise(basis, w)
+        beta = norm(w)
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        residuals = beta * np.abs(vecs[-1])
+        if len(ritz) >= k and (residuals[-k:] < tol).all():
+            break
+        if beta < tol:  # breakdown: some sign vector keeps norm >= 1 off the span
+            beta, w = 0.0, np.zeros(obj.dim)
+            while norm(w) < 0.5:
+                w = _orthogonalise(basis, rng.choice(signs, size=obj.dim))
+        betas.append(beta)
+    n = min(k, len(ritz))
+    values = np.full(k, np.nan)
+    values[:n] = ritz[::-1][:n]
+    return values, [bool(r < tol) for r in residuals[::-1][:n]] + [False] * (k - n)
 
 
 def hutchinson_trace(
@@ -300,7 +293,7 @@ def check_report_settings(
     if not (k_eigs >= 1):
         raise ConfigError(f"k_eigs must be >= 1, got {k_eigs}")
     if not (n_probes >= 2):
-        raise BudgetError(f"need at least 2 probes, got {n_probes}")
+        raise BudgetError(f"n_probes must be >= 2, got {n_probes}")
     if not (fd_step > 0.0):
         raise ConfigError(f"fd_step must be positive, got {fd_step}")
 

@@ -14,8 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError, NumericalError, ProtocolError
-from .flatness import FlatnessBudget, FlatnessReport, build_flatness_report
+from .errors import ConfigError, NumericalError, ProtocolError
+from .flatness import (
+    FlatnessBudget,
+    FlatnessReport,
+    build_flatness_report,
+    check_report_settings,
+)
 from .objectives import Dataset, MLPObjective, Vector
 from .optimizers import OptimizerConfig, run_training
 
@@ -254,14 +259,12 @@ class ProtocolConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if not (self.report_rho > 0.0):
-            raise ConfigError(f"report_rho must be positive, got {self.report_rho}")
-        if not (0.0 <= self.report_alpha <= 1.0):
-            raise ConfigError(f"report_alpha must be in [0, 1], got {self.report_alpha}")
-        if not (self.report_k_eigs >= 1):
-            raise ConfigError(f"report_k_eigs must be >= 1, got {self.report_k_eigs}")
-        if not (self.report_probes >= 2):
-            raise BudgetError(f"report_probes must be >= 2, got {self.report_probes}")
+        try:
+            check_report_settings(
+                self.report_rho, self.report_alpha, self.report_k_eigs, self.report_probes
+            )
+        except ConfigError as err:  # name this config's key: n_probes is report_probes
+            raise type(err)("report_" + str(err).removeprefix("n_")) from None
         # the report budget must fail here, before any training, not at the first report
         FlatnessBudget(self.report_restarts, self.report_ascent_steps)
 

@@ -193,6 +193,66 @@ def test_power_iteration_validates_k():
         power_iteration_lambda_max(obj, np.zeros(2), k=3)
 
 
+@pytest.mark.parametrize(
+    "diag,k,expected",
+    [((-10.0, 1.0), 1, [1.0]), ((-10.0, 1.0, 0.5), 2, [1.0, 0.5])],
+    ids=["saddle_k1", "saddle_k2"],
+)
+def test_lambda_max_is_the_top_algebraic_eigenvalue_at_an_indefinite_point(diag, k, expected):
+    # an eigenvalue of larger magnitude but negative sign must not win
+    obj = QuadraticObjective(np.array(diag))
+    eigs, converged = power_iteration_lambda_max(obj, np.zeros(len(diag)), k=k)
+    np.testing.assert_allclose(eigs, expected, rtol=1e-6)
+    assert all(converged)
+
+
+@pytest.fixture
+def hvps(monkeypatch):
+    """Number of Hessian-vector products the eigen-solver makes."""
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return objectives.hvp_fd(*args, **kwargs)
+
+    monkeypatch.setattr(flatness, "hvp_fd", counted)
+    return count
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+def test_power_iteration_makes_at_most_max_iter_products(hvps, max_iter):
+    obj, theta = small_mlp()
+    eigs, converged = power_iteration_lambda_max(obj, theta, k=1, max_iter=max_iter)
+    assert 1 <= hvps[0] <= max_iter
+    assert len(eigs) == len(converged) == 1
+
+
+def test_power_iteration_goes_on_after_a_breakdown(hvps):
+    # every start vector is an eigenvector of the identity, so the first
+    # Krylov space is invariant after one step and a second one must start
+    obj = QuadraticObjective(np.array([1.0, 1.0]))
+    eigs, converged = power_iteration_lambda_max(obj, np.zeros(2), k=2)
+    np.testing.assert_allclose(eigs, [1.0, 1.0], rtol=1e-12)
+    assert converged == [True, True]
+    assert hvps[0] == 2
+
+
+def test_power_iteration_reports_a_repeated_eigenvalue_once_per_krylov_space():
+    obj = QuadraticObjective(np.array([5.0, 5.0, 1.0]))
+    eigs, converged = power_iteration_lambda_max(obj, np.zeros(3), k=2)
+    np.testing.assert_allclose(eigs, [5.0, 1.0], rtol=1e-6)
+    assert all(converged)
+
+
+def test_power_iteration_flags_entries_the_steps_ran_out_before(hvps):
+    obj = rotated_quadratic(np.array([9.0, 6.0, 3.0, 1.0]), seed=3)
+    eigs, converged = power_iteration_lambda_max(obj, np.zeros(4), k=3, max_iter=2)
+    assert hvps[0] == 2
+    assert len(eigs) == len(converged) == 3
+    assert np.isfinite(eigs[:2]).all() and np.isnan(eigs[2])
+    assert converged == [False, False, False]
+
+
 # --------------------------------------------------------------- hutchinson
 
 
@@ -260,6 +320,19 @@ def test_spectral_estimators_match_a_dense_solver_at_trained_points(readme_mlp, 
     assert all(converged)
     trace, stderr = hutchinson_trace(readme_mlp, theta, n_probes=64)
     assert abs(trace - dense.sum()) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", README_TRAINING)
+def test_two_eigenvalues_at_trained_points_take_at_most_20_products(
+    readme_mlp, hvps, method, seed
+):
+    # measured 10-12; deflated power iteration took 47-102 here
+    theta0 = readme_mlp.init_params(np.random.default_rng([seed, 2]))
+    theta = run_training(readme_mlp, theta0, README_TRAINING[method], 300, seed=seed).theta_final
+    _, converged = power_iteration_lambda_max(readme_mlp, theta, k=2)
+    assert all(converged)
+    assert hvps[0] <= 20
 
 
 # ------------------------------------------------------------------ report

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flatmin import shiftbench
-from flatmin.errors import ConfigError, ProtocolError
+from flatmin.errors import BudgetError, ConfigError, ProtocolError
 from flatmin.objectives import MLPObjective
 from flatmin.shiftbench import (
     DomainSpec,
@@ -110,6 +110,20 @@ def test_domain_spec_validation():
         small_spec(transform="shear")
     with pytest.raises(ConfigError):
         small_spec(noise=-0.1)
+
+
+@pytest.mark.parametrize(
+    "key,value,error",
+    [
+        ("report_rho", 0.0, ConfigError),
+        ("report_alpha", 1.5, ConfigError),
+        ("report_k_eigs", 0, ConfigError),
+        ("report_probes", 1, BudgetError),
+    ],
+)
+def test_protocol_report_error_names_its_key(key, value, error):
+    with pytest.raises(error, match=f"^{key} "):
+        ProtocolConfig(**{key: value})
 
 
 # -------------------------------------------------------------------- splits
