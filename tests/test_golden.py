@@ -94,7 +94,7 @@ TRAJECTORY_HASHES = {
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "9e7f426257bfbedaae88655781f2c87c0399ba3a4698adbbb169faa624d995d7",
+    "bench.json": "459eae43fe6ebb40265ac1b17aadf0276059292bff2b36d0d2b3360dac8108a4",
 }
 
 
@@ -203,10 +203,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "0fe1a842fa12225d451a8f61e51c3cbc7bf4cfcef22d1c333a8254d280a7d4dc",
-    ("init", "batch32"): "0323dd2f12d548000d9f2a12815fe7384e112cb8b7e8f1d946e4a9b276a43115",
-    ("fad", "full"): "4aa4383f0e4e35c57b3dacbf3eb443b219f4b7e239840987f6fde56ce3ce3c06",
-    ("fad", "batch32"): "390166a2d1be3dbbc9f372c977dcec547fb715d4d089dde18a4f0512cbcfeaa3",
+    ("init", "full"): "1690dda58ba18d8a40893cde591477124e03c18c04edd4b5b5aa2cbdc1f11c27",
+    ("init", "batch32"): "57d967800878bc7b15805aff10858b325d10bfc83297c66b7769a36214f020b6",
+    ("fad", "full"): "fbaf1804c69a3915f870374765090b557b7e3b5507cf6d233a8497b35deb45f5",
+    ("fad", "batch32"): "702ca5c7e21ebcdf7724c311c242ee39dd08ff66193f24b234dfffa3fe804d0e",
 }
 
 
@@ -295,8 +295,8 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "ba8454cafbb1ddf309a6d5b73e160511aa282c01291a8dcfeb86845d83557f5f",
-    "mlp": "9caf86e353a40f7a05a38153d31fdac4a0368642b87e95a6e2e95aea50a22288",
+    "quadratic": "b0c1a607f6470214ab724cb090645e85d1818af5dc634472575472e705150d19",
+    "mlp": "0e9c73fdd3284befc72b47e2e4a40fa595e26cc306d548865634da888bd77e30",
 }
 
 
