@@ -23,7 +23,7 @@ import time
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -59,10 +59,6 @@ from .shiftbench import (
 CONFIG_EXIT = 2
 NUMERIC_EXIT = 3
 
-def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -79,7 +75,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _csv_text(config: dict, columns: tuple[str, ...], rows: "list[dict]") -> str:
     buf = io.StringIO()
-    buf.write(f"# config: {_canonical_json(config)}\n")
+    buf.write(f"# config: {json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")
     writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
     writer.writeheader()
     for row in rows:
@@ -208,9 +204,10 @@ class ReportConfig:
     k_eigs: int = 2
     n_probes: int = 64
     budget: FlatnessBudget = field(default_factory=FlatnessBudget)
+    fd_step: ClassVar[float] = DEFAULT_FD_STEP  # fixed for train; a key of FlatnessConfig
 
     def __post_init__(self) -> None:
-        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes)
+        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes, self.fd_step)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -223,9 +220,6 @@ class FlatnessConfig(ReportConfig):
     data: DataConfig | None = None
     theta: tuple[float, ...] | None = None
     fd_step: float = DEFAULT_FD_STEP
-
-    def __post_init__(self) -> None:
-        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes, self.fd_step)
 
 
 @dataclass(frozen=True)
@@ -269,6 +263,8 @@ class BenchConfig:
     protocol: ProtocolConfig = field(default_factory=ProtocolConfig)
 
     def __post_init__(self) -> None:
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods must be non-empty and distinct, got {list(self.methods)}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method '{m}' in bench config")
@@ -344,9 +340,13 @@ def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dic
             raise ConfigError(f"dataset file cannot be read: {err}") from err
     if data is None:
         raise ConfigError("mlp objective needs either a 'dataset' path or a 'data' block")
-    md = generate_domains(data.spec, data.seed)
+    n = data.spec.n_domains
     if spec.train_domains is None:
-        spec = replace(spec, train_domains=tuple(range(md.n_domains)))
+        spec = replace(spec, train_domains=tuple(range(n)))
+    held_in = spec.train_domains
+    if not held_in or len(set(held_in)) < len(held_in) or not set(held_in) <= set(range(n)):
+        raise ConfigError(f"train_domains needs distinct indices in [0, {n}), got {list(held_in)}")
+    md = generate_domains(data.spec, data.seed)
     if spec.layer_sizes is None:
         spec = replace(spec, layer_sizes=(md.feature_dim, spec.hidden_units, md.num_classes))
     obj = MLPObjective(spec.layer_sizes, pool_domains(md, spec.train_domains))
@@ -363,10 +363,30 @@ def _initial_point(obj: Objective, theta0: tuple[float, ...] | None, seed: int) 
     return np.zeros(obj.dim)
 
 
-def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
+def _resolve(cfg, theta_key: str):
+    """(``cfg`` with its objective and start point ``theta_key`` filled in, objective, start)."""
     obj, obj_doc = _build_objective(cfg.objective, cfg.data)
-    theta0 = _initial_point(obj, cfg.theta0, cfg.seed)
-    cfg = replace(cfg, objective=obj_doc, theta0=tuple(theta0.tolist()))
+    theta = _initial_point(obj, getattr(cfg, theta_key), cfg.seed)
+    return replace(cfg, objective=obj_doc, **{theta_key: tuple(theta.tolist())}), obj, theta
+
+
+def _report_doc(obj: Objective, theta: np.ndarray, flat: ReportConfig, seed: int) -> dict:
+    """The flatness report at ``theta`` under ``flat``'s settings, as a dict."""
+    return build_flatness_report(
+        obj,
+        theta,
+        rho=flat.rho,
+        alpha=flat.alpha,
+        budget=flat.budget,
+        k_eigs=flat.k_eigs,
+        n_probes=flat.n_probes,
+        fd_step=flat.fd_step,
+        seed=seed,
+    ).to_dict()
+
+
+def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
+    cfg, obj, theta0 = _resolve(cfg, "theta0")
     embedded = asdict(cfg)
     rows: list[dict] = []
     csv_path = out_dir / f"{cfg.run_id}.csv"
@@ -384,50 +404,26 @@ def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
         _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
         raise
     _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
-    flat = cfg.flatness
-    report = build_flatness_report(
-        obj,
-        record.theta_final,
-        rho=flat.rho,
-        alpha=flat.alpha,
-        budget=flat.budget,
-        k_eigs=flat.k_eigs,
-        n_probes=flat.n_probes,
-        seed=cfg.seed,
-    )
-    out = report.to_dict()
+    out = _report_doc(obj, record.theta_final, cfg.flatness, cfg.seed)
     out["final_loss"] = eval_loss(obj, record.theta_final)
     out["config"] = embedded
     _write_json(out_dir / f"{cfg.run_id}_flatness.json", out)
 
 
 def cmd_flatness(cfg: FlatnessConfig, out_dir: Path) -> None:
-    obj, obj_doc = _build_objective(cfg.objective, cfg.data)
-    theta = _initial_point(obj, cfg.theta, cfg.seed)
-    report = build_flatness_report(
-        obj,
-        theta,
-        rho=cfg.rho,
-        alpha=cfg.alpha,
-        budget=cfg.budget,
-        k_eigs=cfg.k_eigs,
-        n_probes=cfg.n_probes,
-        fd_step=cfg.fd_step,
-        seed=cfg.seed,
-    )
-    out = report.to_dict()
+    cfg, obj, theta = _resolve(cfg, "theta")
+    out = _report_doc(obj, theta, cfg, cfg.seed)
     # independent curvature read-off from the regularizer, for cross-checking
-    out["lambda_max_from_fad"] = lambda_max_from_fad(report.r_fad, cfg.rho, cfg.alpha)
-    out["config"] = asdict(replace(cfg, objective=obj_doc, theta=tuple(theta.tolist())))
+    out["lambda_max_from_fad"] = lambda_max_from_fad(out["r_fad"], cfg.rho, cfg.alpha)
+    out["config"] = asdict(cfg)
     _write_json(out_dir / "flatness.json", out)
 
 
 def cmd_converge(cfg: ConvergeConfig, out_dir: Path) -> None:
-    obj, obj_doc = _build_objective(cfg.objective, cfg.data)
-    theta0 = _initial_point(obj, cfg.theta0, cfg.seed)
+    cfg, obj, theta0 = _resolve(cfg, "theta0")
     record = run_training(obj, theta0, cfg.optimizer, cfg.iterations, seed=cfg.seed)
     out = asdict(convergence_check(record.rows, cfg.optimizer.eta0, cfg.optimizer.rho0))
-    out["config"] = asdict(replace(cfg, objective=obj_doc, theta0=tuple(theta0.tolist())))
+    out["config"] = asdict(cfg)
     _write_json(out_dir / "convergence.json", out)
 
 
@@ -436,18 +432,19 @@ def cmd_bench(cfg: BenchConfig, out_dir: Path) -> None:
     result = run_protocol(md, list(cfg.methods), cfg.protocol, seed=cfg.seed)
     embedded = asdict(cfg)
     out = {
-        "methods": list(result.methods),
-        "n_domains": result.n_domains,
+        "methods": list(cfg.methods),
+        "n_domains": md.n_domains,
         "cells": [asdict(c) for c in result.cells],
         "config": embedded,
     }
     _write_json(out_dir / "bench.json", out)
-    table = f"# config: {_canonical_json(embedded)}\n" + result.table_csv()
-    _atomic_write_text(out_dir / "bench_table.csv", table)
-    _write_json(
-        out_dir / "bench_hparams.json",
-        {"config": embedded, "selected": result.selected_hparams_doc()},
-    )
+    table = [{"domain_out": f"domain{d}"} for d in range(md.n_domains)]
+    for c in result.cells:
+        table[c.test_domain][c.method] = f"{c.mean_accuracy:.4f}±{c.std_accuracy:.4f}"
+    columns = ("domain_out", *cfg.methods)
+    _atomic_write_text(out_dir / "bench_table.csv", _csv_text(embedded, columns, table))
+    selected = {f"{c.method}/domain{c.test_domain}": c.selected_hparams for c in result.cells}
+    _write_json(out_dir / "bench_hparams.json", {"config": embedded, "selected": selected})
 
 
 def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
@@ -457,7 +454,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
     train_domains = tuple(i for i in range(md.n_domains) if i != cfg.test_domain)
     train_ds = pool_domains(md, train_domains)
     obj = MLPObjective((md.feature_dim, cfg.hidden_units, md.num_classes), train_ds)
-    theta0 = obj.init_params(np.random.default_rng([cfg.seed, 2]))
+    theta0 = _initial_point(obj, None, cfg.seed)
     points = cfg.grid_configs()
     walls: list[list[float]] = [[] for _ in points]
     records: list[RunRecord | NumericalError | None] = [None] * len(points)
@@ -476,6 +473,8 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
             walls[i].append((time.perf_counter() - t0) * 1000.0)
     rows = []
     for value, record, point_walls in zip(cfg.grid.values, records, walls):
+        row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
+        row["value"] = value
         try:
             if isinstance(record, NumericalError):
                 raise record
@@ -485,25 +484,11 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
             eigs, _ = power_iteration_lambda_max(
                 obj, record.theta_final, k=1, rng=np.random.default_rng([cfg.seed, 4])
             )
-            rows.append(
-                {
-                    "value": value,
-                    "test_accuracy": acc,
-                    "lambda_max": float(eigs[0]),
-                    "wall_ms": float(np.median(point_walls)),
-                    "status": "ok",
-                }
-            )
+            row.update(test_accuracy=acc, lambda_max=float(eigs[0]), status="ok")
+            row["wall_ms"] = float(np.median(point_walls))
         except NumericalError as err:
-            rows.append(
-                {
-                    "value": value,
-                    "test_accuracy": float("nan"),
-                    "lambda_max": float("nan"),
-                    "wall_ms": float("nan"),
-                    "status": f"error:{type(err).__name__}",
-                }
-            )
+            row["status"] = f"error:{type(err).__name__}"
+        rows.append(row)
     _atomic_write_text(out_dir / "sweep.csv", _csv_text(asdict(cfg), SWEEP_COLUMNS, rows))
 
 

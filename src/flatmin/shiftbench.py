@@ -314,34 +314,10 @@ class BenchCell:
 
 @dataclass
 class BenchResult:
-    methods: tuple[str, ...]
-    n_domains: int
     cells: list[BenchCell]
     events: list[tuple] = field(default_factory=list)
     # held-out domain -> (train, validation) row indices into the pooled domains
     splits: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def cell(self, method: str, test_domain: int) -> BenchCell:
-        for c in self.cells:
-            if c.method == method and c.test_domain == test_domain:
-                return c
-        raise KeyError((method, test_domain))
-
-    def table_csv(self) -> str:
-        lines = ["domain_out," + ",".join(self.methods)]
-        for d in range(self.n_domains):
-            row = [f"domain{d}"]
-            for m in self.methods:
-                c = self.cell(m, d)
-                row.append(f"{c.mean_accuracy:.4f}±{c.std_accuracy:.4f}")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def selected_hparams_doc(self) -> dict:
-        return {
-            f"{c.method}/domain{c.test_domain}": dict(c.selected_hparams)
-            for c in self.cells
-        }
 
 
 def _derived_seed(*parts: int) -> int:
@@ -381,7 +357,7 @@ def run_protocol(
     ProtocolError. An event's clock is its 1-based position in ``events``.
     """
     seed = int(seed)
-    result = BenchResult(methods=tuple(methods), n_domains=md.n_domains, cells=[])
+    result = BenchResult(cells=[])
     layer_sizes = (md.feature_dim, protocol.hidden_units, md.num_classes)
     report_budget = FlatnessBudget(
         n_random=protocol.report_restarts, n_ascent_steps=protocol.report_ascent_steps

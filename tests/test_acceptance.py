@@ -221,7 +221,7 @@ def test_criterion_3_gradient_oracles():
 
 
 def gapped_spectrum(dim, rng):
-    """Spectrum with multiplicative gaps across the top 3 so deflation converges."""
+    """Spectrum with multiplicative gaps across the top 3 so their Ritz values converge."""
     top = [10.0]
     for _ in range(2):
         top.append(top[-1] / rng.uniform(1.3, 2.0))
@@ -232,7 +232,7 @@ def gapped_spectrum(dim, rng):
 
 
 def test_criterion_4_spectrum_estimators():
-    """Deflated power iteration vs dense eigensolver; Hutchinson exact and dense."""
+    """Lanczos top eigenvalues vs dense eigensolver; Hutchinson exact and dense."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(400)
     worst = 0.0

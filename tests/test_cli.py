@@ -368,6 +368,40 @@ def test_build_objective_rejects_bad_blocks():
             _build_objective(doc, None)
 
 
+def test_build_objective_pools_the_listed_train_domains():
+    doc = {"kind": "mlp", "hidden_units": 4, "train_domains": [2, 0]}
+    obj, resolved = _build_objective(doc, cli.DataConfig(shiftbench.DomainSpec(per_domain_n=30)))
+    assert set(np.unique(obj.dataset.domain_ids).tolist()) == {0, 2}
+    assert resolved["train_domains"] == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "train_domains",
+    [[5], [-1], [0, 0], []],
+    ids=["out_of_range", "negative", "repeated", "empty"],
+)
+def test_bad_train_domains_exit_2_before_training(tmp_path, monkeypatch, capsys, train_domains):
+    calls = []
+    run_training = cli.run_training
+
+    def started(*args, **kwargs):
+        calls.append("run_training")
+        return run_training(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_training", started)
+    doc = train_doc(
+        objective={"kind": "mlp", "hidden_units": 4, "train_domains": train_domains},
+        optimizer={"method": "sgd", "eta0": 0.1, "batch_size": 8},
+        data=data_block(),
+        iterations=5,
+    )
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert "train_domains" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "demo.csv").exists()
+
+
 def flatness_doc(objective):
     return {
         "seed": 1,
@@ -506,6 +540,41 @@ def test_bench_rejects_unknown_method(tmp_path):
     doc["methods"] = ["sgd", "lion"]
     cfg = write_config(tmp_path, doc)
     assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+
+
+def test_two_method_bench_table_has_one_column_per_method(tmp_path):
+    doc = bench_doc()
+    doc["methods"] = ["sgd", "fad"]
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+    lines = (tmp_path / "bench_table.csv").read_text().strip().split("\n")
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "domain_out,sgd,fad"
+    assert [line.split(",")[0] for line in lines[2:]] == ["domain0", "domain1", "domain2"]
+    cells = json.loads((tmp_path / "bench.json").read_text())["cells"]
+    by_key = {(c["method"], c["test_domain"]): c for c in cells}
+    for d, line in enumerate(lines[2:]):
+        for method, entry in zip(("sgd", "fad"), line.split(",")[1:]):
+            c = by_key[method, d]
+            assert entry == f"{c['mean_accuracy']:.4f}±{c['std_accuracy']:.4f}"
+
+
+@pytest.mark.parametrize("methods", [["sgd", "sgd"], []], ids=["repeated", "empty"])
+def test_bad_methods_exit_2_before_training(tmp_path, monkeypatch, methods):
+    calls = []
+    run_protocol = cli.run_protocol
+
+    def started(*args, **kwargs):
+        calls.append("run_protocol")
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", started)
+    doc = bench_doc()
+    doc["methods"] = methods
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("bench", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert calls == []
+    assert not (tmp_path / "bench.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -269,9 +269,10 @@ def tiny_protocol_result():
 def test_run_protocol_produces_every_cell(tiny_protocol_result):
     md, result = tiny_protocol_result
     assert len(result.cells) == 2 * 3
+    cells = {(c.method, c.test_domain): c for c in result.cells}
     for method in ("sgd", "fad"):
         for d in range(3):
-            cell = result.cell(method, d)
+            cell = cells[method, d]
             assert len(cell.seed_accuracies) == 2
             assert len(cell.trial_val_accuracies) == 2
             assert len(cell.lambda_maxes) == 2
@@ -340,14 +341,6 @@ def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
         excluded.extend({0, 1, 2} - domains)
     block = (protocol.n_hparam_trials + protocol.seeds_per_trial) * len(methods)
     assert excluded == [0] * block + [1] * block + [2] * block
-
-
-def test_run_protocol_table_shape(tiny_protocol_result):
-    _, result = tiny_protocol_result
-    lines = result.table_csv().strip().split("\n")
-    assert lines[0] == "domain_out,sgd,fad"
-    assert len(lines) == 4
-    assert lines[1].startswith("domain0,")
 
 
 def test_run_protocol_raises_when_every_trial_diverges():
