@@ -5,6 +5,12 @@ Two complementary notions over a radius-rho ball around a point:
 * zeroth order: the worst loss increase inside the ball,
 * first order: rho times the largest gradient norm inside the ball.
 
+Both are maxima found by restarted projected ascent. Every restart runs, but
+its ascent ends once a step moves the iterate by at most ``ASCENT_STOP_TOL *
+rho``; the start points are drawn from the RNG stream whether or not a restart
+stops early, and the ascent draws nothing, so the curvature probes that share
+the stream see the same draws.
+
 Their convex combination ``alpha*r0 + (1-alpha)*r1`` is the regularizer the
 fad optimizer targets; near a minimum where a quadratic model holds, that
 combination pins the top Hessian eigenvalue via
@@ -36,13 +42,19 @@ from .objectives import (
     norm,
 )
 
+# a restart's ascent ends once one step moves its iterate by at most this times rho;
+# at 0 it ends only at an exact fixed point, where further steps would change nothing
+ASCENT_STOP_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class FlatnessBudget:
     """Restart/step budget for the ball-ascent estimators.
 
     Each ascent step is gradient-normalized with length 10*rho (a projected
-    power-type update, accurate on near-quadratic bowls).
+    power-type update, accurate on near-quadratic bowls). Every one of the
+    ``n_random`` restarts runs; ``n_ascent_steps`` caps each restart's ascent,
+    which ends sooner once its iterate stops moving (``ASCENT_STOP_TOL``).
     """
 
     n_random: int = 16
@@ -73,11 +85,15 @@ def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
     return center + offset * (rho / length)
 
 
-def _ascent_move(center: Vector, rho: float, x: Vector, direction: Vector) -> Vector:
+def _ascent_move(
+    center: Vector, rho: float, x: Vector, direction: Vector
+) -> tuple[Vector, bool]:
+    """The next ascent iterate, and whether it lies within ``ASCENT_STOP_TOL * rho`` of ``x``."""
     length = norm(direction)
     if length == 0.0:
-        return x
-    return _project_to_ball(center, rho, x + (10.0 * rho / length) * direction)
+        return x, True
+    x_new = _project_to_ball(center, rho, x + (10.0 * rho / length) * direction)
+    return x_new, norm(x_new - x) <= ASCENT_STOP_TOL * rho
 
 
 def zeroth_order_flatness(
@@ -92,7 +108,9 @@ def zeroth_order_flatness(
 
     Multi-restart projected gradient ascent; every evaluated point lies inside
     the ball, so the estimate never exceeds the true maximum. Each ascent
-    iterate takes its loss and gradient from one fused call.
+    iterate takes its loss and gradient from one fused call. A restart takes
+    at most ``budget.n_ascent_steps`` steps and ends once its iterate stops
+    moving; its last iterate is always evaluated.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -105,7 +123,9 @@ def zeroth_order_flatness(
         for _ in range(budget.n_ascent_steps):
             loss, g = eval_loss_and_grad(obj, x, batch)
             best = max(best, loss)
-            x = _ascent_move(theta, rho, x, g)
+            x, stopped = _ascent_move(theta, rho, x, g)
+            if stopped:
+                break
         best = max(best, eval_loss(obj, x, batch))
     return max(best - base, 0.0)
 
@@ -123,7 +143,9 @@ def first_order_flatness(
 
     Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||,
     approximated with one finite-difference Hessian-vector product per step;
-    that product reuses the step's gradient, so a step costs 2 gradients.
+    that product reuses the step's gradient, so a step costs 2 gradients. A
+    restart takes at most ``budget.n_ascent_steps`` steps and ends once its
+    iterate stops moving; its last iterate is always evaluated.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -139,7 +161,9 @@ def first_order_flatness(
             if norm_g == 0.0:
                 break
             direction = hvp_fd(obj, x, g, batch, fd_step, g0=g) / norm_g
-            x = _ascent_move(theta, rho, x, direction)
+            x, stopped = _ascent_move(theta, rho, x, direction)
+            if stopped:
+                break
         best = max(best, norm(eval_grad(obj, x, batch)))
     return rho * best
 
