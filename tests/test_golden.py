@@ -203,10 +203,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "1690dda58ba18d8a40893cde591477124e03c18c04edd4b5b5aa2cbdc1f11c27",
-    ("init", "batch32"): "57d967800878bc7b15805aff10858b325d10bfc83297c66b7769a36214f020b6",
-    ("fad", "full"): "fbaf1804c69a3915f870374765090b557b7e3b5507cf6d233a8497b35deb45f5",
-    ("fad", "batch32"): "702ca5c7e21ebcdf7724c311c242ee39dd08ff66193f24b234dfffa3fe804d0e",
+    ("init", "full"): "37ef921e78f0bae94469c599e25859bdcb2992dfc66fb4c23649cb71fbe452d4",
+    ("init", "batch32"): "7a8af0abbbb31f4505352ad7172b440330835dcfd28bc23c2057e583929b7f78",
+    ("fad", "full"): "9df3a338ffdee8fe3920868dcbd8c4b351121c3a20f9f25b8aa11937d27ce2bf",
+    ("fad", "batch32"): "0919a037053597099cd51dfd3bcde55e02d903bfb7280ff77ad08a0c16bb170c",
 }
 
 
@@ -295,7 +295,7 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "b0c1a607f6470214ab724cb090645e85d1818af5dc634472575472e705150d19",
+    "quadratic": "daf7a5dcf3cf8043d8cca37a42d98ff551efcc160ca0f799abb8deeef754b835",
     "mlp": "0e9c73fdd3284befc72b47e2e4a40fa595e26cc306d548865634da888bd77e30",
 }
 
