@@ -334,6 +334,8 @@ def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dic
     if spec.dataset is not None:
         if spec.layer_sizes is None:
             raise ConfigError("mlp objective with a dataset file needs layer_sizes")
+        if spec.train_domains is not None:
+            raise ConfigError("train_domains picks domains of a 'data' block, not of a dataset file")
         try:
             return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
         except OSError as err:

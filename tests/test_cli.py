@@ -428,6 +428,26 @@ def test_mistyped_objective_value_exits_2(tmp_path, objective):
     assert not (tmp_path / "flatness.json").exists()
 
 
+def test_train_domains_with_a_dataset_file_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    calls = []
+    run_training = cli.run_training
+
+    def started(*args, **kwargs):
+        calls.append("run_training")
+        return run_training(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_training", started)
+    path = tmp_path / "data.json"
+    rng = np.random.default_rng(0)
+    save_dataset(Dataset(rng.standard_normal((12, 2)), rng.integers(3, size=12), np.zeros(12)), path)
+    objective = {"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(path), "train_domains": [0]}
+    cfg = write_config(tmp_path, train_doc(objective=objective))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert "train_domains" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "demo.csv").exists()
+
+
 def test_missing_dataset_file_exits_2(tmp_path):
     objective = {"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(tmp_path / "nope.json")}
     cfg = write_config(tmp_path, train_doc(objective=objective))
