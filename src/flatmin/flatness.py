@@ -5,11 +5,11 @@ Two complementary notions over a radius-rho ball around a point:
 * zeroth order: the worst loss increase inside the ball,
 * first order: rho times the largest gradient norm inside the ball.
 
-Both are maxima found by restarted projected ascent. Every restart runs, but
-its ascent ends once a step moves the iterate by at most ``ASCENT_STOP_TOL *
-rho``; the start points are drawn from the RNG stream whether or not a restart
-stops early, and the ascent draws nothing, so the curvature probes that share
-the stream see the same draws.
+Both are maxima found by restarted projected ascent, Anderson-accelerated so
+that a few steps reach the maximum the plain step would approach only slowly.
+Every restart takes every step of its budget, so the ascent costs the same at
+every point. Only the start points are drawn from the RNG stream, so the
+curvature probes that share the stream see the same draws whatever the budget.
 
 Their convex combination ``alpha*r0 + (1-alpha)*r1`` is the regularizer the
 fad optimizer targets; near a minimum where a quadratic model holds, that
@@ -42,23 +42,20 @@ from .objectives import (
     norm,
 )
 
-# a restart's ascent ends once one step moves its iterate by at most this times rho;
-# at 0 it ends only at an exact fixed point, where further steps would change nothing
-ASCENT_STOP_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class FlatnessBudget:
     """Restart/step budget for the ball-ascent estimators.
 
-    Each ascent step is gradient-normalized with length 10*rho (a projected
-    power-type update, accurate on near-quadratic bowls). Every one of the
-    ``n_random`` restarts runs; ``n_ascent_steps`` caps each restart's ascent,
-    which ends sooner once its iterate stops moving (``ASCENT_STOP_TOL``).
+    Each plain ascent step is gradient-normalized with length 10*rho (a
+    projected power-type update, accurate on near-quadratic bowls), and each
+    ascent step extrapolates along the last two (``_BallAscent``). Every one of
+    the ``n_random`` restarts takes all ``n_ascent_steps`` steps; the default
+    10 reach, at trained MLP points, the maxima that 50 plain steps reach.
     """
 
     n_random: int = 16
-    n_ascent_steps: int = 50
+    n_ascent_steps: int = 10
 
     def __post_init__(self) -> None:
         if not (self.n_random >= 1 and self.n_ascent_steps >= 1):
@@ -85,15 +82,53 @@ def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
     return center + offset * (rho / length)
 
 
-def _ascent_move(
-    center: Vector, rho: float, x: Vector, direction: Vector
-) -> tuple[Vector, bool]:
-    """The next ascent iterate, and whether it lies within ``ASCENT_STOP_TOL * rho`` of ``x``."""
-    length = norm(direction)
-    if length == 0.0:
-        return x, True
-    x_new = _project_to_ball(center, rho, x + (10.0 * rho / length) * direction)
-    return x_new, norm(x_new - x) <= ASCENT_STOP_TOL * rho
+class _BallAscent:
+    """One restart's projected ascent inside the rho-ball around ``center``.
+
+    The plain step moves x by 10*rho along the normalized ascent direction and
+    projects back into the ball; its fixed points are the maxima the estimators
+    look for, but near a flat ridge of the sphere it approaches them slowly.
+    Each step therefore mixes the last two plain steps, as one-deep Anderson
+    acceleration: it moves the plain step back along the change of iterate and
+    residual (plain step minus iterate) by the factor that leaves the least
+    residual, and projects the result into the ball again. A mixed step can head
+    for a saddle of the sphere, so one whose value falls below its
+    predecessor's is dropped for the plain step it replaced, and the mixing
+    starts afresh. Every iterate stays inside the ball.
+    """
+
+    def __init__(self, center: Vector, rho: float):
+        self.center = center
+        self.rho = rho
+        self.previous: tuple[Vector, Vector] | None = None  # iterate and its residual
+        self.mixed = False
+        self.value = -np.inf
+        self.plain = center
+
+    def step(self, x: Vector, value: float, direction: Vector) -> Vector:
+        """The next iterate from ``x``, whose value is ``value`` and whose ascent
+        direction is ``direction``."""
+        if self.mixed and value < self.value:
+            self.previous, self.mixed = None, False
+            return self.plain
+        length = norm(direction)
+        if length == 0.0:
+            return x
+        step = (10.0 * self.rho / length) * direction
+        plain = _project_to_ball(self.center, self.rho, x + step)
+        residual = plain - x
+        previous, self.previous = self.previous, (x, residual)
+        self.value, self.plain, self.mixed = value, plain, False
+        if previous is None:
+            return plain
+        d_residual = residual - previous[1]
+        size = d_residual @ d_residual
+        if size == 0.0:
+            return plain
+        self.mixed = True
+        gamma = (d_residual @ residual) / size
+        mixed = plain - gamma * (x - previous[0] + d_residual)
+        return _project_to_ball(self.center, self.rho, mixed)
 
 
 def zeroth_order_flatness(
@@ -106,11 +141,10 @@ def zeroth_order_flatness(
 ) -> float:
     """Estimate max over the rho-ball of loss(theta') - loss(theta), clamped at 0.
 
-    Multi-restart projected gradient ascent; every evaluated point lies inside
-    the ball, so the estimate never exceeds the true maximum. Each ascent
-    iterate takes its loss and gradient from one fused call. A restart takes
-    at most ``budget.n_ascent_steps`` steps and ends once its iterate stops
-    moving; its last iterate is always evaluated.
+    Multi-restart accelerated projected gradient ascent (``_BallAscent``);
+    every evaluated point lies inside the ball, so the estimate never exceeds
+    the true maximum. Each ascent iterate takes its loss and gradient from one
+    fused call, and each restart's last iterate is evaluated too.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -120,12 +154,11 @@ def zeroth_order_flatness(
     best = base
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
+        ascent = _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
             loss, g = eval_loss_and_grad(obj, x, batch)
             best = max(best, loss)
-            x, stopped = _ascent_move(theta, rho, x, g)
-            if stopped:
-                break
+            x = ascent.step(x, loss, g)
         best = max(best, eval_loss(obj, x, batch))
     return max(best - base, 0.0)
 
@@ -143,9 +176,9 @@ def first_order_flatness(
 
     Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||,
     approximated with one finite-difference Hessian-vector product per step;
-    that product reuses the step's gradient, so a step costs 2 gradients. A
-    restart takes at most ``budget.n_ascent_steps`` steps and ends once its
-    iterate stops moving; its last iterate is always evaluated.
+    that product reuses the step's gradient, so a step costs 2 gradients. The
+    steps are accelerated as in ``zeroth_order_flatness``, and each restart's
+    last iterate is evaluated too.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -154,6 +187,7 @@ def first_order_flatness(
     best = norm(eval_grad(obj, theta, batch))
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
+        ascent = _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
             g = eval_grad(obj, x, batch)
             norm_g = norm(g)
@@ -161,9 +195,7 @@ def first_order_flatness(
             if norm_g == 0.0:
                 break
             direction = hvp_fd(obj, x, g, batch, fd_step, g0=g) / norm_g
-            x, stopped = _ascent_move(theta, rho, x, direction)
-            if stopped:
-                break
+            x = ascent.step(x, norm_g, direction)
         best = max(best, norm(eval_grad(obj, x, batch)))
     return rho * best
 
