@@ -94,7 +94,7 @@ TRAJECTORY_HASHES = {
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "459eae43fe6ebb40265ac1b17aadf0276059292bff2b36d0d2b3360dac8108a4",
+    "bench.json": "88719fe9c2fb05141ec114a9b8d320147fbde2b5002baab92a5030fbfa64d3f4",
 }
 
 
@@ -203,10 +203,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "37ef921e78f0bae94469c599e25859bdcb2992dfc66fb4c23649cb71fbe452d4",
-    ("init", "batch32"): "7a8af0abbbb31f4505352ad7172b440330835dcfd28bc23c2057e583929b7f78",
-    ("fad", "full"): "9df3a338ffdee8fe3920868dcbd8c4b351121c3a20f9f25b8aa11937d27ce2bf",
-    ("fad", "batch32"): "0919a037053597099cd51dfd3bcde55e02d903bfb7280ff77ad08a0c16bb170c",
+    ("init", "full"): "fd64e40ebcc7e41bc0b0fe5bd1563b569019c62369af2159a138b16164af6acd",
+    ("init", "batch32"): "bbde0220ca66d676219d00659c575b52598d352957874e72c2731e2740ed8529",
+    ("fad", "full"): "2a62e2ad94f00e98d1b3121f769339d96c4994519e90c7118bce005dbe8b0a6c",
+    ("fad", "batch32"): "fa5360a9e2a3ae553406d4a0a7c641bc92b3a1e0153e24b17d8e5daa6586254e",
 }
 
 
@@ -295,8 +295,8 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "daf7a5dcf3cf8043d8cca37a42d98ff551efcc160ca0f799abb8deeef754b835",
-    "mlp": "0e9c73fdd3284befc72b47e2e4a40fa595e26cc306d548865634da888bd77e30",
+    "quadratic": "f32f09613377685f47ab19a7350f05a2b45c4acb8724c176968a196c7c960474",
+    "mlp": "d6591bf159f0868084e574be07f36e6ac2d808f6dc4709d20cf156b8ef3fdd91",
 }
 
 
