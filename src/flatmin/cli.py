@@ -23,7 +23,7 @@ import time
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import ClassVar, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .flatness import (
     power_iteration_lambda_max,
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
-from .objectives import DEFAULT_FD_STEP, RosenbrockObjective, eval_loss, load_dataset
+from .objectives import RosenbrockObjective, eval_loss, load_dataset
 from .objectives import random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
@@ -204,10 +204,9 @@ class ReportConfig:
     k_eigs: int = 2
     n_probes: int = 64
     budget: FlatnessBudget = field(default_factory=FlatnessBudget)
-    fd_step: ClassVar[float] = DEFAULT_FD_STEP  # fixed for train; a key of FlatnessConfig
 
     def __post_init__(self) -> None:
-        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes, self.fd_step)
+        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -219,7 +218,6 @@ class FlatnessConfig(ReportConfig):
     seed: int = 0
     data: DataConfig | None = None
     theta: tuple[float, ...] | None = None
-    fd_step: float = DEFAULT_FD_STEP
 
 
 @dataclass(frozen=True)
@@ -336,6 +334,8 @@ def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dic
             raise ConfigError("mlp objective with a dataset file needs layer_sizes")
         if spec.train_domains is not None:
             raise ConfigError("train_domains picks domains of a 'data' block, not of a dataset file")
+        if data is not None:
+            raise ConfigError("a 'data' block generates the mlp's rows; drop it next to a dataset file")
         try:
             return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
         except OSError as err:
@@ -382,7 +382,6 @@ def _report_doc(obj: Objective, theta: np.ndarray, flat: ReportConfig, seed: int
         budget=flat.budget,
         k_eigs=flat.k_eigs,
         n_probes=flat.n_probes,
-        fd_step=flat.fd_step,
         seed=seed,
     ).to_dict()
 

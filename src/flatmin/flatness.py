@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import BudgetError, ConfigError
 from .objectives import (
-    DEFAULT_FD_STEP,
+    FD_STEP,
     Batch,
     Objective,
     Vector,
@@ -170,7 +170,6 @@ def first_order_flatness(
     batch: Batch | None = None,
     budget: FlatnessBudget | None = None,
     rng: np.random.Generator | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Estimate rho times the largest gradient norm over the rho-ball.
 
@@ -194,7 +193,7 @@ def first_order_flatness(
             best = max(best, norm_g)
             if norm_g == 0.0:
                 break
-            direction = hvp_fd(obj, x, g, batch, fd_step, g0=g) / norm_g
+            direction = hvp_fd(obj, x, g, batch, g0=g) / norm_g
             x = ascent.step(x, norm_g, direction)
         best = max(best, norm(eval_grad(obj, x, batch)))
     return rho * best
@@ -249,7 +248,6 @@ def power_iteration_lambda_max(
     k: int = 1,
     tol: float = 1e-8,
     max_iter: int = 1000,
-    fd_step: float = DEFAULT_FD_STEP,
     rng: np.random.Generator | None = None,
 ) -> tuple[Vector, list[bool]]:
     """Top-k Hessian eigenvalues by Lanczos with full reorthogonalisation on FD products.
@@ -274,7 +272,7 @@ def power_iteration_lambda_max(
     w = rng.choice(signs, size=obj.dim)
     for _ in range(min(max_iter, obj.dim)):
         basis.append(w / norm(w))
-        w = hvp_fd(obj, theta, basis[-1], batch, fd_step)
+        w = hvp_fd(obj, theta, basis[-1], batch)
         alphas.append(float(basis[-1] @ w))
         w = _orthogonalise(basis, w)
         beta = norm(w)
@@ -298,7 +296,6 @@ def hutchinson_trace(
     theta: Vector,
     batch: Batch | None = None,
     n_probes: int = 64,
-    fd_step: float = DEFAULT_FD_STEP,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
     """Hessian trace estimate (mean, standard error) from Rademacher probes.
@@ -314,7 +311,7 @@ def hutchinson_trace(
     vals = np.empty(n_probes)
     for i in range(n_probes):
         v = rng.choice(signs, size=obj.dim)
-        vals[i] = float(v @ hvp_fd(obj, theta, v, batch, fd_step, g0=g0))
+        vals[i] = float(v @ hvp_fd(obj, theta, v, batch, g0=g0))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_probes))
 
 
@@ -338,9 +335,7 @@ class FlatnessReport:
         return asdict(self)
 
 
-def check_report_settings(
-    rho: float, alpha: float, k_eigs: int, n_probes: int, fd_step: float = DEFAULT_FD_STEP
-) -> None:
+def check_report_settings(rho: float, alpha: float, k_eigs: int, n_probes: int) -> None:
     """Raise on a setting ``build_flatness_report`` would reject; NaN fails every check."""
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -350,8 +345,6 @@ def check_report_settings(
         raise ConfigError(f"k_eigs must be >= 1, got {k_eigs}")
     if not (n_probes >= 2):
         raise BudgetError(f"n_probes must be >= 2, got {n_probes}")
-    if not (fd_step > 0.0):
-        raise ConfigError(f"fd_step must be positive, got {fd_step}")
 
 
 def build_flatness_report(
@@ -363,24 +356,23 @@ def build_flatness_report(
     budget: FlatnessBudget | None = None,
     k_eigs: int = 2,
     n_probes: int = 64,
-    fd_step: float = DEFAULT_FD_STEP,
     seed: int = 0,
 ) -> FlatnessReport:
     """Run all estimators at one point with a single seeded RNG stream.
 
     Every setting is checked before the first oracle call.
     """
-    check_report_settings(rho, alpha, k_eigs, n_probes, fd_step)
+    check_report_settings(rho, alpha, k_eigs, n_probes)
     budget = budget or FlatnessBudget()
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)
     r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)
-    r1 = first_order_flatness(obj, theta, rho, batch, budget, rng, fd_step)
+    r1 = first_order_flatness(obj, theta, rho, batch, budget, rng)
     r_fad = fad_regularizer(r0, r1, alpha)
-    eigs, _ = power_iteration_lambda_max(obj, theta, batch, k=k_eigs, fd_step=fd_step, rng=rng)
-    trace, trace_se = hutchinson_trace(obj, theta, batch, n_probes, fd_step, rng)
+    eigs, _ = power_iteration_lambda_max(obj, theta, batch, k=k_eigs, rng=rng)
+    trace, trace_se = hutchinson_trace(obj, theta, batch, n_probes, rng)
     budget_doc = asdict(budget)
-    budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": fd_step})
+    budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": FD_STEP})
     return FlatnessReport(
         rho=float(rho),
         alpha=float(alpha),

@@ -34,8 +34,8 @@ Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
 IntVector = NDArray[np.int64]
 
-# finite-difference step applied along a normalized direction
-DEFAULT_FD_STEP = 1e-4
+# finite-difference step of ``hvp_fd``, applied along a normalized direction
+FD_STEP = 1e-4
 
 
 def norm(x: Vector) -> float:
@@ -104,14 +104,21 @@ class Dataset:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Dataset":
+        """The dataset a document holds. It is input from outside, so a non-finite
+        number or a label or domain id that is not an integer is a config error."""
         missing = {"inputs", "labels", "domain_ids"} - set(doc)
         if missing:
             raise ConfigError(f"dataset document is missing keys: {sorted(missing)}")
-        return cls(
-            np.asarray(doc["inputs"], dtype=np.float64),
-            np.asarray(doc["labels"], dtype=np.int64),
-            np.asarray(doc["domain_ids"], dtype=np.int64),
+        inputs, labels, domains = (
+            np.asarray(doc[key], dtype=np.float64) for key in ("inputs", "labels", "domain_ids")
         )
+        if not all(np.isfinite(a).all() for a in (inputs, labels, domains)):
+            raise ConfigError("dataset document holds a non-finite number")
+        for key, ids in (("labels", labels), ("domain_ids", domains)):
+            # beyond 2**53 a float64 no longer holds every integer
+            if not ((ids == np.trunc(ids)).all() and (np.abs(ids) <= 2**53).all()):
+                raise ConfigError(f"dataset {key} must be integers")
+        return cls(inputs, labels.astype(np.int64), domains.astype(np.int64))
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -220,28 +227,26 @@ def hvp_fd(
     theta: Vector,
     v: Vector,
     batch: Batch | None = None,
-    h: float = DEFAULT_FD_STEP,
     g0: Vector | None = None,
 ) -> Vector:
     """Hessian-vector product H(theta) @ v by forward-differencing the gradient.
 
-    The probe step ``h`` is applied along v normalized to unit length, then the
-    difference quotient is rescaled by ||v||, so accuracy does not depend on the
-    magnitude of v. ``g0`` is the gradient at ``theta`` over ``batch`` when the
-    caller already has it; otherwise it is computed here.
+    The fixed step ``FD_STEP`` is taken along v normalized to unit length, then
+    the difference quotient is rescaled by ||v||, so accuracy does not depend on
+    the magnitude of v; the result is biased by O(``FD_STEP``). ``g0`` is the
+    gradient at ``theta`` over ``batch`` when the caller already has it;
+    otherwise it is computed here.
     """
     theta = _as_param_vector(theta, obj.dim)
     v = _as_param_vector(v, obj.dim)
-    if not (h > 0.0):
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
     v_norm = norm(v)
     if v_norm == 0.0:
         raise DegenerateDirectionError("hvp direction has zero norm")
     unit = v / v_norm
-    g1 = eval_grad(obj, theta + h * unit, batch)
+    g1 = eval_grad(obj, theta + FD_STEP * unit, batch)
     if g0 is None:
         g0 = eval_grad(obj, theta, batch)
-    return (g1 - g0) * (v_norm / h)
+    return (g1 - g0) * (v_norm / FD_STEP)
 
 
 class QuadraticObjective(Objective):

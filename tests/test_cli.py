@@ -313,7 +313,8 @@ def test_flatness_report_with_cross_check(tmp_path):
     assert report["r1"] == pytest.approx(0.08, abs=1e-4)
 
 
-@pytest.mark.parametrize("fd_step", [0.0, -1e-4], ids=["zero", "negative"])
+# the step is fixed, so the key itself is unknown, at its old default too
+@pytest.mark.parametrize("fd_step", [0.0, -1e-4, 1e-4], ids=["zero", "negative", "old_default"])
 def test_bad_fd_step_exits_2_before_any_report(tmp_path, monkeypatch, fd_step):
     calls = []
     monkeypatch.setattr(cli, "build_flatness_report", lambda *a, **kw: calls.append(a))
@@ -453,6 +454,44 @@ def test_missing_dataset_file_exits_2(tmp_path):
     cfg = write_config(tmp_path, train_doc(objective=objective))
     assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
     assert not (tmp_path / "demo.csv").exists()
+
+
+def test_data_block_with_a_dataset_file_exits_2_before_training(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "data.json"
+    rng = np.random.default_rng(0)
+    save_dataset(Dataset(rng.standard_normal((12, 2)), rng.integers(3, size=12), np.zeros(12)), path)
+    objective = {"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(path)}
+    cfg = write_config(tmp_path, train_doc(objective=objective, data=data_block()))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert "'data' block" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "demo.csv").exists()
+
+
+# dataset files as JSON text: json.load reads NaN, Infinity and 1e999 as floats
+BAD_DATASET_FILES = {
+    "nan_input": '{"inputs": [[0, 1], [NaN, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
+    "infinite_input": '{"inputs": [[0, 1], [Infinity, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
+    "overflowing_input": '{"inputs": [[0, 1], [1e999, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
+    "fractional_labels": '{"inputs": [[0, 1], [1, 0], [1, 1]], "labels": [0.9, 1.5, 2.2], "domain_ids": [0, 0, 0]}',
+    "fractional_domain_ids": '{"inputs": [[0, 1], [1, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0.5, 1]}',
+}
+
+
+@pytest.mark.parametrize("text", BAD_DATASET_FILES.values(), ids=BAD_DATASET_FILES.keys())
+def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
+    calls = []
+    monkeypatch.setattr(cli, "build_flatness_report", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    objective = {"kind": "mlp", "layer_sizes": [2, 4, 3], "dataset": str(path)}
+    cfg = write_config(tmp_path, flatness_doc(objective))
+    assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert "dataset" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "flatness.json").exists()
 
 
 # objective blocks as given and as embedded, every default filled in

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from flatmin.cli import (
     DataConfig,
     DoubleWellConfig,
-    FlatnessConfig,
     GridConfig,
     MLPConfig,
     QuadraticConfig,
@@ -206,10 +205,6 @@ def fad_config(**kw):
     return OptimizerConfig(**{"method": "fad", "eta0": 0.1, "rho0": 0.1, **kw})
 
 
-def flatness_config(**kw):
-    return FlatnessConfig(objective={"kind": "rosenbrock"}, rho=0.1, **kw)
-
-
 def sweep_config(**kw):
     return SweepConfig(
         data=DataConfig(DomainSpec()),
@@ -237,7 +232,6 @@ GUARDED_FIELDS = {
     FlatnessBudget: ("n_random", "n_ascent_steps"),
     ReportConfig: ("rho", "alpha", "k_eigs", "n_probes"),
     sweep_config: ("timing_repeats",),
-    flatness_config: ("fd_step",),
 }
 GUARDED = [(build, name) for build, names in GUARDED_FIELDS.items() for name in names]
 

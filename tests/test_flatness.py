@@ -31,7 +31,6 @@ from flatmin.objectives import (
     QuadraticObjective,
     eval_grad,
     eval_loss,
-    hvp_fd,
     random_spd_matrix,
 )
 from flatmin.optimizers import OptimizerConfig, run_training
@@ -493,13 +492,12 @@ NAN = float("nan")
         lambda obj: lambda_max_from_fad(0.06, NAN, 0.5),
         lambda obj: build_flatness_report(obj, np.zeros(2), rho=NAN, alpha=0.5),
         lambda obj: total_objective(obj, np.zeros(2), 0.1, 0.5, beta=NAN),
-        lambda obj: hvp_fd(obj, np.zeros(2), np.ones(2), h=NAN),
         lambda obj: power_iteration_lambda_max(obj, np.zeros(2), k=NAN),
         lambda obj: power_iteration_lambda_max(obj, np.zeros(2), max_iter=NAN),
         lambda obj: hutchinson_trace(obj, np.zeros(2), n_probes=NAN),
     ],
     ids=[
-        "r0_rho", "r1_rho", "read_off_rho", "report_rho", "total_beta", "hvp_h",
+        "r0_rho", "r1_rho", "read_off_rho", "report_rho", "total_beta",
         "eig_k", "eig_max_iter", "trace_probes",
     ],
 )
@@ -510,8 +508,8 @@ def test_nan_setting_is_rejected(call):
 
 @pytest.mark.parametrize(
     "setting",
-    [{"alpha": 1.5}, {"alpha": NAN}, {"k_eigs": 0}, {"n_probes": 1}, {"fd_step": 0.0}],
-    ids=["alpha_above_one", "alpha_nan", "k_eigs_zero", "one_probe", "fd_step_zero"],
+    [{"alpha": 1.5}, {"alpha": NAN}, {"k_eigs": 0}, {"n_probes": 1}],
+    ids=["alpha_above_one", "alpha_nan", "k_eigs_zero", "one_probe"],
 )
 def test_report_rejects_a_bad_setting_before_any_oracle_call(calls, setting):
     obj, theta = small_mlp()
