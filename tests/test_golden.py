@@ -295,8 +295,8 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "f32f09613377685f47ab19a7350f05a2b45c4acb8724c176968a196c7c960474",
-    "mlp": "d6591bf159f0868084e574be07f36e6ac2d808f6dc4709d20cf156b8ef3fdd91",
+    "quadratic": "72ef7b3ade94eb340c9b4de9d1dd31f72f3f93572ddfadf4c71abf99feb98f83",
+    "mlp": "83bc7bc194140647deaaccbc0ca341a3b12d35fbf8d487a3ab113bf8a4ef401d",
 }
 
 
