@@ -470,13 +470,17 @@ def test_data_block_with_a_dataset_file_exits_2_before_training(tmp_path, monkey
     assert not (tmp_path / "demo.csv").exists()
 
 
+def dataset_text(inputs="[[0, 1], [1, 0], [1, 1]]", labels="[0, 1, 2]", domain_ids="[0, 0, 0]"):
+    return f'{{"inputs": {inputs}, "labels": {labels}, "domain_ids": {domain_ids}}}'
+
+
 # dataset files as JSON text: json.load reads NaN, Infinity and 1e999 as floats
 BAD_DATASET_FILES = {
-    "nan_input": '{"inputs": [[0, 1], [NaN, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
-    "infinite_input": '{"inputs": [[0, 1], [Infinity, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
-    "overflowing_input": '{"inputs": [[0, 1], [1e999, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0, 0]}',
-    "fractional_labels": '{"inputs": [[0, 1], [1, 0], [1, 1]], "labels": [0.9, 1.5, 2.2], "domain_ids": [0, 0, 0]}',
-    "fractional_domain_ids": '{"inputs": [[0, 1], [1, 0], [1, 1]], "labels": [0, 1, 2], "domain_ids": [0, 0.5, 1]}',
+    "nan_input": dataset_text(inputs="[[0, 1], [NaN, 0], [1, 1]]"),
+    "infinite_input": dataset_text(inputs="[[0, 1], [Infinity, 0], [1, 1]]"),
+    "overflowing_input": dataset_text(inputs="[[0, 1], [1e999, 0], [1, 1]]"),
+    "fractional_labels": dataset_text(labels="[0.9, 1.5, 2.2]"),
+    "fractional_domain_ids": dataset_text(domain_ids="[0, 0.5, 1]"),
 }
 
 
