@@ -34,7 +34,6 @@ from .objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
-    eval_loss_and_grad,
     hvp_fd,
     load_dataset,
     random_spd_matrix,

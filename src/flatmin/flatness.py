@@ -37,7 +37,6 @@ from .objectives import (
     Vector,
     eval_grad,
     eval_loss,
-    eval_loss_and_grad,
     hvp_fd,
     norm,
 )
@@ -143,8 +142,9 @@ def zeroth_order_flatness(
 
     Multi-restart accelerated projected gradient ascent (``_BallAscent``);
     every evaluated point lies inside the ball, so the estimate never exceeds
-    the true maximum. Each ascent iterate takes its loss and gradient from one
-    fused call, and each restart's last iterate is evaluated too.
+    the true maximum. Each ascent iterate takes its loss, then its gradient,
+    which reuses that loss call's forward pass; each restart's last iterate is
+    evaluated too.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
@@ -156,7 +156,8 @@ def zeroth_order_flatness(
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
         ascent = _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
-            loss, g = eval_loss_and_grad(obj, x, batch)
+            loss = eval_loss(obj, x, batch)
+            g = eval_grad(obj, x, batch)
             best = max(best, loss)
             x = ascent.step(x, loss, g)
         best = max(best, eval_loss(obj, x, batch))

@@ -8,7 +8,9 @@ the mlp objective evaluates an empirical mean over the selected rows.
 All evaluations are pure: repeated calls with the same arguments return
 bitwise-identical results. An ``MLPObjective`` keeps the rows it gathered for
 the last batch it saw, so that the several calls one optimizer step makes on
-a batch gather them once; results do not depend on that state, but one
+a batch gather them once, and it keeps what a loss call's forward pass
+computed, so that a gradient at the same point and rows right after it runs
+only the backward pass. Results do not depend on that state, but one
 objective is not for concurrent use.
 """
 
@@ -180,9 +182,6 @@ class Objective:
     def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
         raise NotImplementedError
 
-    def _loss_and_grad(self, theta: Vector, rows: IntVector | None) -> tuple[float, Vector]:
-        return self._loss(theta, rows), self._grad(theta, rows)
-
 
 def _checked_loss(value: float) -> float:
     value = float(value)
@@ -210,16 +209,6 @@ def eval_grad(obj: Objective, theta: Vector, batch: Batch | None = None) -> Vect
     """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would use."""
     theta = _as_param_vector(theta, obj.dim)
     return _checked_grad(obj, obj._grad(theta, obj._rows(batch)))
-
-
-def eval_loss_and_grad(
-    obj: Objective, theta: Vector, batch: Batch | None = None
-) -> tuple[float, Vector]:
-    """``(eval_loss, eval_grad)`` at ``theta``, bit for bit, from one forward pass
-    where the objective supports it."""
-    theta = _as_param_vector(theta, obj.dim)
-    loss, grad = obj._loss_and_grad(theta, obj._rows(batch))
-    return _checked_loss(loss), _checked_grad(obj, grad)
 
 
 def hvp_fd(
@@ -407,6 +396,9 @@ class MLPObjective(Objective):
         # read-only ``Batch.indices`` array comes back; it starts as the full
         # data, whose rows no batch holds
         self._batch = (self._all_rows, dataset.inputs, self._all_pick)
+        # the last loss call's point as bytes, its rows array, and what its
+        # forward pass computed, until the next gradient call takes it
+        self._loss_pass: tuple | None = None
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -516,22 +508,22 @@ class MLPObjective(Objective):
 
     def _loss(self, theta: Vector, rows: IntVector | None) -> float:
         assert rows is not None
-        _, _, pick, shifted = self._forward(theta, rows)
-        return self._mean_nll(shifted, np.exp(shifted).sum(axis=1), pick)
+        _, acts, pick, shifted = self._forward(theta, rows)
+        expz = np.exp(shifted)
+        expsum = expz.sum(axis=1)
+        # the bytes, not the array, since a caller may write theta in place
+        self._loss_pass = (theta.tobytes(), rows, acts, pick, expz, expsum)
+        return self._mean_nll(shifted, expsum, pick)
 
     def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
         assert rows is not None
+        kept, self._loss_pass = self._loss_pass, None
+        if kept is not None and kept[1] is rows and kept[0] == theta.tobytes():
+            # the same inputs, so the forward pass would compute the same bits
+            return self._backward(self._unpack(theta), *kept[2:])
         layers, acts, pick, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
         return self._backward(layers, acts, pick, expz, expz.sum(axis=1))
-
-    def _loss_and_grad(self, theta: Vector, rows: IntVector | None) -> tuple[float, Vector]:
-        assert rows is not None
-        layers, acts, pick, shifted = self._forward(theta, rows)
-        expz = np.exp(shifted)
-        expsum = expz.sum(axis=1)
-        grad = self._backward(layers, acts, pick, expz, expsum)
-        return self._mean_nll(shifted, expsum, pick), grad
 
 
 def random_spd_matrix(

@@ -248,6 +248,9 @@ class RunRecord:
 def trace_to_row(
     trace: StepTrace, run_id: str, method: str, seed: int, wall_ms: float
 ) -> dict:
+    # h0 and h1 stay the zero vector the step starts from unless it evaluated g1
+    # and g3 respectively, and delta is g0 itself for sgd and a skipped fad step
+    norm_g0 = norm(trace.g0)
     return {
         "run_id": run_id,
         "method": method,
@@ -256,10 +259,10 @@ def trace_to_row(
         "eta_t": trace.eta_t,
         "rho_t": trace.rho_t,
         "loss": trace.loss_before,
-        "norm_g0": norm(trace.g0),
-        "norm_h0": norm(trace.h0),
-        "norm_h1": norm(trace.h1),
-        "norm_delta": norm(trace.delta),
+        "norm_g0": norm_g0,
+        "norm_h0": 0.0 if trace.g1 is None else norm(trace.h0),
+        "norm_h1": 0.0 if trace.g3 is None else norm(trace.h1),
+        "norm_delta": norm_g0 if trace.delta is trace.g0 else norm(trace.delta),
         "fad_applied": int(trace.fad_applied),
         "wall_ms": wall_ms,
     }

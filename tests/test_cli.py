@@ -8,6 +8,7 @@ columns.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import re
@@ -815,6 +816,18 @@ def readme_config_blocks():
             if command in cli._COMMANDS and block.lstrip().startswith("{"):
                 blocks.append((command, json.loads(block)))
     return blocks
+
+
+def test_readme_layout_names_resolve():
+    # every bare backticked name with an underscore in a ``flatmin.X`` row of
+    # the Layout table is one that module holds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `flatmin\.(\w+)` \|(.*)$", readme, re.MULTILINE)
+    assert len(rows) == 5
+    for module, contents in rows:
+        mod = importlib.import_module(f"flatmin.{module}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            assert "_" not in name or hasattr(mod, name), f"flatmin.{module}.{name}"
 
 
 def test_readme_config_examples_parse():

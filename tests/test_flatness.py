@@ -392,7 +392,7 @@ def small_mlp():
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of the oracle calls the estimators make, the grads inside hvp_fd included."""
-    counts = {"grad": 0, "loss": 0, "loss_and_grad": 0}
+    counts = {"grad": 0, "loss": 0}
 
     def counted(kind, fn):
         def wrapper(*args, **kwargs):
@@ -404,22 +404,18 @@ def calls(monkeypatch):
     monkeypatch.setattr(flatness, "eval_grad", counted("grad", flatness.eval_grad))
     monkeypatch.setattr(objectives, "eval_grad", counted("grad", objectives.eval_grad))
     monkeypatch.setattr(flatness, "eval_loss", counted("loss", flatness.eval_loss))
-    monkeypatch.setattr(
-        flatness, "eval_loss_and_grad", counted("loss_and_grad", flatness.eval_loss_and_grad)
-    )
     return counts
 
 
 BUDGET = FlatnessBudget(n_random=3, n_ascent_steps=4)
 
 
-def test_zeroth_order_makes_one_fused_call_per_ascent_step(calls):
+def test_zeroth_order_takes_a_loss_and_a_gradient_per_ascent_step(calls):
     obj, theta = small_mlp()
     zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET)
     assert calls == {
-        "grad": 0,
-        "loss": BUDGET.n_random + 1,
-        "loss_and_grad": BUDGET.n_random * BUDGET.n_ascent_steps,
+        "grad": BUDGET.n_random * BUDGET.n_ascent_steps,
+        "loss": BUDGET.n_random * (BUDGET.n_ascent_steps + 1) + 1,
     }
 
 
@@ -427,13 +423,13 @@ def test_first_order_reuses_each_steps_gradient_in_its_hvp(calls):
     obj, theta = small_mlp()
     first_order_flatness(obj, theta, 0.1, budget=BUDGET)
     expected = 1 + BUDGET.n_random * (2 * BUDGET.n_ascent_steps + 1)
-    assert calls == {"grad": expected, "loss": 0, "loss_and_grad": 0}
+    assert calls == {"grad": expected, "loss": 0}
 
 
 def test_hutchinson_shares_one_base_gradient(calls):
     obj, theta = small_mlp()
     hutchinson_trace(obj, theta, n_probes=5)
-    assert calls == {"grad": 5 + 1, "loss": 0, "loss_and_grad": 0}
+    assert calls == {"grad": 5 + 1, "loss": 0}
 
 
 def test_ten_mixed_steps_reach_a_small_gap_maximum():
@@ -515,7 +511,7 @@ def test_report_rejects_a_bad_setting_before_any_oracle_call(calls, setting):
     obj, theta = small_mlp()
     with pytest.raises((ConfigError, BudgetError)):
         build_flatness_report(obj, theta, **{"rho": 0.1, "alpha": 0.5, **setting})
-    assert calls == {"grad": 0, "loss": 0, "loss_and_grad": 0}
+    assert calls == {"grad": 0, "loss": 0}
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-8, NAN], ids=["zero", "negative", "nan"])
@@ -523,4 +519,4 @@ def test_power_iteration_rejects_a_bad_tol_before_any_oracle_call(calls, tol):
     obj, theta = small_mlp()
     with pytest.raises(ConfigError):
         power_iteration_lambda_max(obj, theta, tol=tol)
-    assert calls == {"grad": 0, "loss": 0, "loss_and_grad": 0}
+    assert calls == {"grad": 0, "loss": 0}

@@ -28,7 +28,6 @@ from flatmin.objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
-    eval_loss_and_grad,
     hvp_fd,
     load_dataset,
     norm,
@@ -36,6 +35,7 @@ from flatmin.objectives import (
     sample_batch,
     save_dataset,
 )
+from flatmin.optimizers import OptimizerConfig, OptimizerState, step
 
 
 def central_diff_grad(obj, theta, batch=None, h=1e-5):
@@ -232,7 +232,7 @@ def test_eval_loss_is_pure():
     assert np.any(eval_grad(obj, theta) != 0.0)
 
 
-# ------------------------------------------------ fused loss and gradient
+# ------------------------------------------- a gradient after a loss call
 
 
 def every_kind():
@@ -261,9 +261,13 @@ BATCH = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
 @pytest.mark.parametrize("batch", [None, BATCH], ids=["full", "batch"])
 @pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
 def test_loss_and_grad_equals_separate_calls_bit_for_bit(name, obj, theta, batch):
-    loss, grad = eval_loss_and_grad(obj, theta, batch)
-    assert loss == eval_loss(obj, theta, batch)
-    assert np.array_equal(grad, eval_grad(obj, theta, batch))
+    # a gradient right after the loss call at its point and rows, which an MLP
+    # takes from that call's forward pass, equals one with no call before it
+    cold = type(obj)(obj.layer_sizes, obj.dataset) if name.startswith("mlp") else obj
+    grad = eval_grad(cold, theta, batch)
+    loss = eval_loss(obj, theta, batch)
+    assert np.array_equal(eval_grad(obj, theta, batch), grad)
+    assert eval_loss(cold, theta, batch) == loss
 
 
 @pytest.mark.parametrize("name,obj,theta", MLPS, ids=[k[0] for k in MLPS])
@@ -276,11 +280,14 @@ def test_full_data_path_equals_an_all_rows_batch(name, obj, theta):
 
 
 def test_loss_and_grad_checks_like_the_separate_calls():
-    obj = QuadraticObjective(np.array([2.0, 8.0]))
-    with pytest.raises(DimensionError):
-        eval_loss_and_grad(obj, np.zeros(3))
-    with np.errstate(over="ignore"), pytest.raises(NumericalError):
-        eval_loss_and_grad(obj, np.array([1e200, 1e200]))
+    # the gradient that takes a loss call's forward pass is checked as a cold one
+    obj = MLPObjective((2, 5, 3), tiny_dataset())
+    for call in (eval_loss, eval_grad):
+        with pytest.raises(DimensionError):
+            call(obj, np.zeros(obj.dim + 1))
+    for call in (eval_loss, eval_grad, eval_grad):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+            call(obj, np.full(obj.dim, np.nan))
 
 
 @pytest.mark.parametrize("batch", [None, BATCH], ids=["full", "batch"])
@@ -358,16 +365,15 @@ def test_mlp_oracle_matches_the_plain_reference_bit_for_bit(case):
     obj, inputs, theta, batch = case
     for rows in (None, batch):
         loss, grad = reference_loss_and_grad(obj, theta, rows)
+        # a cold gradient, then one that takes the loss call's forward pass
+        assert np.array_equal(eval_grad(obj, theta, rows), grad)
         assert eval_loss(obj, theta, rows) == loss
         assert np.array_equal(eval_grad(obj, theta, rows), grad)
-        fused_loss, fused_grad = eval_loss_and_grad(obj, theta, rows)
-        assert fused_loss == loss
-        assert np.array_equal(fused_grad, grad)
     logits = reference_forward(obj.layer_sizes, theta, inputs)[2]
     assert np.array_equal(obj.logits(theta, inputs), logits)
 
 
-# ------------------------------------------------------ the last-batch memo
+# ------------------------------------ the last-batch and last-loss memos
 
 
 def test_batch_memo_is_invisible():
@@ -381,18 +387,41 @@ def test_batch_memo_is_invisible():
     b = Batch(np.array([5, 5, 20]))
     one = Batch(np.array([4]))
 
+    def same_as_cold(grad, batch, point=theta):
+        # by bytes, so that the sign of a zero counts too
+        cold = eval_grad(MLPObjective((2, 5, 3), data), point, batch)
+        return grad.tobytes() == cold.tobytes()
+
     def check(batch):
-        fresh = MLPObjective((2, 5, 3), data)
-        loss = eval_loss(fresh, theta, batch)
-        grad = eval_grad(fresh, theta, batch)
+        loss = eval_loss(MLPObjective((2, 5, 3), data), theta, batch)
         assert eval_loss(obj, theta, batch) == loss
-        assert np.array_equal(eval_grad(obj, theta, batch), grad)
-        fused_loss, fused_grad = eval_loss_and_grad(obj, theta, batch)
-        assert fused_loss == loss
-        assert np.array_equal(fused_grad, grad)
+        assert same_as_cold(eval_grad(obj, theta, batch), batch)
 
     for batch in (None, a, b, a, Batch(a.indices), None, a, one):
         check(batch)
+    # a loss call's forward pass serves only a gradient at its rows and the
+    # bytes of its point
+    for first, then in ((a, b), (a, None), (None, a), (a, Batch(a.indices))):
+        eval_loss(obj, theta, first)
+        assert same_as_cold(eval_grad(obj, theta, then), then)
+    point = theta.copy()
+    eval_loss(obj, point, a)
+    point[3] += 1.0
+    assert same_as_cold(eval_grad(obj, point, a), a, point)
+    positive, negative = theta.copy(), theta.copy()
+    positive[15:] = 0.0
+    negative[15:] = -0.0
+    eval_loss(obj, positive, a)
+    assert same_as_cold(eval_grad(obj, negative, a), a, negative)
+    # output biases 1e308 apart: a label logit of -inf after the shift makes
+    # the loss infinite, while the gradient is finite
+    far = theta.copy()
+    far[15:] = 0.0
+    far[30:32] = [1e308, -1e308]
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError):
+            eval_loss(obj, far)
+        assert same_as_cold(eval_grad(obj, far), None, far)
     # a rejected batch is rejected again, as itself and as an equal new batch
     for rows, error in (([], BatchSizeError), ([40], DimensionError), ([-1], DimensionError)):
         bad = Batch(np.array(rows, dtype=np.int64))
@@ -409,6 +438,16 @@ def test_batch_memo_is_invisible():
         a.indices[0] = 1
     with pytest.raises(ValueError):
         a.indices.flags.writeable = True
+
+
+def test_an_sgd_step_runs_one_forward_pass(monkeypatch):
+    obj = MLPObjective((2, 5, 3), tiny_dataset(n=40, seed=5))
+    theta = obj.init_params(np.random.default_rng(0))
+    forward = obj._forward
+    passes = []
+    monkeypatch.setattr(obj, "_forward", lambda *args: passes.append(args) or forward(*args))
+    step(obj, theta, OptimizerState.fresh(0), OptimizerConfig("sgd", eta0=0.1, batch_size=8))
+    assert len(passes) == 1
 
 
 # ------------------------------------------------------------------- norm
