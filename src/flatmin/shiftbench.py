@@ -308,7 +308,6 @@ class BenchCell:
     selected_hparams: dict
     trial_val_accuracies: tuple
     lambda_maxes: tuple[float, ...]
-    hessian_traces: tuple[float, ...]
     flatness: tuple[dict, ...]
 
 
@@ -422,7 +421,6 @@ def run_protocol(
                     selected_hparams=hp,
                     trial_val_accuracies=tuple(o.val_accuracy for o in outcomes),
                     lambda_maxes=tuple(r.lambda_max for r in reports),
-                    hessian_traces=tuple(r.trace for r in reports),
                     flatness=tuple(r.to_dict() for r in reports),
                 )
             )

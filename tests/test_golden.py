@@ -93,7 +93,7 @@ TRAJECTORY_HASHES = {
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "88719fe9c2fb05141ec114a9b8d320147fbde2b5002baab92a5030fbfa64d3f4",
+    "bench.json": "da7bcd245ce2c6944e263c46f4ea89f68fe7514a0983f79ee7bd660ac80b3bf7",
 }
 
 
