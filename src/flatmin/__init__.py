@@ -21,7 +21,6 @@ from .flatness import (
     hutchinson_trace,
     lambda_max_from_fad,
     power_iteration_lambda_max,
-    total_objective,
     zeroth_order_flatness,
 )
 from .objectives import (

@@ -29,9 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .flatness import (
-    FlatnessBudget,
+    ReportConfig,
     build_flatness_report,
-    check_report_settings,
     lambda_max_from_fad,
     power_iteration_lambda_max,
 )
@@ -193,20 +192,6 @@ class DoubleWellConfig:
 
 
 _OBJECTIVES = {c.kind: c for c in (QuadraticConfig, RosenbrockConfig, DoubleWellConfig, MLPConfig)}
-
-
-@dataclass(frozen=True, kw_only=True)
-class ReportConfig:
-    """Settings of the flatness report ``train`` writes at its final point."""
-
-    rho: float = 0.1
-    alpha: float = 0.5
-    k_eigs: int = 2
-    n_probes: int = 64
-    budget: FlatnessBudget = field(default_factory=FlatnessBudget)
-
-    def __post_init__(self) -> None:
-        check_report_settings(self.rho, self.alpha, self.k_eigs, self.n_probes)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -25,7 +25,7 @@ trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -207,25 +207,6 @@ def fad_regularizer(r0: float, r1: float, alpha: float) -> float:
     return alpha * r0 + (1.0 - alpha) * r1
 
 
-def total_objective(
-    obj: Objective,
-    theta: Vector,
-    rho: float,
-    alpha: float,
-    beta: float,
-    batch: Batch | None = None,
-    budget: FlatnessBudget | None = None,
-    seed: int = 0,
-) -> float:
-    """loss(theta) + beta * (alpha*r0 + (1-alpha)*r1) with estimated r0, r1."""
-    if not (beta >= 0.0):
-        raise ConfigError(f"beta must be nonnegative, got {beta}")
-    rng = np.random.default_rng(seed)
-    r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)
-    r1 = first_order_flatness(obj, theta, rho, batch, budget, rng)
-    return eval_loss(obj, theta, batch) + beta * fad_regularizer(r0, r1, alpha)
-
-
 def lambda_max_from_fad(r_fad: float, rho: float, alpha: float) -> float:
     """Invert the quadratic-model identity to read lambda_max off the regularizer."""
     if not (rho > 0.0):
@@ -316,6 +297,32 @@ def hutchinson_trace(
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_probes))
 
 
+@dataclass(frozen=True, kw_only=True)
+class ReportConfig:
+    """Settings of one flatness report: the ball radius and mix, the number of
+    top eigenvalues and of trace probes, and the ball-ascent budget.
+
+    This is the one place a report's settings get their defaults and their
+    checks; NaN fails every check.
+    """
+
+    rho: float = 0.1
+    alpha: float = 0.5
+    k_eigs: int = 2
+    n_probes: int = 64
+    budget: FlatnessBudget = field(default_factory=FlatnessBudget)
+
+    def __post_init__(self) -> None:
+        if not (self.rho > 0.0):
+            raise ConfigError(f"rho must be positive, got {self.rho}")
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not (self.k_eigs >= 1):
+            raise ConfigError(f"k_eigs must be >= 1, got {self.k_eigs}")
+        if not (self.n_probes >= 2):
+            raise BudgetError(f"n_probes must be >= 2, got {self.n_probes}")
+
+
 @dataclass(frozen=True)
 class FlatnessReport:
     """Flatness and curvature summary of one point of one loss surface."""
@@ -336,18 +343,6 @@ class FlatnessReport:
         return asdict(self)
 
 
-def check_report_settings(rho: float, alpha: float, k_eigs: int, n_probes: int) -> None:
-    """Raise on a setting ``build_flatness_report`` would reject; NaN fails every check."""
-    if not (rho > 0.0):
-        raise ConfigError(f"rho must be positive, got {rho}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    if not (k_eigs >= 1):
-        raise ConfigError(f"k_eigs must be >= 1, got {k_eigs}")
-    if not (n_probes >= 2):
-        raise BudgetError(f"n_probes must be >= 2, got {n_probes}")
-
-
 def build_flatness_report(
     obj: Objective,
     theta: Vector,
@@ -355,16 +350,16 @@ def build_flatness_report(
     alpha: float,
     batch: Batch | None = None,
     budget: FlatnessBudget | None = None,
-    k_eigs: int = 2,
-    n_probes: int = 64,
+    k_eigs: int = ReportConfig.k_eigs,
+    n_probes: int = ReportConfig.n_probes,
     seed: int = 0,
 ) -> FlatnessReport:
     """Run all estimators at one point with a single seeded RNG stream.
 
-    Every setting is checked before the first oracle call.
+    Every setting is checked, as a ``ReportConfig``, before the first oracle call.
     """
-    check_report_settings(rho, alpha, k_eigs, n_probes)
     budget = budget or FlatnessBudget()
+    ReportConfig(rho=rho, alpha=alpha, k_eigs=k_eigs, n_probes=n_probes, budget=budget)
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)
     r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ProtocolError
-from .flatness import (
-    FlatnessBudget,
-    FlatnessReport,
-    build_flatness_report,
-    check_report_settings,
-)
+from .flatness import FlatnessBudget, FlatnessReport, ReportConfig, build_flatness_report
 from .objectives import Dataset, MLPObjective, Vector
 from .optimizers import OptimizerConfig, run_training
 
@@ -241,12 +236,12 @@ class ProtocolConfig:
     iterations: int = 500
     hidden_units: int = 16
     search: SearchSpace = field(default_factory=SearchSpace)
-    report_rho: float = 0.1
-    report_alpha: float = 0.5
-    report_probes: int = 64
-    report_k_eigs: int = 2
-    report_restarts: int = 8
-    report_ascent_steps: int = 30
+    report_rho: float = ReportConfig.rho
+    report_alpha: float = ReportConfig.alpha
+    report_probes: int = ReportConfig.n_probes
+    report_k_eigs: int = ReportConfig.k_eigs
+    report_restarts: int = FlatnessBudget.n_random
+    report_ascent_steps: int = FlatnessBudget.n_ascent_steps
 
     def __post_init__(self) -> None:
         if not (self.n_hparam_trials >= 1):
@@ -259,14 +254,21 @@ class ProtocolConfig:
             raise ConfigError(f"hidden_units must be >= 1, got {self.hidden_units}")
         if not (0.0 < self.val_fraction < 1.0):
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        try:
-            check_report_settings(
-                self.report_rho, self.report_alpha, self.report_k_eigs, self.report_probes
-            )
+        try:  # a bad report setting must fail here, before any training
+            self.report
         except ConfigError as err:  # name this config's key: n_probes is report_probes
             raise type(err)("report_" + str(err).removeprefix("n_")) from None
-        # the report budget must fail here, before any training, not at the first report
-        FlatnessBudget(self.report_restarts, self.report_ascent_steps)
+
+    @property
+    def report(self) -> ReportConfig:
+        """The settings of every flatness report, from the flat ``report_*`` keys."""
+        return ReportConfig(
+            rho=self.report_rho,
+            alpha=self.report_alpha,
+            k_eigs=self.report_k_eigs,
+            n_probes=self.report_probes,
+            budget=FlatnessBudget(self.report_restarts, self.report_ascent_steps),
+        )
 
 
 def classification_accuracy(obj: MLPObjective, theta: Vector, dataset: Dataset) -> float:
@@ -358,9 +360,7 @@ def run_protocol(
     seed = int(seed)
     result = BenchResult(cells=[])
     layer_sizes = (md.feature_dim, protocol.hidden_units, md.num_classes)
-    report_budget = FlatnessBudget(
-        n_random=protocol.report_restarts, n_ascent_steps=protocol.report_ascent_steps
-    )
+    settings = protocol.report
 
     def log(*event) -> None:
         result.events.append((len(result.events) + 1, *event))
@@ -400,11 +400,11 @@ def run_protocol(
                 report = build_flatness_report(
                     train_obj,
                     theta,
-                    rho=protocol.report_rho,
-                    alpha=protocol.report_alpha,
-                    budget=report_budget,
-                    k_eigs=protocol.report_k_eigs,
-                    n_probes=protocol.report_probes,
+                    rho=settings.rho,
+                    alpha=settings.alpha,
+                    budget=settings.budget,
+                    k_eigs=settings.k_eigs,
+                    n_probes=settings.n_probes,
                     seed=_derived_seed(seed, 31, d, mi, s),
                 )
                 reports.append(report)

@@ -16,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin.cli import (
+    BenchConfig,
     DataConfig,
     DoubleWellConfig,
     GridConfig,
     MLPConfig,
     QuadraticConfig,
     RandomSPDConfig,
-    ReportConfig,
     RosenbrockConfig,
     SweepConfig,
     _parse,
 )
 from flatmin.errors import BudgetError, ConfigError
-from flatmin.flatness import FlatnessBudget
+from flatmin.flatness import FlatnessBudget, ReportConfig
 from flatmin.optimizers import METHODS, SCHEDULES, OptimizerConfig
 from flatmin.shiftbench import TRANSFORMS, DomainSpec, ProtocolConfig, SearchSpace
 
@@ -242,6 +242,13 @@ GUARDED = [(build, name) for build, names in GUARDED_FIELDS.items() for name in 
 def test_nan_in_a_guarded_field_is_rejected(build, name):
     with pytest.raises((ConfigError, BudgetError)):
         build(**{name: float("nan")})
+
+
+def test_bench_report_defaults_are_the_report_defaults():
+    assert ProtocolConfig().report == ReportConfig()
+    bench = _parse(BenchConfig, {"data": {"spec": {}}, "methods": ["sgd"]}, "bench config")
+    embedded = asdict(bench)["protocol"]
+    assert (embedded["report_restarts"], embedded["report_ascent_steps"]) == (16, 10)
 
 
 NAN = float("nan")

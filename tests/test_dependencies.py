@@ -1,6 +1,10 @@
 """flatmin depends on numpy alone: every module imports only the standard
 library, numpy and flatmin itself. scipy may be installed alongside, so an
 import of it would run here and fail only for a user without it.
+
+Inside flatmin the modules form layers: each imports only the modules below
+it, so the command line and the benchmark protocol never end up under the
+estimators they call.
 """
 
 from __future__ import annotations
@@ -17,15 +21,44 @@ ALLOWED = set(sys.stdlib_module_names) | {"numpy", "flatmin"}
 MODULES = sorted(Path(flatmin.__file__).parent.glob("*.py"))
 
 
-def imported_roots(tree: ast.AST) -> set[str]:
-    """Top-level package of every absolute import; relative imports stay in flatmin."""
-    roots = set()
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Dotted name of every imported module; a relative import names one of flatmin's."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            roots.update(alias.name.split(".")[0] for alias in node.names)
+            names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            roots.add(node.module.split(".")[0])
-    return roots
+            names.add(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(f"flatmin.{node.module}")
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            names.update(f"flatmin.{alias.name}" for alias in node.names)
+    return names
+
+
+def imported_roots(tree: ast.AST) -> set[str]:
+    """Top-level package of every import."""
+    return {name.split(".")[0] for name in imported_modules(tree)}
+
+
+# the flatmin modules each module may import; the package root counts as
+# "__init__", which imports the estimators and optimizers
+LAYERS = {
+    "errors": set(),
+    "objectives": {"errors"},
+    "optimizers": {"errors", "objectives"},
+    "flatness": {"errors", "objectives"},
+    "shiftbench": {"errors", "objectives", "optimizers", "flatness"},
+}
+
+
+def flatmin_imports(tree: ast.AST) -> set[str]:
+    """The flatmin modules an import names, the package root as ``__init__``."""
+    return {
+        name.partition(".")[2] or "__init__"
+        for name in imported_modules(tree)
+        if name.split(".")[0] == "flatmin"
+    }
 
 
 def test_every_module_is_checked():
@@ -41,3 +74,17 @@ def test_module_imports_only_stdlib_numpy_and_flatmin(path):
 def test_the_check_sees_a_third_party_import():
     tree = ast.parse("import os\nimport scipy.linalg\nfrom numpy import linalg\nfrom . import errors\n")
     assert imported_roots(tree) - ALLOWED == {"scipy"}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_the_layers_below_it(module):
+    path = Path(flatmin.__file__).parent / f"{module}.py"
+    imports = flatmin_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert imports <= LAYERS[module], f"{module} imports {sorted(imports - LAYERS[module])}"
+
+
+def test_the_layer_check_sees_every_form_of_import():
+    tree = ast.parse(
+        "from .cli import main\nfrom . import shiftbench\nimport flatmin.flatness\nimport flatmin\n"
+    )
+    assert flatmin_imports(tree) == {"cli", "shiftbench", "flatness", "__init__"}

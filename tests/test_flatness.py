@@ -22,7 +22,6 @@ from flatmin.flatness import (
     hutchinson_trace,
     lambda_max_from_fad,
     power_iteration_lambda_max,
-    total_objective,
     zeroth_order_flatness,
 )
 from flatmin.objectives import (
@@ -100,19 +99,6 @@ def test_fad_regularizer_combination():
     assert fad_regularizer(0.04, 0.08, 0.0) == 0.08
     with pytest.raises(ConfigError):
         fad_regularizer(0.04, 0.08, 1.5)
-
-
-def test_total_objective_composition():
-    obj = QuadraticObjective(np.array([2.0, 8.0]))
-    theta = np.array([0.3, -0.2])
-    rho, alpha, beta, seed = 0.1, 0.5, 0.7, 11
-    total = total_objective(obj, theta, rho, alpha, beta, seed=seed)
-    # replicate the internal estimator calls with the same stream
-    rng = np.random.default_rng(seed)
-    r0 = zeroth_order_flatness(obj, theta, rho, rng=rng)
-    r1 = first_order_flatness(obj, theta, rho, rng=rng)
-    expected = eval_loss(obj, theta) + beta * fad_regularizer(r0, r1, alpha)
-    assert total == expected
 
 
 def test_lambda_max_from_fad_identity_values():
@@ -487,13 +473,12 @@ NAN = float("nan")
         lambda obj: first_order_flatness(obj, np.zeros(2), rho=NAN),
         lambda obj: lambda_max_from_fad(0.06, NAN, 0.5),
         lambda obj: build_flatness_report(obj, np.zeros(2), rho=NAN, alpha=0.5),
-        lambda obj: total_objective(obj, np.zeros(2), 0.1, 0.5, beta=NAN),
         lambda obj: power_iteration_lambda_max(obj, np.zeros(2), k=NAN),
         lambda obj: power_iteration_lambda_max(obj, np.zeros(2), max_iter=NAN),
         lambda obj: hutchinson_trace(obj, np.zeros(2), n_probes=NAN),
     ],
     ids=[
-        "r0_rho", "r1_rho", "read_off_rho", "report_rho", "total_beta",
+        "r0_rho", "r1_rho", "read_off_rho", "report_rho",
         "eig_k", "eig_max_iter", "trace_probes",
     ],
 )

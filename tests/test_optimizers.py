@@ -9,7 +9,7 @@ format promises.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -178,6 +178,33 @@ def test_reduction_identity(label, make_a, make_b):
         obj, theta, batch_size = random_instance(rng)
         worst = max(worst, paired_step(obj, theta, batch_size, make_a(), make_b(), seed=i))
     assert worst < 1e-12, f"{label}: max deviation {worst:.3e}"
+
+
+def final_point(obj, theta, batch_size, cfg, seed):
+    """Final point of 50 steps of ``cfg``, or None when the run diverges."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            record = run_training(obj, theta, replace(cfg, batch_size=batch_size), 50, seed=seed)
+    except NumericalError:
+        return None
+    return record.theta_final
+
+
+@pytest.mark.parametrize(
+    "label,make_a,make_b", REDUCTIONS, ids=[label for label, _, _ in REDUCTIONS]
+)
+def test_reduction_identity_holds_over_whole_runs(label, make_a, make_b):
+    # fad(alpha=1, beta=1) steps along g0 + (g1 - g0), which can round one ulp
+    # away from sam's g1; every other identity holds bit for bit
+    tol = 1e-12 if make_b().method == "sam" else 0.0
+    rng = np.random.default_rng(42)
+    for i in range(30):
+        obj, theta, batch_size = random_instance(rng)
+        ta = final_point(obj, theta, batch_size, make_a(), seed=i)
+        tb = final_point(obj, theta, batch_size, make_b(), seed=i)
+        assert (ta is None) == (tb is None), f"{label}: one side of instance {i} failed"
+        if ta is not None:
+            np.testing.assert_allclose(ta, tb, rtol=0.0, atol=tol, err_msg=f"{label}, instance {i}")
 
 
 # ------------------------------------------------------- stochastic skipping
