@@ -36,13 +36,12 @@ from .flatness import (
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
 from .objectives import RosenbrockObjective, eval_loss, load_dataset
-from .objectives import random_spd_matrix
+from .objectives import Vector, random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
     MIN_CONVERGENCE_STEPS,
     OptimizerConfig,
-    RunRecord,
     convergence_check,
     run_training,
 )
@@ -442,39 +441,37 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
     obj = MLPObjective((md.feature_dim, cfg.hidden_units, md.num_classes), train_ds)
     theta0 = _initial_point(obj, None, cfg.seed)
     points = cfg.grid_configs()
+    rows = [{**dict.fromkeys(SWEEP_COLUMNS, float("nan")), "value": v} for v in cfg.grid.values]
     walls: list[list[float]] = [[] for _ in points]
-    records: list[RunRecord | NumericalError | None] = [None] * len(points)
+    finals: list[Vector | None] = [None] * len(points)
     # repeat r of every grid point runs before repeat r+1, so a slow stretch of
-    # the host, or the first run's warm-up, falls on every point alike
+    # the host, or the first run's warm-up, falls on every point alike; a row
+    # holds a status only once its point has failed
     for _ in range(cfg.timing_repeats):
         for i, point in enumerate(points):
-            if isinstance(records[i], NumericalError):
+            if isinstance(rows[i]["status"], str):
                 continue
             t0 = time.perf_counter()
             try:
-                records[i] = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
+                run = run_training(obj, theta0, point, cfg.iterations, seed=cfg.seed)
             except NumericalError as err:
-                records[i] = err
+                rows[i]["status"] = f"error:{type(err).__name__}"
                 continue
             walls[i].append((time.perf_counter() - t0) * 1000.0)
-    rows = []
-    for value, record, point_walls in zip(cfg.grid.values, records, walls):
-        row = dict.fromkeys(SWEEP_COLUMNS, float("nan"))
-        row["value"] = value
+            finals[i] = run.theta_final
+    for row, theta, point_walls in zip(rows, finals, walls):
+        if isinstance(row["status"], str):
+            continue
         try:
-            if isinstance(record, NumericalError):
-                raise record
-            acc = classification_accuracy(
-                obj, record.theta_final, md.domains[cfg.test_domain]
-            )
+            acc = classification_accuracy(obj, theta, md.domains[cfg.test_domain])
             eigs, _ = power_iteration_lambda_max(
-                obj, record.theta_final, k=1, rng=np.random.default_rng([cfg.seed, 4])
+                obj, theta, k=1, rng=np.random.default_rng([cfg.seed, 4])
             )
-            row.update(test_accuracy=acc, lambda_max=float(eigs[0]), status="ok")
-            row["wall_ms"] = float(np.median(point_walls))
         except NumericalError as err:
             row["status"] = f"error:{type(err).__name__}"
-        rows.append(row)
+            continue
+        row.update(test_accuracy=acc, lambda_max=float(eigs[0]), status="ok")
+        row["wall_ms"] = float(np.median(point_walls))
     _atomic_write_text(out_dir / "sweep.csv", _csv_text(asdict(cfg), SWEEP_COLUMNS, rows))
 
 

@@ -223,12 +223,14 @@ def _orthogonalise(basis: list[Vector], x: Vector) -> Vector:
     return x - q.T @ (q @ x)  # the second pass removes what roundoff left
 
 
+LANCZOS_TOL = 1e-8
+
+
 def power_iteration_lambda_max(
     obj: Objective,
     theta: Vector,
     batch: Batch | None = None,
     k: int = 1,
-    tol: float = 1e-8,
     max_iter: int = 1000,
     rng: np.random.Generator | None = None,
 ) -> tuple[Vector, list[bool]]:
@@ -236,7 +238,7 @@ def power_iteration_lambda_max(
 
     Returns (the k largest algebraic Ritz values, nonincreasing; per-value
     convergence flags) after at most ``min(max_iter, dim)`` products. A value
-    converged when its Ritz residual ``beta * |s_last|`` is below ``tol``; a
+    converged when its Ritz residual ``beta * |s_last|`` is below ``LANCZOS_TOL``; a
     value the steps ran out before is NaN and False. One Krylov space holds a
     repeated eigenvalue once; when it breaks down before it holds k values, a
     fresh Rademacher start goes on with a zero coupling.
@@ -245,8 +247,6 @@ def power_iteration_lambda_max(
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
     if not (max_iter >= 1):
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if not (tol > 0.0):
-        raise ConfigError(f"tol must be positive, got {tol}")
     rng = rng or np.random.default_rng(0)
     signs = np.array([-1.0, 1.0])
     basis: list[Vector] = []
@@ -260,9 +260,9 @@ def power_iteration_lambda_max(
         beta = norm(w)
         ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         residuals = beta * np.abs(vecs[-1])
-        if len(ritz) >= k and (residuals[-k:] < tol).all():
+        if len(ritz) >= k and (residuals[-k:] < LANCZOS_TOL).all():
             break
-        if beta < tol:  # breakdown: some sign vector keeps norm >= 1 off the span
+        if beta < LANCZOS_TOL:  # breakdown: some sign vector keeps norm >= 1 off the span
             beta, w = 0.0, np.zeros(obj.dim)
             while norm(w) < 0.5:
                 w = _orthogonalise(basis, rng.choice(signs, size=obj.dim))
@@ -270,7 +270,7 @@ def power_iteration_lambda_max(
     n = min(k, len(ritz))
     values = np.full(k, np.nan)
     values[:n] = ritz[::-1][:n]
-    return values, [bool(r < tol) for r in residuals[::-1][:n]] + [False] * (k - n)
+    return values, [bool(r < LANCZOS_TOL) for r in residuals[::-1][:n]] + [False] * (k - n)
 
 
 def hutchinson_trace(

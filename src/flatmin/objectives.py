@@ -172,14 +172,15 @@ class Objective:
     dim: int = 0
     dataset: Dataset | None = None
 
-    def _rows(self, batch: Batch | None) -> IntVector | None:
-        """Dataset rows a batch selects; None for surfaces without a dataset."""
+    def _rows(self, batch: Batch | None) -> tuple | None:
+        """The record of the rows a batch selects, which ``_loss`` and ``_grad``
+        read; None for surfaces without a dataset."""
         return None
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
+    def _loss(self, theta: Vector, rows: tuple | None) -> float:
         raise NotImplementedError
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
+    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
         raise NotImplementedError
 
 
@@ -269,12 +270,12 @@ class QuadraticObjective(Objective):
         assert self.matrix is not None
         return self.matrix
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
+    def _loss(self, theta: Vector, rows: tuple | None) -> float:
         if self.diag is not None:
             return 0.5 * float(self.diag @ (theta * theta))
         return 0.5 * float(theta @ (self.matrix @ theta))
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
+    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
         if self.diag is not None:
             return self.diag * theta
         return self.matrix @ theta
@@ -290,11 +291,11 @@ class RosenbrockObjective(Objective):
             raise ConfigError(f"rosenbrock needs dim >= 2, got {dim}")
         self.dim = int(dim)
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
+    def _loss(self, theta: Vector, rows: tuple | None) -> float:
         x, y = theta[:-1], theta[1:]
         return float(np.sum(100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2))
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
+    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
         g = np.zeros_like(theta)
         x, y = theta[:-1], theta[1:]
         g[:-1] += -400.0 * x * (y - x * x) - 2.0 * (1.0 - x)
@@ -350,11 +351,11 @@ class DoubleWellObjective(Objective):
         root = np.sqrt(disc)
         return np.sort(np.array([(-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)]))
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
+    def _loss(self, theta: Vector, rows: tuple | None) -> float:
         v0, v1 = self._basin_values(float(theta[0]))
         return v0 if v0 <= v1 else v1
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
+    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
         x = float(theta[0])
         v0, v1 = self._basin_values(x)
         i = 0 if v0 <= v1 else 1
@@ -386,17 +387,17 @@ class MLPObjective(Objective):
         self.layer_sizes = sizes
         self.dataset = dataset
         self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
-        # the rows of a full-data call; ``_forward`` reads the dataset itself for them
-        self._all_rows = np.arange(dataset.n, dtype=np.int64)
-        self._all_rows.flags.writeable = False
-        # and the flat index of each row's label logit in the [rows, classes] logits
-        self._all_pick = self._all_rows * sizes[-1] + dataset.labels
-        self._all_pick.flags.writeable = False
-        # the last batch's rows, their inputs and pick index, kept while the same
-        # read-only ``Batch.indices`` array comes back; it starts as the full
-        # data, whose rows no batch holds
-        self._batch = (self._all_rows, dataset.inputs, self._all_pick)
-        # the last loss call's point as bytes, its rows array, and what its
+        # a call's rows record: its rows, their inputs, and the flat index of each
+        # row's label logit in the [rows, classes] logits; this one is full data
+        rows = np.arange(dataset.n, dtype=np.int64)
+        pick = rows * sizes[-1] + dataset.labels
+        rows.flags.writeable = pick.flags.writeable = False
+        self._all = (rows, dataset.inputs, pick)
+        # the last batch's record, kept while the same read-only
+        # ``Batch.indices`` array comes back; it starts as the full data's,
+        # whose rows no batch holds
+        self._batch = self._all
+        # the last loss call's point as bytes, its rows record, and what its
         # forward pass computed, until the next gradient call takes it
         self._loss_pass: tuple | None = None
 
@@ -440,9 +441,9 @@ class MLPObjective(Objective):
         inputs = np.asarray(inputs, dtype=np.float64)
         return self._layer_outputs(self._unpack(theta), inputs)[1]
 
-    def _rows(self, batch: Batch | None) -> IntVector:
+    def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector]:
         if batch is None:
-            return self._all_rows
+            return self._all
         idx = batch.indices
         if idx is not self._batch[0]:
             if idx.size == 0:
@@ -453,26 +454,20 @@ class MLPObjective(Objective):
             # a batch may repeat rows, so its pick index counts batch positions
             pick = np.arange(idx.size) * self.layer_sizes[-1] + data.labels[idx]
             self._batch = (idx, data.inputs[idx], pick)
-        return idx
+        return self._batch
 
     def _forward(
-        self, theta: Vector, rows: IntVector
-    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], IntVector, Matrix]:
-        """Layers, activations, the flat index of each picked logit, and the
-        logits shifted by their row maximum."""
+        self, theta: Vector, rows: tuple
+    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], Matrix]:
+        """Layers, activations, and the logits shifted by their row maximum."""
         layers = self._unpack(theta)
-        if rows is self._all_rows:
-            inputs, pick = self.dataset.inputs, self._all_pick
-        else:
-            batch_rows, inputs, pick = self._batch
-            assert rows is batch_rows, "batch rows come from _rows"
-        acts, logits = self._layer_outputs(layers, inputs)
+        acts, logits = self._layer_outputs(layers, rows[1])
         # the row maximum as a chain over the few columns: the same values as
         # ``logits.max(axis=1)``, without the cost of a reduction along a short axis
         top = logits[:, 0]
         for j in range(1, logits.shape[1]):
             top = np.maximum(top, logits[:, j])
-        return layers, acts, pick, logits - top[:, None]
+        return layers, acts, logits - top[:, None]
 
     @staticmethod
     def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
@@ -506,24 +501,22 @@ class MLPObjective(Objective):
                 delta *= dtanh
         return grad
 
-    def _loss(self, theta: Vector, rows: IntVector | None) -> float:
-        assert rows is not None
-        _, acts, pick, shifted = self._forward(theta, rows)
+    def _loss(self, theta: Vector, rows: tuple) -> float:
+        _, acts, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
         expsum = expz.sum(axis=1)
         # the bytes, not the array, since a caller may write theta in place
-        self._loss_pass = (theta.tobytes(), rows, acts, pick, expz, expsum)
-        return self._mean_nll(shifted, expsum, pick)
+        self._loss_pass = (theta.tobytes(), rows, acts, expz, expsum)
+        return self._mean_nll(shifted, expsum, rows[2])
 
-    def _grad(self, theta: Vector, rows: IntVector | None) -> Vector:
-        assert rows is not None
+    def _grad(self, theta: Vector, rows: tuple) -> Vector:
         kept, self._loss_pass = self._loss_pass, None
         if kept is not None and kept[1] is rows and kept[0] == theta.tobytes():
             # the same inputs, so the forward pass would compute the same bits
-            return self._backward(self._unpack(theta), *kept[2:])
-        layers, acts, pick, shifted = self._forward(theta, rows)
+            return self._backward(self._unpack(theta), kept[2], rows[2], *kept[3:])
+        layers, acts, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
-        return self._backward(layers, acts, pick, expz, expz.sum(axis=1))
+        return self._backward(layers, acts, rows[2], expz, expz.sum(axis=1))
 
 
 def random_spd_matrix(

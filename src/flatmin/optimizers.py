@@ -27,6 +27,8 @@ METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
 SCHEDULES = ("constant", "inverse_sqrt")
 # the fewest log rows convergence_check fits a decay profile to
 MIN_CONVERGENCE_STEPS = 10
+# Adam's moment decays and denominator guard, at their standard values
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 LOG_COLUMNS = (
     "run_id",
@@ -56,9 +58,6 @@ class OptimizerConfig:
     schedule: str = "constant"
     fad_ratio: float = 1.0
     momentum: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     batch_size: int | None = None
 
@@ -83,12 +82,6 @@ class OptimizerConfig:
             raise ConfigError(f"fad_ratio must be in [0, 1], got {self.fad_ratio}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
-        for name in ("adam_beta1", "adam_beta2"):
-            val = getattr(self, name)
-            if not (0.0 <= val < 1.0):
-                raise ConfigError(f"{name} must be in [0, 1), got {val}")
-        if not (self.adam_eps > 0.0):
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps}")
         if not (self.weight_decay >= 0.0):
             raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
         if self.batch_size is not None and not (self.batch_size >= 1):
@@ -157,18 +150,16 @@ def _grad(obj: Objective, theta: Vector, batch: Batch | None, wd: float) -> Vect
     return g
 
 
-def _adam_direction(
-    g0: Vector, state: OptimizerState, config: OptimizerConfig, t: int
-) -> Vector:
+def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
     if state.adam_m is None:
         state.adam_m = np.zeros_like(g0)
         state.adam_v = np.zeros_like(g0)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     state.adam_m = b1 * state.adam_m + (1.0 - b1) * g0
     state.adam_v = b2 * state.adam_v + (1.0 - b2) * g0 * g0
     mhat = state.adam_m / (1.0 - b1**t)
     vhat = state.adam_v / (1.0 - b2**t)
-    return mhat / (np.sqrt(vhat) + config.adam_eps)
+    return mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, StepTrace]]
@@ -196,35 +187,33 @@ def step(
     g0 = _grad(obj, theta, batch, wd)
     h0 = h1 = np.zeros(g0.shape)
     g1 = g2 = g3 = None
-    applied = False
-    if method == "sgd":
-        delta = g0
-    elif method == "momentum_sgd":
+    delta = g0
+    if method == "momentum_sgd":
         if state.momentum_buf is None:
             state.momentum_buf = np.zeros_like(g0)
         state.momentum_buf = config.momentum * state.momentum_buf + g0
         delta = state.momentum_buf
     elif method in ("adam", "adamw"):
-        delta = _adam_direction(g0, state, config, t)
-    elif method == "sam":
-        g1 = _grad(obj, theta + rho * g0 / (norm(g0) + config.xi), batch, wd)
+        delta = _adam_direction(g0, state, t)
+    # sam draws no coin; gam and fad draw theirs from a stream of their own, so
+    # fad_ratio never changes the batches, and with beta 0 they take sgd's path
+    applied = method == "sam" or (
+        method in ("gam", "fad")
+        and config.beta > 0.0
+        and bool(state.ratio_rng.uniform() < config.fad_ratio)
+    )
+    xi = config.xi
+    if applied:
+        g1 = _grad(obj, theta + rho * g0 / (norm(g0) + xi), batch, wd)
         h0 = g1 - g0
         delta = g1
-        applied = True
-    else:
-        # the coin comes from its own stream, so fad_ratio never changes the batches
-        applied = bool(state.ratio_rng.uniform() < config.fad_ratio)
-        delta = g0
-        if applied:
-            xi = config.xi
-            alpha = 0.0 if method == "gam" else config.alpha
-            g1 = _grad(obj, theta + rho * g0 / (norm(g0) + xi), batch, wd)
-            h0 = g1 - g0
-            ascent2 = theta + rho * h0 / (norm(h0) + xi)
-            g2 = _grad(obj, ascent2, batch, wd)
-            g3 = _grad(obj, ascent2 + rho * g2 / (norm(g2) + xi), batch, wd)
-            h1 = g3 - g2
-            delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
+    if applied and method != "sam":
+        alpha = 0.0 if method == "gam" else config.alpha
+        ascent2 = theta + rho * h0 / (norm(h0) + xi)
+        g2 = _grad(obj, ascent2, batch, wd)
+        g3 = _grad(obj, ascent2 + rho * g2 / (norm(g2) + xi), batch, wd)
+        h1 = g3 - g2
+        delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t

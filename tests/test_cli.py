@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from flatmin import cli, errors, shiftbench
 from flatmin.cli import CONFIG_EXIT, NUMERIC_EXIT, _build_objective, main
 from flatmin.errors import ConfigError
 from flatmin.objectives import Dataset, eval_loss, save_dataset
-from flatmin.optimizers import LOG_COLUMNS, MIN_CONVERGENCE_STEPS, run_training
+from flatmin.optimizers import LOG_COLUMNS, MIN_CONVERGENCE_STEPS, OptimizerConfig, run_training
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -324,6 +325,17 @@ def test_bad_fd_step_exits_2_before_any_report(tmp_path, monkeypatch, fd_step):
     assert run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
     assert calls == []
     assert not (tmp_path / "flatness.json").exists()
+
+
+# Adam's moment decays and denominator guard are constants, so their old keys are unknown
+def test_adam_eps_key_exits_2_before_any_training(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **kw: calls.append(a))
+    optimizer = {"method": "adam", "eta0": 0.05, "adam_eps": 1e-8}
+    cfg = write_config(tmp_path, train_doc(optimizer=optimizer))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
+    assert calls == []
+    assert not (tmp_path / "demo.csv").exists()
 
 
 def test_flatness_requires_rho(tmp_path):
@@ -828,6 +840,17 @@ def test_readme_layout_names_resolve():
         mod = importlib.import_module(f"flatmin.{module}")
         for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
             assert "_" not in name or hasattr(mod, name), f"flatmin.{module}.{name}"
+
+
+def test_readme_optimizer_table_names_every_field_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### optimizer block", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.MULTILINE)
+    expected = [
+        (f.name, "required" if f.default is MISSING else json.dumps(f.default))
+        for f in fields(OptimizerConfig)
+    ]
+    assert [(name, default.strip().strip("`")) for name, default in rows] == expected
 
 
 def test_readme_config_examples_parse():

@@ -59,9 +59,6 @@ def optimizer_docs(draw):
         "schedule": st.sampled_from(SCHEDULES),
         "fad_ratio": unit,
         "momentum": half_open_unit,
-        "adam_beta1": half_open_unit,
-        "adam_beta2": half_open_unit,
-        "adam_eps": positive,
         "weight_decay": nonnegative,
         "batch_size": st.none() | st.integers(min_value=1, max_value=512),
     }
@@ -217,8 +214,8 @@ def sweep_config(**kw):
 
 GUARDED_FIELDS = {
     fad_config: (
-        "eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum",
-        "adam_beta1", "adam_beta2", "adam_eps", "weight_decay", "batch_size",
+        "eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum", "weight_decay",
+        "batch_size",
     ),
     DomainSpec: (
         "n_domains", "num_classes", "per_domain_n", "feature_dim", "noise", "angle_step_deg",

@@ -498,10 +498,3 @@ def test_report_rejects_a_bad_setting_before_any_oracle_call(calls, setting):
         build_flatness_report(obj, theta, **{"rho": 0.1, "alpha": 0.5, **setting})
     assert calls == {"grad": 0, "loss": 0}
 
-
-@pytest.mark.parametrize("tol", [0.0, -1e-8, NAN], ids=["zero", "negative", "nan"])
-def test_power_iteration_rejects_a_bad_tol_before_any_oracle_call(calls, tol):
-    obj, theta = small_mlp()
-    with pytest.raises(ConfigError):
-        power_iteration_lambda_max(obj, theta, tol=tol)
-    assert calls == {"grad": 0, "loss": 0}

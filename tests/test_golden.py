@@ -143,15 +143,8 @@ BENCH_DOC = {
 
 
 def bench_json_hash(data: bytes) -> str:
-    """Hash of bench.json as canonical JSON, without the reports' ``ascent_lr``.
-
-    That budget key had a single value in use and was removed from the
-    report; every other byte must stay as it was.
-    """
+    """Hash of bench.json as canonical JSON."""
     doc = json.loads(data)
-    for cell in doc["cells"]:
-        for report in cell["flatness"]:
-            report["budget"].pop("ascent_lr", None)
     return sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
 
 

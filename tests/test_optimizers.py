@@ -207,6 +207,33 @@ def test_reduction_identity_holds_over_whole_runs(label, make_a, make_b):
             np.testing.assert_allclose(ta, tb, rtol=0.0, atol=tol, err_msg=f"{label}, instance {i}")
 
 
+def logged_run(obj, theta, batch_size, cfg, seed):
+    """Log rows of 50 steps of ``cfg`` without their echoed or timed columns,
+    and the type and message of the error that ended the run, or None."""
+    rows = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            cfg = replace(cfg, batch_size=batch_size)
+            run_training(obj, theta, cfg, 50, seed=seed, log_sink=rows.append)
+        err = None
+    except NumericalError as exc:
+        err = (type(exc), str(exc))
+    skip = {"method", "rho_t", "wall_ms"}
+    return [{k: v for k, v in row.items() if k not in skip} for row in rows], err
+
+
+@pytest.mark.parametrize("method", ["fad", "gam"])
+def test_zero_beta_takes_the_sgd_path_up_to_any_failure(method):
+    # a correction weighted by zero is never computed, so a diverging run
+    # fails at the step and with the error sgd's does
+    rng = np.random.default_rng(42)
+    for i in range(30):
+        obj, theta, batch_size = random_instance(rng)
+        a = logged_run(obj, theta, batch_size, fad_config(method=method, beta=0.0), seed=i)
+        b = logged_run(obj, theta, batch_size, OptimizerConfig("sgd", eta0=0.1), seed=i)
+        assert a == b, f"instance {i}"
+
+
 # ------------------------------------------------------- stochastic skipping
 
 
@@ -390,11 +417,11 @@ class RecordingObjective(MLPObjective):
         self.calls: list[tuple[str, np.ndarray | None]] = []
 
     def _loss(self, theta, rows):
-        self.calls.append(("loss", None if rows is None else rows.copy()))
+        self.calls.append(("loss", rows[0].copy()))
         return super()._loss(theta, rows)
 
     def _grad(self, theta, rows):
-        self.calls.append(("grad", None if rows is None else rows.copy()))
+        self.calls.append(("grad", rows[0].copy()))
         return super()._grad(theta, rows)
 
 
