@@ -253,8 +253,8 @@ CONVERGE_DOCS = {
 }
 
 CONVERGE_HASHES = {
-    "quadratic": "d4ef51a1c76c0ff22f128f87f3ace30652ac641bad61c797902cfe7dad9626d9",
-    "mlp": "49f02983f013fbf683df528031fa2791c61ec04552d01ffcd511cf2519488525",
+    "quadratic": "6860919394f3ff14dcb69fd7cc7bfb988141b484c5706a95b36b18720614c798",
+    "mlp": "eb144ca1b23cc1afc16d2500419e2bf86263369e58838c5c12d0af18bd58ab7d",
 }
 
 
