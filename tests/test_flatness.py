@@ -497,4 +497,3 @@ def test_report_rejects_a_bad_setting_before_any_oracle_call(calls, setting):
     with pytest.raises((ConfigError, BudgetError)):
         build_flatness_report(obj, theta, **{"rho": 0.1, "alpha": 0.5, **setting})
     assert calls == {"grad": 0, "loss": 0}
-
