@@ -352,6 +352,9 @@ def _initial_point(obj: Objective, theta0: tuple[float, ...] | None, seed: int) 
 def _resolve(cfg, theta_key: str):
     """(``cfg`` with its objective and start point ``theta_key`` filled in, objective, start)."""
     obj, obj_doc = _build_objective(cfg.objective, cfg.data)
+    optimizer = getattr(cfg, "optimizer", None)
+    if obj.dataset is None and optimizer is not None and optimizer.batch_size is not None:
+        raise ConfigError(f"optimizer.batch_size needs data rows; a {obj.kind} objective has none")
     theta = _initial_point(obj, getattr(cfg, theta_key), cfg.seed)
     return replace(cfg, objective=obj_doc, **{theta_key: tuple(theta.tolist())}), obj, theta
 

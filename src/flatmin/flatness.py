@@ -1,6 +1,7 @@
 """Neighborhood flatness estimators and curvature diagnostics.
 
-Two complementary notions over a radius-rho ball around a point:
+Every estimate is of the objective's full data: every training row, for an
+MLP. Two complementary notions over a radius-rho ball around a point:
 
 * zeroth order: the worst loss increase inside the ball,
 * first order: rho times the largest gradient norm inside the ball.
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .objectives import (
     FD_STEP,
-    Batch,
     Objective,
     Vector,
     eval_grad,
@@ -134,7 +134,6 @@ def zeroth_order_flatness(
     obj: Objective,
     theta: Vector,
     rho: float,
-    batch: Batch | None = None,
     budget: FlatnessBudget | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -150,17 +149,17 @@ def zeroth_order_flatness(
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     rng = rng or np.random.default_rng(0)
-    base = eval_loss(obj, theta, batch)
+    base = eval_loss(obj, theta)
     best = base
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
         ascent = _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
-            loss = eval_loss(obj, x, batch)
-            g = eval_grad(obj, x, batch)
+            loss = eval_loss(obj, x)
+            g = eval_grad(obj, x)
             best = max(best, loss)
             x = ascent.step(x, loss, g)
-        best = max(best, eval_loss(obj, x, batch))
+        best = max(best, eval_loss(obj, x))
     return max(best - base, 0.0)
 
 
@@ -168,7 +167,6 @@ def first_order_flatness(
     obj: Objective,
     theta: Vector,
     rho: float,
-    batch: Batch | None = None,
     budget: FlatnessBudget | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
@@ -184,19 +182,19 @@ def first_order_flatness(
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
     rng = rng or np.random.default_rng(0)
-    best = norm(eval_grad(obj, theta, batch))
+    best = norm(eval_grad(obj, theta))
     for _ in range(budget.n_random):
         x = theta + _uniform_in_ball(obj.dim, rho, rng)
         ascent = _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
-            g = eval_grad(obj, x, batch)
+            g = eval_grad(obj, x)
             norm_g = norm(g)
             best = max(best, norm_g)
             if norm_g == 0.0:
                 break
-            direction = hvp_fd(obj, x, g, batch, g0=g) / norm_g
+            direction = hvp_fd(obj, x, g, g0=g) / norm_g
             x = ascent.step(x, norm_g, direction)
-        best = max(best, norm(eval_grad(obj, x, batch)))
+        best = max(best, norm(eval_grad(obj, x)))
     return rho * best
 
 
@@ -229,7 +227,6 @@ LANCZOS_TOL = 1e-8
 def power_iteration_lambda_max(
     obj: Objective,
     theta: Vector,
-    batch: Batch | None = None,
     k: int = 1,
     max_iter: int = 1000,
     rng: np.random.Generator | None = None,
@@ -254,7 +251,7 @@ def power_iteration_lambda_max(
     w = rng.choice(signs, size=obj.dim)
     for _ in range(min(max_iter, obj.dim)):
         basis.append(w / norm(w))
-        w = hvp_fd(obj, theta, basis[-1], batch)
+        w = hvp_fd(obj, theta, basis[-1])
         alphas.append(float(basis[-1] @ w))
         w = _orthogonalise(basis, w)
         beta = norm(w)
@@ -276,7 +273,6 @@ def power_iteration_lambda_max(
 def hutchinson_trace(
     obj: Objective,
     theta: Vector,
-    batch: Batch | None = None,
     n_probes: int = 64,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
@@ -288,12 +284,12 @@ def hutchinson_trace(
     if not (n_probes >= 2):
         raise BudgetError(f"need at least 2 probes, got {n_probes}")
     rng = rng or np.random.default_rng(0)
-    g0 = eval_grad(obj, theta, batch)
+    g0 = eval_grad(obj, theta)
     signs = np.array([-1.0, 1.0])
     vals = np.empty(n_probes)
     for i in range(n_probes):
         v = rng.choice(signs, size=obj.dim)
-        vals[i] = float(v @ hvp_fd(obj, theta, v, batch, g0=g0))
+        vals[i] = float(v @ hvp_fd(obj, theta, v, g0=g0))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_probes))
 
 
@@ -348,7 +344,6 @@ def build_flatness_report(
     theta: Vector,
     rho: float,
     alpha: float,
-    batch: Batch | None = None,
     budget: FlatnessBudget | None = None,
     k_eigs: int = ReportConfig.k_eigs,
     n_probes: int = ReportConfig.n_probes,
@@ -362,11 +357,11 @@ def build_flatness_report(
     ReportConfig(rho=rho, alpha=alpha, k_eigs=k_eigs, n_probes=n_probes, budget=budget)
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)
-    r0 = zeroth_order_flatness(obj, theta, rho, batch, budget, rng)
-    r1 = first_order_flatness(obj, theta, rho, batch, budget, rng)
+    r0 = zeroth_order_flatness(obj, theta, rho, budget, rng)
+    r1 = first_order_flatness(obj, theta, rho, budget, rng)
     r_fad = fad_regularizer(r0, r1, alpha)
-    eigs, _ = power_iteration_lambda_max(obj, theta, batch, k=k_eigs, rng=rng)
-    trace, trace_se = hutchinson_trace(obj, theta, batch, n_probes, rng)
+    eigs, _ = power_iteration_lambda_max(obj, theta, k=k_eigs, rng=rng)
+    trace, trace_se = hutchinson_trace(obj, theta, n_probes, rng)
     budget_doc = asdict(budget)
     budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": FD_STEP})
     return FlatnessReport(

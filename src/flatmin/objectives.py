@@ -216,16 +216,15 @@ def hvp_fd(
     obj: Objective,
     theta: Vector,
     v: Vector,
-    batch: Batch | None = None,
     g0: Vector | None = None,
 ) -> Vector:
-    """Hessian-vector product H(theta) @ v by forward-differencing the gradient.
+    """Full-data Hessian-vector product H(theta) @ v by forward-differencing the gradient.
 
     The fixed step ``FD_STEP`` is taken along v normalized to unit length, then
     the difference quotient is rescaled by ||v||, so accuracy does not depend on
     the magnitude of v; the result is biased by O(``FD_STEP``). ``g0`` is the
-    gradient at ``theta`` over ``batch`` when the caller already has it;
-    otherwise it is computed here.
+    full-data gradient at ``theta`` when the caller already has it; otherwise
+    it is computed here.
     """
     theta = _as_param_vector(theta, obj.dim)
     v = _as_param_vector(v, obj.dim)
@@ -233,9 +232,9 @@ def hvp_fd(
     if v_norm == 0.0:
         raise DegenerateDirectionError("hvp direction has zero norm")
     unit = v / v_norm
-    g1 = eval_grad(obj, theta + FD_STEP * unit, batch)
+    g1 = eval_grad(obj, theta + FD_STEP * unit)
     if g0 is None:
-        g0 = eval_grad(obj, theta, batch)
+        g0 = eval_grad(obj, theta)
     return (g1 - g0) * (v_norm / FD_STEP)
 
 

@@ -293,6 +293,28 @@ def test_converge_rejects_a_short_run_before_training(tmp_path, monkeypatch):
     assert not (tmp_path / "convergence.json").exists()
 
 
+@pytest.mark.parametrize(
+    "objective",
+    [
+        {"kind": "quadratic", "diag": [2.0, 8.0]},
+        {"kind": "rosenbrock"},
+        {"kind": "double_well"},
+    ],
+    ids=lambda o: o["kind"],
+)
+@pytest.mark.parametrize("command", ["train", "converge"])
+def test_batch_size_on_an_objective_without_rows_exits_2(tmp_path, capsys, command, objective):
+    # such a run would take full-data steps yet embed the batch size it never used
+    optimizer = {"method": "sgd", "eta0": 0.05, "schedule": "inverse_sqrt", "batch_size": 4}
+    doc = {"iterations": 40, "objective": objective, "optimizer": optimizer}
+    cfg = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out-dir", str(out_dir)) == CONFIG_EXIT
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+    err = capsys.readouterr().err
+    assert "batch_size" in err and objective["kind"] in err
+
+
 # ----------------------------------------------------------------- flatness
 
 

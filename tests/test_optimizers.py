@@ -13,6 +13,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin.errors import ConfigError, InsufficientDataError, NumericalError
 from flatmin.objectives import (
@@ -28,6 +30,7 @@ from flatmin.objectives import (
 from flatmin.optimizers import (
     LOG_COLUMNS,
     METHODS,
+    SCHEDULES,
     OptimizerConfig,
     OptimizerState,
     convergence_check,
@@ -232,6 +235,71 @@ def test_zero_beta_takes_the_sgd_path_up_to_any_failure(method):
         a = logged_run(obj, theta, batch_size, fad_config(method=method, beta=0.0), seed=i)
         b = logged_run(obj, theta, batch_size, OptimizerConfig("sgd", eta0=0.1), seed=i)
         assert a == b, f"instance {i}"
+
+
+@st.composite
+def step_instances(draw):
+    """(objective, theta, batch size): a random SPD quadratic of dim 1-8, or a
+    tiny MLP on n rows stepped on full data or on batches of 1, 8 or n rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 8))
+        return QuadraticObjective(random_spd_matrix(dim, rng)), rng.standard_normal(dim), None
+    n = draw(st.integers(8, 24))
+    obj = tiny_mlp(seed=int(rng.integers(1000)), n=n)
+    return obj, rng.standard_normal(obj.dim) * 0.5, draw(st.sampled_from([None, 1, 8, n]))
+
+
+unit = st.floats(0.0, 1.0)
+# the settings both sides of an identity share
+shared_settings = st.fixed_dictionaries(
+    {
+        "eta0": st.floats(1e-3, 0.1),
+        "rho0": st.floats(1e-3, 0.5),
+        "xi": st.sampled_from([0.0, 1e-12, 1e-3]),
+        "schedule": st.sampled_from(SCHEDULES),
+        "weight_decay": st.sampled_from([0.0, 1e-3, 0.1]),
+        "fad_ratio": unit,
+    }
+)
+
+
+def trajectory(obj, theta, cfg, n_steps, seed):
+    state = OptimizerState.fresh(seed)
+    for _ in range(n_steps):
+        theta, _ = step(obj, theta, state, cfg)
+    return theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_instances(), shared_settings, unit, st.integers(0, 2**16))
+def test_zero_beta_is_sgd_on_any_instance(instance, shared, alpha, seed):
+    obj, theta, batch_size = instance
+    fad = OptimizerConfig("fad", alpha=alpha, beta=0.0, batch_size=batch_size, **shared)
+    sgd = OptimizerConfig("sgd", batch_size=batch_size, **shared)
+    assert np.array_equal(trajectory(obj, theta, fad, 3, seed), trajectory(obj, theta, sgd, 3, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_instances(), shared_settings, unit, unit, st.integers(0, 2**16))
+def test_zero_alpha_is_gam_on_any_instance(instance, shared, beta, gam_alpha, seed):
+    obj, theta, batch_size = instance
+    fad = OptimizerConfig("fad", alpha=0.0, beta=beta, batch_size=batch_size, **shared)
+    gam = OptimizerConfig("gam", alpha=gam_alpha, beta=beta, batch_size=batch_size, **shared)
+    assert np.array_equal(trajectory(obj, theta, fad, 3, seed), trajectory(obj, theta, gam, 3, seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_instances(), shared_settings, st.integers(0, 2**16))
+def test_unit_alpha_and_beta_is_sam_on_any_instance(instance, shared, seed):
+    # sam draws no coin, so fad must always apply its correction; g0 + (g1 - g0)
+    # can round one ulp away from sam's g1
+    obj, theta, batch_size = instance
+    shared = {**shared, "fad_ratio": 1.0}
+    fad = OptimizerConfig("fad", alpha=1.0, beta=1.0, batch_size=batch_size, **shared)
+    sam = OptimizerConfig("sam", batch_size=batch_size, **shared)
+    ta, tb = trajectory(obj, theta, fad, 1, seed), trajectory(obj, theta, sam, 1, seed)
+    np.testing.assert_allclose(ta, tb, rtol=0.0, atol=1e-12)
 
 
 # ------------------------------------------------------- stochastic skipping
