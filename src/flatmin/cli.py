@@ -467,7 +467,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
             continue
         try:
             acc = classification_accuracy(obj, theta, md.domains[cfg.test_domain])
-            eigs, _ = power_iteration_lambda_max(
+            eigs, _, _ = power_iteration_lambda_max(
                 obj, theta, k=1, rng=np.random.default_rng([cfg.seed, 4])
             )
         except NumericalError as err:

@@ -243,7 +243,7 @@ def test_criterion_4_spectrum_estimators():
         mat = (q * spectrum) @ q.T
         obj = QuadraticObjective((mat + mat.T) / 2.0)
         oracle = np.sort(np.linalg.eigvalsh(obj.hessian()))[::-1][:3]
-        eigs, converged = power_iteration_lambda_max(
+        eigs, converged, _ = power_iteration_lambda_max(
             obj, np.zeros(dim), k=3, rng=np.random.default_rng([400, i])
         )
         assert all(converged)
@@ -352,7 +352,7 @@ def test_criterion_7_flatness_ordering():
             rec = run_training(obj, theta0, cfg, 4000, seed=seed)
             # "at convergence" is checked, not assumed
             assert classification_accuracy(obj, rec.theta_final, train) >= 0.9
-            eigs, _ = power_iteration_lambda_max(
+            eigs, _, _ = power_iteration_lambda_max(
                 obj, rec.theta_final, k=1, rng=np.random.default_rng([seed, 4])
             )
             tr, _ = hutchinson_trace(

@@ -245,7 +245,7 @@ def test_bench_report_defaults_are_the_report_defaults():
     assert ProtocolConfig().report == ReportConfig()
     bench = _parse(BenchConfig, {"data": {"spec": {}}, "methods": ["sgd"]}, "bench config")
     embedded = asdict(bench)["protocol"]
-    assert (embedded["report_restarts"], embedded["report_ascent_steps"]) == (16, 10)
+    assert (embedded["report_restarts"], embedded["report_ascent_steps"]) == (2, 10)
 
 
 NAN = float("nan")

@@ -140,7 +140,7 @@ def test_eigenvalue_identity_on_random_quadratics():
 
 def test_power_iteration_on_diagonal():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(2), k=2)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(2), k=2)
     np.testing.assert_allclose(eigs, [8.0, 2.0], rtol=1e-6)
     assert all(converged)
 
@@ -148,7 +148,7 @@ def test_power_iteration_on_diagonal():
 def test_power_iteration_with_deflation_matches_dense_solver():
     spectrum = np.array([9.0, 6.0, 3.0, 1.0, 0.5])
     obj = rotated_quadratic(spectrum, seed=4)
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(5), k=3)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(5), k=3)
     np.testing.assert_allclose(eigs, spectrum[:3], rtol=1e-4)
     assert all(converged)
     assert list(eigs) == sorted(eigs, reverse=True)
@@ -158,16 +158,27 @@ def test_power_iteration_away_from_the_minimum():
     # the Hessian of a quadratic is position independent; the probe point
     # must not matter
     obj = rotated_quadratic(np.array([7.0, 2.0, 1.0]), seed=8)
-    at_min, _ = power_iteration_lambda_max(obj, np.zeros(3), k=1)
-    away, _ = power_iteration_lambda_max(obj, np.array([1.0, -2.0, 0.5]), k=1)
+    at_min, _, _ = power_iteration_lambda_max(obj, np.zeros(3), k=1)
+    away, _, _ = power_iteration_lambda_max(obj, np.array([1.0, -2.0, 0.5]), k=1)
     assert at_min[0] == pytest.approx(away[0], rel=1e-5)
 
 
 def test_power_iteration_reports_nonconvergence():
     obj = rotated_quadratic(np.array([8.0, 7.9, 1.0]), seed=2)
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(3), k=1, max_iter=1)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(3), k=1, max_iter=1)
     assert len(eigs) == 1
     assert not all(converged)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_top_ritz_vector_is_the_top_eigenvector(k):
+    spectrum = np.array([9.0, 6.0, 3.0, 1.0, 0.5])
+    obj = rotated_quadratic(spectrum, seed=4)
+    eigs, _, v1 = power_iteration_lambda_max(obj, np.zeros(5), k=k)
+    top = np.linalg.eigh(obj.hessian())[1][:, -1]
+    assert objectives.norm(v1) == pytest.approx(1.0, abs=1e-14)
+    assert abs(v1 @ top) >= 1.0 - 1e-8
+    assert v1 @ obj.hessian() @ v1 == pytest.approx(eigs[0], rel=1e-12)
 
 
 def test_power_iteration_validates_k():
@@ -186,7 +197,7 @@ def test_power_iteration_validates_k():
 def test_lambda_max_is_the_top_algebraic_eigenvalue_at_an_indefinite_point(diag, k, expected):
     # an eigenvalue of larger magnitude but negative sign must not win
     obj = QuadraticObjective(np.array(diag))
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(len(diag)), k=k)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(len(diag)), k=k)
     np.testing.assert_allclose(eigs, expected, rtol=1e-6)
     assert all(converged)
 
@@ -207,7 +218,7 @@ def hvps(monkeypatch):
 @pytest.mark.parametrize("max_iter", [1, 2, 5])
 def test_power_iteration_makes_at_most_max_iter_products(hvps, max_iter):
     obj, theta = small_mlp()
-    eigs, converged = power_iteration_lambda_max(obj, theta, k=1, max_iter=max_iter)
+    eigs, converged, _ = power_iteration_lambda_max(obj, theta, k=1, max_iter=max_iter)
     assert 1 <= hvps[0] <= max_iter
     assert len(eigs) == len(converged) == 1
 
@@ -216,7 +227,7 @@ def test_power_iteration_goes_on_after_a_breakdown(hvps):
     # every start vector is an eigenvector of the identity, so the first
     # Krylov space is invariant after one step and a second one must start
     obj = QuadraticObjective(np.array([1.0, 1.0]))
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(2), k=2)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(2), k=2)
     np.testing.assert_allclose(eigs, [1.0, 1.0], rtol=1e-12)
     assert converged == [True, True]
     assert hvps[0] == 2
@@ -224,14 +235,14 @@ def test_power_iteration_goes_on_after_a_breakdown(hvps):
 
 def test_power_iteration_reports_a_repeated_eigenvalue_once_per_krylov_space():
     obj = QuadraticObjective(np.array([5.0, 5.0, 1.0]))
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(3), k=2)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(3), k=2)
     np.testing.assert_allclose(eigs, [5.0, 1.0], rtol=1e-6)
     assert all(converged)
 
 
 def test_power_iteration_flags_entries_the_steps_ran_out_before(hvps):
     obj = rotated_quadratic(np.array([9.0, 6.0, 3.0, 1.0]), seed=3)
-    eigs, converged = power_iteration_lambda_max(obj, np.zeros(4), k=3, max_iter=2)
+    eigs, converged, _ = power_iteration_lambda_max(obj, np.zeros(4), k=3, max_iter=2)
     assert hvps[0] == 2
     assert len(eigs) == len(converged) == 3
     assert np.isfinite(eigs[:2]).all() and np.isnan(eigs[2])
@@ -300,7 +311,7 @@ def test_spectral_estimators_match_a_dense_solver_at_trained_points(readme_mlp, 
     theta0 = readme_mlp.init_params(np.random.default_rng([seed, 2]))
     theta = run_training(readme_mlp, theta0, README_TRAINING[method], 300, seed=seed).theta_final
     dense = np.linalg.eigvalsh(central_difference_hessian(readme_mlp, theta))[::-1]
-    eigs, converged = power_iteration_lambda_max(readme_mlp, theta, k=2)
+    eigs, converged, _ = power_iteration_lambda_max(readme_mlp, theta, k=2)
     np.testing.assert_allclose(eigs, dense[:2], rtol=1e-4)
     assert all(converged)
     trace, stderr = hutchinson_trace(readme_mlp, theta, n_probes=64)
@@ -315,7 +326,7 @@ def test_two_eigenvalues_at_trained_points_take_at_most_20_products(
     # measured 10-12; deflated power iteration took 47-102 here
     theta0 = readme_mlp.init_params(np.random.default_rng([seed, 2]))
     theta = run_training(readme_mlp, theta0, README_TRAINING[method], 300, seed=seed).theta_final
-    _, converged = power_iteration_lambda_max(readme_mlp, theta, k=2)
+    _, converged, _ = power_iteration_lambda_max(readme_mlp, theta, k=2)
     assert all(converged)
     assert hvps[0] <= 20
 
@@ -396,9 +407,13 @@ def calls(monkeypatch):
 BUDGET = FlatnessBudget(n_random=3, n_ascent_steps=4)
 
 
+def unit_vector(dim):
+    return np.ones(dim) / np.sqrt(dim)
+
+
 def test_zeroth_order_takes_a_loss_and_a_gradient_per_ascent_step(calls):
     obj, theta = small_mlp()
-    zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET)
+    zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET, v1=unit_vector(obj.dim))
     assert calls == {
         "grad": BUDGET.n_random * BUDGET.n_ascent_steps,
         "loss": BUDGET.n_random * (BUDGET.n_ascent_steps + 1) + 1,
@@ -407,7 +422,7 @@ def test_zeroth_order_takes_a_loss_and_a_gradient_per_ascent_step(calls):
 
 def test_first_order_reuses_each_steps_gradient_in_its_hvp(calls):
     obj, theta = small_mlp()
-    first_order_flatness(obj, theta, 0.1, budget=BUDGET)
+    first_order_flatness(obj, theta, 0.1, budget=BUDGET, v1=unit_vector(obj.dim))
     expected = 1 + BUDGET.n_random * (2 * BUDGET.n_ascent_steps + 1)
     assert calls == {"grad": expected, "loss": 0}
 
@@ -416,6 +431,76 @@ def test_hutchinson_shares_one_base_gradient(calls):
     obj, theta = small_mlp()
     hutchinson_trace(obj, theta, n_probes=5)
     assert calls == {"grad": 5 + 1, "loss": 0}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The ``k`` of every eigen-solve the estimators make."""
+    ks = []
+
+    def counted(*args, **kwargs):
+        ks.append(kwargs["k"])
+        return power_iteration_lambda_max(*args, **kwargs)
+
+    monkeypatch.setattr(flatness, "power_iteration_lambda_max", counted)
+    return ks
+
+
+@pytest.mark.parametrize("estimator", [zeroth_order_flatness, first_order_flatness])
+def test_an_estimator_without_v1_makes_one_k1_solve(solves, estimator):
+    obj, theta = small_mlp()
+    estimator(obj, theta, 0.1, budget=BUDGET)
+    assert solves == [1]
+
+
+def test_a_report_makes_one_eigen_solve(solves):
+    obj, theta = small_mlp()
+    build_flatness_report(obj, theta, rho=0.1, alpha=0.5, budget=BUDGET, k_eigs=2, n_probes=4)
+    assert solves == [2]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_two_starts_at_the_top_eigenvector_are_the_maxima_at_a_quadratic_minimum(seed):
+    # theta + rho*v1 and theta - rho*v1 are the maxima themselves, so one
+    # ascent step from each leaves no gap
+    rng = np.random.default_rng([seed, 7])
+    mat = random_spd_matrix(int(rng.integers(3, 9)), rng, min_top_gap=1.15)
+    obj, rho, theta = QuadraticObjective(mat), 0.1, np.zeros(len(mat))
+    lam = float(np.linalg.eigvalsh(mat).max())
+    budget = FlatnessBudget(2, 1)
+    report = build_flatness_report(obj, theta, rho=rho, alpha=0.5, budget=budget, seed=seed)
+    for r0, r1 in [
+        (zeroth_order_flatness(obj, theta, rho, budget), first_order_flatness(obj, theta, rho, budget)),
+        (report.r0, report.r1),
+    ]:
+        assert r0 == pytest.approx(0.5 * lam * rho**2, rel=1e-12)
+        assert r1 == pytest.approx(lam * rho**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12, 3.0])
+def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
+    # a v1 that rounding, or a caller, made longer than a unit vector is
+    # projected, so every evaluated point stays in the ball and the estimates
+    # stay lower bounds
+    obj, theta = small_mlp()
+    rho, points = 0.1, []
+
+    def recorded(fn):
+        def wrapper(obj, x):
+            points.append(x.copy())
+            return fn(obj, x)
+
+        return wrapper
+
+    monkeypatch.setattr(flatness, "eval_loss", recorded(flatness.eval_loss))
+    monkeypatch.setattr(flatness, "eval_grad", recorded(flatness.eval_grad))
+    _, _, v1 = power_iteration_lambda_max(obj, theta, k=1)
+    budget = FlatnessBudget(n_random=3, n_ascent_steps=2)
+    zeroth_order_flatness(obj, theta, rho, budget, v1=scale * v1)
+    first_order_flatness(obj, theta, rho, budget, v1=scale * v1)
+    offsets = [objectives.norm(x - theta) for x in points]
+    assert max(offsets) <= rho * (1.0 + 1e-14)
+    assert offsets[1] == pytest.approx(rho, rel=1e-14)  # r0's first start, after theta
 
 
 def test_ten_mixed_steps_reach_a_small_gap_maximum():
