@@ -92,7 +92,7 @@ TRAJECTORY_HASHES = {
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "da7bcd245ce2c6944e263c46f4ea89f68fe7514a0983f79ee7bd660ac80b3bf7",
+    "bench.json": "49a35b14fcc410c73c5b5c706566e2dd7398adcda21a333e23abd5aa2ac6cd2a",
 }
 
 
@@ -196,10 +196,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "fd64e40ebcc7e41bc0b0fe5bd1563b569019c62369af2159a138b16164af6acd",
-    ("init", "small"): "7b6919e28d5b03a76bb928c6495b5cfdf030ec800f9a8aa80f297a14ab9592fd",
-    ("fad", "full"): "2a62e2ad94f00e98d1b3121f769339d96c4994519e90c7118bce005dbe8b0a6c",
-    ("fad", "small"): "bdf9cd62cd99f5c3ff6032c55f8a8a82313f81e9488a4f77418c0a2ba081effc",
+    ("init", "full"): "b22bf9601ce107d6268b2d9e17cd903ed7da9fb84e4ff1172ed349a7f0f874d7",
+    ("init", "small"): "25a54d3d0455ff9aac12c517e0aa42f02c3b32a6cce152f8a999ebb3ddf354e1",
+    ("fad", "full"): "ec7ecb997c152bebc1698788071eb6f5400e4150bb37f24a316468d1f3a88e12",
+    ("fad", "small"): "ccd1a6214f2e85c0ca38ee171b30e47054e44513196eacc58c56567b7f56d7d6",
 }
 
 
@@ -286,8 +286,8 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "72ef7b3ade94eb340c9b4de9d1dd31f72f3f93572ddfadf4c71abf99feb98f83",
-    "mlp": "83bc7bc194140647deaaccbc0ca341a3b12d35fbf8d487a3ab113bf8a4ef401d",
+    "quadratic": "f16517db4cfdb00477ddcafbfedd77411e16f6301766c809b906cc4cf910dac5",
+    "mlp": "97bc6b12e692cdec102da40fc4e2d332ef459f9c9d2da6ba7a56b11bcc743c39",
 }
 
 
