@@ -8,13 +8,12 @@ MLP. Two complementary notions over a radius-rho ball around a point:
 
 Both are maxima found by restarted projected ascent, Anderson-accelerated so
 that a few steps reach the maximum the plain step would approach only slowly.
-Near a minimum both maxima sit at theta +- rho*v1, with v1 the top Hessian
-eigenvector, so the first two restarts start there, from the Lanczos solve's
-top Ritz vector; any further restarts start at random points in the ball.
-Every restart takes every step of its budget, so the ascent costs the same at
-every point. A report runs the curvature probes first and the ball maxima
-after them on one RNG stream, so the probes see the same draws whatever the
-budget.
+Near a critical point r0's maxima sit at theta +- rho*v, with v the top Hessian
+eigenvector, and r1's with v that of the eigenvalue largest in magnitude; the
+first two restarts start there and any further ones at random points. Every
+restart takes every step of its budget, so the ascent costs the same at every
+point. A report runs the curvature probes first and the ball maxima after them
+on one RNG stream, so the probes see the same draws whatever the budget.
 
 Their convex combination ``alpha*r0 + (1-alpha)*r1`` is the regularizer the
 fad optimizer targets; near a minimum where a quadratic model holds, that
@@ -30,6 +29,7 @@ trace.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -48,16 +48,12 @@ from .objectives import (
 
 @dataclass(frozen=True)
 class FlatnessBudget:
-    """Restart/step budget for the ball-ascent estimators.
+    """Restart/step budget for the ball-ascent estimators (``_ball_maximum``).
 
-    ``n_random`` counts every restart: restart 0 starts at ``theta + rho*v1``,
-    restart 1 at ``theta - rho*v1`` (v1 the top Hessian eigenvector, where a
-    quadratic model puts both maxima), and any further ones at uniform draws
-    from the ball. Each plain ascent step is gradient-normalized with length
-    10*rho (a projected power-type update, accurate on near-quadratic bowls),
-    and each ascent step extrapolates along the last two (``_BallAscent``).
-    Every restart takes all ``n_ascent_steps`` steps; the default 10 reach, at
-    trained MLP points, the maxima that 50 plain steps reach.
+    ``n_random`` counts every restart: the first two start at ``theta +- rho*v``
+    and any further ones at uniform draws from the ball. Every restart takes all
+    ``n_ascent_steps`` steps of ``_BallAscent``, a projected power-type update;
+    the default 10 reach, at trained MLP points, the maxima 50 plain steps reach.
     """
 
     n_random: int = 2
@@ -86,24 +82,6 @@ def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
     if length <= rho:
         return x
     return center + offset * (rho / length)
-
-
-def _start_points(
-    obj: Objective,
-    theta: Vector,
-    rho: float,
-    n: int,
-    rng: np.random.Generator,
-    v1: Vector | None,
-) -> list[Vector]:
-    """The ``n`` restarts' start points: ``theta + rho*v1`` and ``theta - rho*v1``,
-    projected into the ball so that rounding cannot leave it, then uniform
-    draws from the ball. Without ``v1``, one k=1 solve on ``rng`` gives it."""
-    if v1 is None:
-        _, _, v1 = power_iteration_lambda_max(obj, theta, k=1, rng=rng)
-    starts = [_project_to_ball(theta, rho, theta + sign * rho * v1) for sign in (1.0, -1.0)]
-    starts += [theta + _uniform_in_ball(obj.dim, rho, rng) for _ in range(n - 2)]
-    return starts[:n]
 
 
 class _BallAscent:
@@ -155,6 +133,45 @@ class _BallAscent:
         return _project_to_ball(self.center, self.rho, mixed)
 
 
+def _ball_maximum(
+    obj: Objective,
+    theta: Vector,
+    rho: float,
+    budget: FlatnessBudget | None,
+    rng: np.random.Generator | None,
+    v1: Vector | None,
+    probe: Callable[[Vector, bool], tuple[float, Vector | None]],
+    pick: int,
+) -> tuple[float, float]:
+    """The probe's value at ``theta`` and the largest value its restarted ascent finds.
+
+    ``probe(x, ascending)`` gives the value at ``x`` and, when ascending, the ascent
+    direction there or None to end the restart. Restarts start at ``theta +- rho*v1``,
+    projected into the ball so that rounding cannot leave it, then at uniform draws;
+    without ``v1``, Ritz vector ``pick`` of one k=1 solve on ``rng`` gives it. Each
+    restart's last iterate is evaluated too.
+    """
+    if not (rho > 0.0):
+        raise ConfigError(f"rho must be positive, got {rho}")
+    budget = budget or FlatnessBudget()
+    rng = rng or np.random.default_rng(0)
+    base = best = probe(theta, False)[0]
+    if v1 is None:
+        v1 = power_iteration_lambda_max(obj, theta, k=1, rng=rng)[2][pick]
+    starts = [_project_to_ball(theta, rho, theta + sign * rho * v1) for sign in (1.0, -1.0)]
+    starts += [theta + _uniform_in_ball(obj.dim, rho, rng) for _ in range(budget.n_random - 2)]
+    for x in starts[: budget.n_random]:
+        ascent = _BallAscent(theta, rho)
+        for _ in range(budget.n_ascent_steps):
+            value, direction = probe(x, True)
+            best = max(best, value)
+            if direction is None:
+                break
+            x = ascent.step(x, value, direction)
+        best = max(best, probe(x, False)[0])
+    return base, best
+
+
 def zeroth_order_flatness(
     obj: Objective,
     theta: Vector,
@@ -165,28 +182,17 @@ def zeroth_order_flatness(
 ) -> float:
     """Estimate max over the rho-ball of loss(theta') - loss(theta), clamped at 0.
 
-    Multi-restart accelerated projected gradient ascent (``_BallAscent``),
-    started at ``theta +- rho*v1`` and then at random points (``FlatnessBudget``);
-    ``v1`` is the unit top Hessian eigenvector at ``theta``, taken from one k=1
-    Lanczos solve on ``rng`` when not given. Every evaluated point lies inside
-    the ball, so the estimate never exceeds the true maximum. Each ascent
-    iterate takes its loss, then its gradient, which reuses that loss call's
-    forward pass; each restart's last iterate is evaluated too.
+    Restarted accelerated projected gradient ascent (``_ball_maximum``) from
+    ``theta +- rho*v1``, with ``v1`` the unit top Hessian eigenvector at ``theta``,
+    by default from one k=1 Lanczos solve on ``rng``. Every evaluated point lies
+    inside the ball, so the estimate never exceeds the true maximum. An iterate's
+    gradient reuses its loss call's forward pass.
     """
-    if not (rho > 0.0):
-        raise ConfigError(f"rho must be positive, got {rho}")
-    budget = budget or FlatnessBudget()
-    rng = rng or np.random.default_rng(0)
-    base = eval_loss(obj, theta)
-    best = base
-    for x in _start_points(obj, theta, rho, budget.n_random, rng, v1):
-        ascent = _BallAscent(theta, rho)
-        for _ in range(budget.n_ascent_steps):
-            loss = eval_loss(obj, x)
-            g = eval_grad(obj, x)
-            best = max(best, loss)
-            x = ascent.step(x, loss, g)
-        best = max(best, eval_loss(obj, x))
+
+    def probe(x: Vector, ascending: bool) -> tuple[float, Vector | None]:
+        return eval_loss(obj, x), eval_grad(obj, x) if ascending else None
+
+    base, best = _ball_maximum(obj, theta, rho, budget, rng, v1, probe, pick=0)
     return max(best - base, 0.0)
 
 
@@ -200,29 +206,20 @@ def first_order_flatness(
 ) -> float:
     """Estimate rho times the largest gradient norm over the rho-ball.
 
-    Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||,
-    approximated with one finite-difference Hessian-vector product per step;
-    that product reuses the step's gradient, so a step costs 2 gradients. The
-    steps start and are accelerated as in ``zeroth_order_flatness``, and each
-    restart's last iterate is evaluated too.
+    Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||, with one
+    finite-difference Hessian-vector product per step that reuses the step's
+    gradient. Near a critical point that is power iteration on H^2, so here ``v1``
+    is the unit eigenvector of the Hessian eigenvalue largest in magnitude, by
+    default from one k=1 Lanczos solve on ``rng``.
     """
-    if not (rho > 0.0):
-        raise ConfigError(f"rho must be positive, got {rho}")
-    budget = budget or FlatnessBudget()
-    rng = rng or np.random.default_rng(0)
-    best = norm(eval_grad(obj, theta))
-    for x in _start_points(obj, theta, rho, budget.n_random, rng, v1):
-        ascent = _BallAscent(theta, rho)
-        for _ in range(budget.n_ascent_steps):
-            g = eval_grad(obj, x)
-            norm_g = norm(g)
-            best = max(best, norm_g)
-            if norm_g == 0.0:
-                break
-            direction = hvp_fd(obj, x, g, g0=g) / norm_g
-            x = ascent.step(x, norm_g, direction)
-        best = max(best, norm(eval_grad(obj, x)))
-    return rho * best
+
+    def probe(x: Vector, ascending: bool) -> tuple[float, Vector | None]:
+        g = eval_grad(obj, x)
+        norm_g = norm(g)
+        ascend = ascending and norm_g > 0.0
+        return norm_g, hvp_fd(obj, x, g, g0=g) / norm_g if ascend else None
+
+    return rho * _ball_maximum(obj, theta, rho, budget, rng, v1, probe, pick=1)[1]
 
 
 def fad_regularizer(r0: float, r1: float, alpha: float) -> float:
@@ -257,16 +254,16 @@ def power_iteration_lambda_max(
     k: int = 1,
     max_iter: int = 1000,
     rng: np.random.Generator | None = None,
-) -> tuple[Vector, list[bool], Vector]:
+) -> tuple[Vector, list[bool], tuple[Vector, Vector]]:
     """Top-k Hessian eigenvalues by Lanczos with full reorthogonalisation on FD products.
 
     Returns (the k largest algebraic Ritz values, nonincreasing; per-value
-    convergence flags; the top Ritz vector, of unit norm up to rounding) after
-    at most ``min(max_iter, dim)`` products. A value converged when its Ritz
-    residual ``beta * |s_last|`` is below ``LANCZOS_TOL``; a value the steps ran
-    out before is NaN and False. One Krylov space holds a repeated eigenvalue
-    once; when it breaks down before it holds k values, a fresh Rademacher
-    start goes on with a zero coupling.
+    convergence flags; the unit Ritz vectors of the top value and of the value
+    largest in magnitude) after at most ``min(max_iter, dim)`` products. A value
+    converged when its Ritz residual ``beta * |s_last|`` is below ``LANCZOS_TOL``;
+    a value the steps ran out before is NaN and False. One Krylov space holds a
+    repeated eigenvalue once; when it breaks down before it holds k values, a
+    fresh Rademacher start goes on with a zero coupling.
     """
     if not (1 <= k <= obj.dim):
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
@@ -296,7 +293,8 @@ def power_iteration_lambda_max(
     values = np.full(k, np.nan)
     values[:n] = ritz[::-1][:n]
     flags = [bool(r < LANCZOS_TOL) for r in residuals[::-1][:n]] + [False] * (k - n)
-    return values, flags, np.array(basis).T @ vecs[:, -1]
+    v1 = np.array(basis).T @ vecs[:, -1]
+    return values, flags, (v1, np.array(basis).T @ vecs[:, 0] if -ritz[0] > ritz[-1] else v1)
 
 
 def hutchinson_trace(
@@ -382,16 +380,16 @@ def build_flatness_report(
 
     Every setting is checked, as a ``ReportConfig``, before the first oracle call.
     The eigen-solve runs first and Hutchinson second, so neither depends on the
-    budget; the ball maxima then start from the solve's top Ritz vector.
+    budget; the ball maxima then start from the solve's Ritz vectors.
     """
     budget = budget or FlatnessBudget()
     ReportConfig(rho=rho, alpha=alpha, k_eigs=k_eigs, n_probes=n_probes, budget=budget)
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)
-    eigs, _, v1 = power_iteration_lambda_max(obj, theta, k=k_eigs, rng=rng)
+    eigs, _, (v1, v_r1) = power_iteration_lambda_max(obj, theta, k=k_eigs, rng=rng)
     trace, trace_se = hutchinson_trace(obj, theta, n_probes, rng)
     r0 = zeroth_order_flatness(obj, theta, rho, budget, rng, v1)
-    r1 = first_order_flatness(obj, theta, rho, budget, rng, v1)
+    r1 = first_order_flatness(obj, theta, rho, budget, rng, v_r1)
     r_fad = fad_regularizer(r0, r1, alpha)
     budget_doc = asdict(budget)
     budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": FD_STEP})

@@ -174,7 +174,7 @@ def test_power_iteration_reports_nonconvergence():
 def test_top_ritz_vector_is_the_top_eigenvector(k):
     spectrum = np.array([9.0, 6.0, 3.0, 1.0, 0.5])
     obj = rotated_quadratic(spectrum, seed=4)
-    eigs, _, v1 = power_iteration_lambda_max(obj, np.zeros(5), k=k)
+    eigs, _, (v1, _) = power_iteration_lambda_max(obj, np.zeros(5), k=k)
     top = np.linalg.eigh(obj.hessian())[1][:, -1]
     assert objectives.norm(v1) == pytest.approx(1.0, abs=1e-14)
     assert abs(v1 @ top) >= 1.0 - 1e-8
@@ -477,6 +477,24 @@ def test_two_starts_at_the_top_eigenvector_are_the_maxima_at_a_quadratic_minimum
         assert r1 == pytest.approx(lam * rho**2, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [QuadraticObjective(np.array([-3.0, 2.0])), rotated_quadratic([2.0, 1.0, -3.0])],
+    ids=["diagonal", "rotated"],
+)
+def test_first_order_starts_along_the_eigenvalue_largest_in_magnitude(obj):
+    # near a critical point r1's ascent is power iteration on H^2, so its
+    # maxima lie along the eigenvalue -3 while r0's lie along the top one, 2
+    rho, theta = 0.1, np.zeros(obj.dim)
+    report = build_flatness_report(obj, theta, rho=rho, alpha=0.5)
+    for r0, r1 in [
+        (zeroth_order_flatness(obj, theta, rho), first_order_flatness(obj, theta, rho)),
+        (report.r0, report.r1),
+    ]:
+        assert r0 == pytest.approx(0.5 * 2.0 * rho**2, rel=1e-12)
+        assert r1 == pytest.approx(3.0 * rho**2, rel=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12, 3.0])
 def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
     # a v1 that rounding, or a caller, made longer than a unit vector is
@@ -494,7 +512,7 @@ def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
 
     monkeypatch.setattr(flatness, "eval_loss", recorded(flatness.eval_loss))
     monkeypatch.setattr(flatness, "eval_grad", recorded(flatness.eval_grad))
-    _, _, v1 = power_iteration_lambda_max(obj, theta, k=1)
+    _, _, (v1, _) = power_iteration_lambda_max(obj, theta, k=1)
     budget = FlatnessBudget(n_random=3, n_ascent_steps=2)
     zeroth_order_flatness(obj, theta, rho, budget, v1=scale * v1)
     first_order_flatness(obj, theta, rho, budget, v1=scale * v1)
@@ -503,24 +521,30 @@ def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
     assert offsets[1] == pytest.approx(rho, rel=1e-14)  # r0's first start, after theta
 
 
+def off_eigenvector(dim):
+    """A unit start direction off every eigenvector, so the ascent has a way to go."""
+    v = np.random.default_rng(0).standard_normal(dim)
+    return v / objectives.norm(v)
+
+
 def test_ten_mixed_steps_reach_a_small_gap_maximum():
     # with top eigenvalues 1 and 0.8 the plain step closes the gap by about
-    # (0.8 + 0.1) / 1.1 a step, and ten plain steps leave r0 6e-4 short
-    obj, rho = rotated_quadratic([1.0, 0.8, 0.3], seed=3), 0.1
+    # (0.8 + 0.1) / 1.1 a step, and ten plain steps leave r0 6e-3 short
+    obj, rho, v = rotated_quadratic([1.0, 0.8, 0.3], seed=3), 0.1, off_eigenvector(3)
     budget = FlatnessBudget(n_random=2, n_ascent_steps=10)
-    r0 = zeroth_order_flatness(obj, np.zeros(3), rho, budget=budget)
-    r1 = first_order_flatness(obj, np.zeros(3), rho, budget=budget)
+    r0 = zeroth_order_flatness(obj, np.zeros(3), rho, budget=budget, v1=v)
+    r1 = first_order_flatness(obj, np.zeros(3), rho, budget=budget, v1=v)
     assert r0 == pytest.approx(0.5 * rho**2, rel=1e-6)
     assert r1 == pytest.approx(rho**2, rel=1e-6)
 
 
 def test_mixed_steps_do_not_settle_on_a_saddle_of_the_sphere():
     # the eigenvector of 0.9 is a fixed point of the plain step too; unchecked,
-    # the mixing settled there and left r0 7% short
-    obj, rho = rotated_quadratic([1.0, 0.9, 0.5, 0.2], seed=3), 0.1
+    # the mixing settled there and left r0 9% short
+    obj, rho, v = rotated_quadratic([1.0, 0.9, 0.5, 0.2], seed=3), 0.1, off_eigenvector(4)
     budget = FlatnessBudget(n_random=2, n_ascent_steps=50)
-    r0 = zeroth_order_flatness(obj, np.zeros(4), rho, budget=budget)
-    r1 = first_order_flatness(obj, np.zeros(4), rho, budget=budget)
+    r0 = zeroth_order_flatness(obj, np.zeros(4), rho, budget=budget, v1=v)
+    r1 = first_order_flatness(obj, np.zeros(4), rho, budget=budget, v1=v)
     assert r0 == pytest.approx(0.5 * rho**2, rel=1e-6)
     assert r1 == pytest.approx(rho**2, rel=1e-6)
 
@@ -532,8 +556,8 @@ def plain_step(ascent, x, value, direction):
 
 
 def test_default_steps_match_fifty_plain_steps_at_a_trained_point(readme_mlp, monkeypatch):
-    # the ascent draws nothing from the report's stream, so the Lanczos and
-    # Hutchinson draws that follow the ball maxima do not depend on it
+    # the Lanczos and Hutchinson draws come before the ball maxima on the
+    # report's stream, so neither the budget nor the ascent step moves them
     theta0 = readme_mlp.init_params(np.random.default_rng([0, 2]))
     theta = run_training(readme_mlp, theta0, README_TRAINING["fad"], 300, seed=0).theta_final
     mixed = build_flatness_report(readme_mlp, theta, rho=0.1, alpha=0.5, seed=0)
