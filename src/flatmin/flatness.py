@@ -9,11 +9,12 @@ MLP. Two complementary notions over a radius-rho ball around a point:
 Both are maxima found by restarted projected ascent, Anderson-accelerated so
 that a few steps reach the maximum the plain step would approach only slowly.
 Near a critical point r0's maxima sit at theta +- rho*v, with v the top Hessian
-eigenvector, and r1's with v that of the eigenvalue largest in magnitude; the
-first two restarts start there and any further ones at random points. Every
-restart takes every step of its budget, so the ascent costs the same at every
-point. A report runs the curvature probes first and the ball maxima after them
-on one RNG stream, so the probes see the same draws whatever the budget.
+eigenvector, and r1's with v that of the eigenvalue largest in magnitude. So
+restarts 2j and 2j+1 start at theta +- rho*v_{j+1}, with v_1, v_2, ... the Ritz
+vectors of the report's own Lanczos solve in order of value for r0 and of
+magnitude for r1. Every restart takes every step of its budget, so the ascent
+costs the same at every point, and no restart draws from the RNG, so the
+curvature probes see the same draws whatever the budget.
 
 Their convex combination ``alpha*r0 + (1-alpha)*r1`` is the regularizer the
 fad optimizer targets; near a minimum where a quadratic model holds, that
@@ -29,7 +30,7 @@ trace.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,30 +51,20 @@ from .objectives import (
 class FlatnessBudget:
     """Restart/step budget for the ball-ascent estimators (``_ball_maximum``).
 
-    ``n_random`` counts every restart: the first two start at ``theta +- rho*v``
-    and any further ones at uniform draws from the ball. Every restart takes all
-    ``n_ascent_steps`` steps of ``_BallAscent``, a projected power-type update;
-    the default 10 reach, at trained MLP points, the maxima 50 plain steps reach.
+    ``n_random`` counts every restart: restarts 2j and 2j+1 start at
+    ``theta +- rho*v_{j+1}``, the start directions in order, and restarts beyond
+    the last direction are not run. Every restart takes all ``n_ascent_steps``
+    steps of ``_BallAscent``, a projected power-type update; the default 10
+    reach, at trained MLP points, the maxima 50 plain steps reach.
     """
 
     n_random: int = 2
     n_ascent_steps: int = 10
 
     def __post_init__(self) -> None:
-        if not (self.n_random >= 1 and self.n_ascent_steps >= 1):
-            raise BudgetError(
-                f"budget must be positive, got restarts={self.n_random}, "
-                f"steps={self.n_ascent_steps}"
-            )
-
-
-def _uniform_in_ball(dim: int, rho: float, rng: np.random.Generator) -> Vector:
-    direction = rng.standard_normal(dim)
-    length = norm(direction)
-    if length == 0.0:
-        return np.zeros(dim)
-    radius = rho * rng.uniform() ** (1.0 / dim)
-    return direction * (radius / length)
+        for name in ("n_random", "n_ascent_steps"):
+            if not (getattr(self, name) >= 1):
+                raise BudgetError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def _project_to_ball(center: Vector, rho: float, x: Vector) -> Vector:
@@ -139,29 +130,28 @@ def _ball_maximum(
     rho: float,
     budget: FlatnessBudget | None,
     rng: np.random.Generator | None,
-    v1: Vector | None,
+    directions: Sequence[Vector] | None,
     probe: Callable[[Vector, bool], tuple[float, Vector | None]],
     pick: int,
 ) -> tuple[float, float]:
     """The probe's value at ``theta`` and the largest value its restarted ascent finds.
 
     ``probe(x, ascending)`` gives the value at ``x`` and, when ascending, the ascent
-    direction there or None to end the restart. Restarts start at ``theta +- rho*v1``,
-    projected into the ball so that rounding cannot leave it, then at uniform draws;
-    without ``v1``, Ritz vector ``pick`` of one k=1 solve on ``rng`` gives it. Each
-    restart's last iterate is evaluated too.
+    direction there or None to end the restart. Restarts 2j and 2j+1 start at
+    ``theta +- rho*directions[j]``, projected into the ball so that rounding cannot
+    leave it; a budget with more restarts than starts runs every start once. Without
+    ``directions``, list ``pick`` of one k=1 solve on ``rng`` gives them; with them,
+    nothing is drawn from ``rng``. Each restart's last iterate is evaluated too.
     """
     if not (rho > 0.0):
         raise ConfigError(f"rho must be positive, got {rho}")
     budget = budget or FlatnessBudget()
-    rng = rng or np.random.default_rng(0)
     base = best = probe(theta, False)[0]
-    if v1 is None:
-        v1 = power_iteration_lambda_max(obj, theta, k=1, rng=rng)[2][pick]
-    starts = [_project_to_ball(theta, rho, theta + sign * rho * v1) for sign in (1.0, -1.0)]
-    starts += [theta + _uniform_in_ball(obj.dim, rho, rng) for _ in range(budget.n_random - 2)]
-    for x in starts[: budget.n_random]:
-        ascent = _BallAscent(theta, rho)
+    if directions is None:
+        directions = power_iteration_lambda_max(obj, theta, k=1, rng=rng)[2][pick]
+    starts = [theta + sign * rho * v for v in directions for sign in (1.0, -1.0)]
+    for start in starts[: budget.n_random]:
+        x, ascent = _project_to_ball(theta, rho, start), _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
             value, direction = probe(x, True)
             best = max(best, value)
@@ -178,21 +168,22 @@ def zeroth_order_flatness(
     rho: float,
     budget: FlatnessBudget | None = None,
     rng: np.random.Generator | None = None,
-    v1: Vector | None = None,
+    directions: Sequence[Vector] | None = None,
 ) -> float:
     """Estimate max over the rho-ball of loss(theta') - loss(theta), clamped at 0.
 
     Restarted accelerated projected gradient ascent (``_ball_maximum``) from
-    ``theta +- rho*v1``, with ``v1`` the unit top Hessian eigenvector at ``theta``,
-    by default from one k=1 Lanczos solve on ``rng``. Every evaluated point lies
-    inside the ball, so the estimate never exceeds the true maximum. An iterate's
-    gradient reuses its loss call's forward pass.
+    ``theta +- rho*v`` for each unit start direction v in turn, by default the
+    Hessian's Ritz vectors at ``theta`` in order of value, from one k=1 Lanczos
+    solve on ``rng``. Every evaluated point lies inside the ball, so the estimate
+    never exceeds the true maximum. An iterate's gradient reuses its loss call's
+    forward pass.
     """
 
     def probe(x: Vector, ascending: bool) -> tuple[float, Vector | None]:
         return eval_loss(obj, x), eval_grad(obj, x) if ascending else None
 
-    base, best = _ball_maximum(obj, theta, rho, budget, rng, v1, probe, pick=0)
+    base, best = _ball_maximum(obj, theta, rho, budget, rng, directions, probe, pick=0)
     return max(best - base, 0.0)
 
 
@@ -202,15 +193,15 @@ def first_order_flatness(
     rho: float,
     budget: FlatnessBudget | None = None,
     rng: np.random.Generator | None = None,
-    v1: Vector | None = None,
+    directions: Sequence[Vector] | None = None,
 ) -> float:
     """Estimate rho times the largest gradient norm over the rho-ball.
 
     Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||, with one
     finite-difference Hessian-vector product per step that reuses the step's
-    gradient. Near a critical point that is power iteration on H^2, so here ``v1``
-    is the unit eigenvector of the Hessian eigenvalue largest in magnitude, by
-    default from one k=1 Lanczos solve on ``rng``.
+    gradient. Near a critical point that is power iteration on H^2, so here the
+    default start directions are the Hessian's Ritz vectors in order of magnitude,
+    from one k=1 Lanczos solve on ``rng``.
     """
 
     def probe(x: Vector, ascending: bool) -> tuple[float, Vector | None]:
@@ -219,7 +210,7 @@ def first_order_flatness(
         ascend = ascending and norm_g > 0.0
         return norm_g, hvp_fd(obj, x, g, g0=g) / norm_g if ascend else None
 
-    return rho * _ball_maximum(obj, theta, rho, budget, rng, v1, probe, pick=1)[1]
+    return rho * _ball_maximum(obj, theta, rho, budget, rng, directions, probe, pick=1)[1]
 
 
 def fad_regularizer(r0: float, r1: float, alpha: float) -> float:
@@ -254,16 +245,17 @@ def power_iteration_lambda_max(
     k: int = 1,
     max_iter: int = 1000,
     rng: np.random.Generator | None = None,
-) -> tuple[Vector, list[bool], tuple[Vector, Vector]]:
+) -> tuple[Vector, list[bool], tuple[list[Vector], list[Vector]]]:
     """Top-k Hessian eigenvalues by Lanczos with full reorthogonalisation on FD products.
 
     Returns (the k largest algebraic Ritz values, nonincreasing; per-value
-    convergence flags; the unit Ritz vectors of the top value and of the value
-    largest in magnitude) after at most ``min(max_iter, dim)`` products. A value
-    converged when its Ritz residual ``beta * |s_last|`` is below ``LANCZOS_TOL``;
-    a value the steps ran out before is NaN and False. One Krylov space holds a
-    repeated eigenvalue once; when it breaks down before it holds k values, a
-    fresh Rademacher start goes on with a zero coupling.
+    convergence flags; every unit Ritz vector of the solve, once in order of value
+    and once in order of magnitude with ties to the larger value) after at most
+    ``min(max_iter, dim)`` products. A value converged when its Ritz residual
+    ``beta * |s_last|`` is below ``LANCZOS_TOL``; a value the steps ran out before
+    is NaN and False. One Krylov space holds a repeated eigenvalue once; when it
+    breaks down before it holds k values, a fresh Rademacher start goes on with a
+    zero coupling.
     """
     if not (1 <= k <= obj.dim):
         raise ConfigError(f"k must be in [1, {obj.dim}], got {k}")
@@ -293,8 +285,10 @@ def power_iteration_lambda_max(
     values = np.full(k, np.nan)
     values[:n] = ritz[::-1][:n]
     flags = [bool(r < LANCZOS_TOL) for r in residuals[::-1][:n]] + [False] * (k - n)
-    v1 = np.array(basis).T @ vecs[:, -1]
-    return values, flags, (v1, np.array(basis).T @ vecs[:, 0] if -ritz[0] > ritz[-1] else v1)
+    q = np.array(basis).T
+    by_value = [q @ vecs[:, j] for j in range(len(ritz) - 1, -1, -1)]
+    order = sorted(range(len(ritz)), key=lambda i: -abs(ritz[-1 - i]))  # ties keep value order
+    return values, flags, (by_value, [by_value[i] for i in order])
 
 
 def hutchinson_trace(
@@ -379,17 +373,18 @@ def build_flatness_report(
     """Run all estimators at one point with a single seeded RNG stream.
 
     Every setting is checked, as a ``ReportConfig``, before the first oracle call.
-    The eigen-solve runs first and Hutchinson second, so neither depends on the
-    budget; the ball maxima then start from the solve's Ritz vectors.
+    The eigen-solve and Hutchinson draw from the stream; the ball maxima start from
+    the solve's Ritz vectors and draw nothing, so no estimate depends on another's
+    settings.
     """
     budget = budget or FlatnessBudget()
     ReportConfig(rho=rho, alpha=alpha, k_eigs=k_eigs, n_probes=n_probes, budget=budget)
     k_eigs = min(k_eigs, obj.dim)
     rng = np.random.default_rng(seed)
-    eigs, _, (v1, v_r1) = power_iteration_lambda_max(obj, theta, k=k_eigs, rng=rng)
+    eigs, _, (by_value, by_magnitude) = power_iteration_lambda_max(obj, theta, k=k_eigs, rng=rng)
     trace, trace_se = hutchinson_trace(obj, theta, n_probes, rng)
-    r0 = zeroth_order_flatness(obj, theta, rho, budget, rng, v1)
-    r1 = first_order_flatness(obj, theta, rho, budget, rng, v_r1)
+    r0 = zeroth_order_flatness(obj, theta, rho, budget, directions=by_value)
+    r1 = first_order_flatness(obj, theta, rho, budget, directions=by_magnitude)
     r_fad = fad_regularizer(r0, r1, alpha)
     budget_doc = asdict(budget)
     budget_doc.update({"k_eigs": k_eigs, "n_probes": n_probes, "fd_step": FD_STEP})

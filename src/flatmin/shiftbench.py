@@ -256,8 +256,10 @@ class ProtocolConfig:
             raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         try:  # a bad report setting must fail here, before any training
             self.report
-        except ConfigError as err:  # name this config's key: n_probes is report_probes
-            raise type(err)("report_" + str(err).removeprefix("n_")) from None
+        except ConfigError as err:  # name this config's key: n_random is report_restarts
+            name, rest = str(err).split(" ", 1)
+            name = {"n_random": "restarts", "n_ascent_steps": "ascent_steps"}.get(name, name)
+            raise type(err)(f"report_{name.removeprefix('n_')} {rest}") from None
 
     @property
     def report(self) -> ReportConfig:

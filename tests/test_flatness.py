@@ -174,7 +174,7 @@ def test_power_iteration_reports_nonconvergence():
 def test_top_ritz_vector_is_the_top_eigenvector(k):
     spectrum = np.array([9.0, 6.0, 3.0, 1.0, 0.5])
     obj = rotated_quadratic(spectrum, seed=4)
-    eigs, _, (v1, _) = power_iteration_lambda_max(obj, np.zeros(5), k=k)
+    eigs, _, ((v1, *_), _) = power_iteration_lambda_max(obj, np.zeros(5), k=k)
     top = np.linalg.eigh(obj.hessian())[1][:, -1]
     assert objectives.norm(v1) == pytest.approx(1.0, abs=1e-14)
     assert abs(v1 @ top) >= 1.0 - 1e-8
@@ -407,13 +407,14 @@ def calls(monkeypatch):
 BUDGET = FlatnessBudget(n_random=3, n_ascent_steps=4)
 
 
-def unit_vector(dim):
-    return np.ones(dim) / np.sqrt(dim)
+def unit_vectors(dim):
+    """Start directions for more restarts than ``BUDGET`` asks for."""
+    return [np.ones(dim) / np.sqrt(dim), np.eye(dim)[0]]
 
 
 def test_zeroth_order_takes_a_loss_and_a_gradient_per_ascent_step(calls):
     obj, theta = small_mlp()
-    zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET, v1=unit_vector(obj.dim))
+    zeroth_order_flatness(obj, theta, 0.1, budget=BUDGET, directions=unit_vectors(obj.dim))
     assert calls == {
         "grad": BUDGET.n_random * BUDGET.n_ascent_steps,
         "loss": BUDGET.n_random * (BUDGET.n_ascent_steps + 1) + 1,
@@ -422,7 +423,7 @@ def test_zeroth_order_takes_a_loss_and_a_gradient_per_ascent_step(calls):
 
 def test_first_order_reuses_each_steps_gradient_in_its_hvp(calls):
     obj, theta = small_mlp()
-    first_order_flatness(obj, theta, 0.1, budget=BUDGET, v1=unit_vector(obj.dim))
+    first_order_flatness(obj, theta, 0.1, budget=BUDGET, directions=unit_vectors(obj.dim))
     expected = 1 + BUDGET.n_random * (2 * BUDGET.n_ascent_steps + 1)
     assert calls == {"grad": expected, "loss": 0}
 
@@ -457,6 +458,27 @@ def test_a_report_makes_one_eigen_solve(solves):
     obj, theta = small_mlp()
     build_flatness_report(obj, theta, rho=0.1, alpha=0.5, budget=BUDGET, k_eigs=2, n_probes=4)
     assert solves == [2]
+
+
+@pytest.mark.parametrize("estimator", [zeroth_order_flatness, first_order_flatness])
+def test_an_estimator_given_directions_draws_nothing(estimator):
+    obj, theta = small_mlp()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    estimator(obj, theta, 0.1, FlatnessBudget(6, 2), rng, directions=unit_vectors(obj.dim))
+    assert rng.bit_generator.state == state
+
+
+def test_restarts_beyond_the_last_start_are_not_run(calls):
+    # a dim-2 solve has two Ritz vectors, so four starts: a fifth restart
+    # would only repeat one of them
+    obj, rho, theta = QuadraticObjective(np.array([2.0, 8.0])), 0.1, np.zeros(2)
+    runs = []
+    for budget in (FlatnessBudget(16, 3), FlatnessBudget(4, 3)):
+        calls.update(grad=0, loss=0)
+        r0 = zeroth_order_flatness(obj, theta, rho, budget)
+        runs.append((r0, first_order_flatness(obj, theta, rho, budget), dict(calls)))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -495,6 +517,46 @@ def test_first_order_starts_along_the_eigenvalue_largest_in_magnitude(obj):
         assert r1 == pytest.approx(3.0 * rho**2, rel=1e-12)
 
 
+def test_restarts_start_along_every_ritz_vector_in_order(monkeypatch):
+    # restarts 2j and 2j+1 start at theta +- rho*v_{j+1}: r0's v in order of
+    # value (4, 2, 1, -3) and r1's in order of magnitude (4, -3, 2, 1)
+    obj, rho, theta = rotated_quadratic([4.0, -3.0, 2.0, 1.0]), 0.1, np.zeros(4)
+    budget = FlatnessBudget(n_random=8, n_ascent_steps=1)  # each step starts a restart
+    offsets, step = [], flatness._BallAscent.step
+
+    def recorded(self, x, value, direction):
+        offsets.append(x - self.center)
+        return step(self, x, value, direction)
+
+    monkeypatch.setattr(flatness._BallAscent, "step", recorded)
+    build_flatness_report(obj, theta, rho=rho, alpha=0.5, budget=budget)
+    zeroth_order_flatness(obj, theta, rho, budget)
+    first_order_flatness(obj, theta, rho, budget)
+    vecs = np.linalg.eigh(obj.hessian())[1]  # of -3, 1, 2, 4
+    orders = [vecs[:, [3, 2, 1, 0]], vecs[:, [3, 0, 2, 1]]] * 2  # report, then standalone
+    assert len(offsets) == 8 * len(orders)
+    for i, offset in enumerate(offsets):
+        v = orders[i // 8][:, i % 8 // 2]
+        assert objectives.norm(offset) == pytest.approx(rho, rel=1e-12)
+        assert abs(offset @ v) / rho >= 1.0 - 1e-8
+        if i % 2:
+            assert offset @ offsets[i - 1] < 0.0  # the second start of a pair is -rho*v
+
+
+def test_report_ball_maxima_do_not_depend_on_the_trace_probes(readme_mlp):
+    # the ball maxima draw nothing from the report's stream, so the draws the
+    # probes take before them cannot move them
+    theta0 = readme_mlp.init_params(np.random.default_rng([3, 2]))
+    theta = run_training(readme_mlp, theta0, README_TRAINING["fad"], 200, seed=3).theta_final
+    a, b = (
+        build_flatness_report(
+            readme_mlp, theta, rho=0.1, alpha=0.5, budget=FlatnessBudget(4, 10), n_probes=n
+        )
+        for n in (4, 16)
+    )
+    assert (a.r0, a.r1) == (b.r0, b.r1)
+
+
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-12, 3.0])
 def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
     # a v1 that rounding, or a caller, made longer than a unit vector is
@@ -512,10 +574,10 @@ def test_every_start_point_lies_in_the_ball(monkeypatch, scale):
 
     monkeypatch.setattr(flatness, "eval_loss", recorded(flatness.eval_loss))
     monkeypatch.setattr(flatness, "eval_grad", recorded(flatness.eval_grad))
-    _, _, (v1, _) = power_iteration_lambda_max(obj, theta, k=1)
+    _, _, ((v1, *_), _) = power_iteration_lambda_max(obj, theta, k=1)
     budget = FlatnessBudget(n_random=3, n_ascent_steps=2)
-    zeroth_order_flatness(obj, theta, rho, budget, v1=scale * v1)
-    first_order_flatness(obj, theta, rho, budget, v1=scale * v1)
+    zeroth_order_flatness(obj, theta, rho, budget, directions=[scale * v1])
+    first_order_flatness(obj, theta, rho, budget, directions=[scale * v1])
     offsets = [objectives.norm(x - theta) for x in points]
     assert max(offsets) <= rho * (1.0 + 1e-14)
     assert offsets[1] == pytest.approx(rho, rel=1e-14)  # r0's first start, after theta
@@ -532,8 +594,8 @@ def test_ten_mixed_steps_reach_a_small_gap_maximum():
     # (0.8 + 0.1) / 1.1 a step, and ten plain steps leave r0 6e-3 short
     obj, rho, v = rotated_quadratic([1.0, 0.8, 0.3], seed=3), 0.1, off_eigenvector(3)
     budget = FlatnessBudget(n_random=2, n_ascent_steps=10)
-    r0 = zeroth_order_flatness(obj, np.zeros(3), rho, budget=budget, v1=v)
-    r1 = first_order_flatness(obj, np.zeros(3), rho, budget=budget, v1=v)
+    r0 = zeroth_order_flatness(obj, np.zeros(3), rho, budget=budget, directions=[v])
+    r1 = first_order_flatness(obj, np.zeros(3), rho, budget=budget, directions=[v])
     assert r0 == pytest.approx(0.5 * rho**2, rel=1e-6)
     assert r1 == pytest.approx(rho**2, rel=1e-6)
 
@@ -543,8 +605,8 @@ def test_mixed_steps_do_not_settle_on_a_saddle_of_the_sphere():
     # the mixing settled there and left r0 9% short
     obj, rho, v = rotated_quadratic([1.0, 0.9, 0.5, 0.2], seed=3), 0.1, off_eigenvector(4)
     budget = FlatnessBudget(n_random=2, n_ascent_steps=50)
-    r0 = zeroth_order_flatness(obj, np.zeros(4), rho, budget=budget, v1=v)
-    r1 = first_order_flatness(obj, np.zeros(4), rho, budget=budget, v1=v)
+    r0 = zeroth_order_flatness(obj, np.zeros(4), rho, budget=budget, directions=[v])
+    r1 = first_order_flatness(obj, np.zeros(4), rho, budget=budget, directions=[v])
     assert r0 == pytest.approx(0.5 * rho**2, rel=1e-6)
     assert r1 == pytest.approx(rho**2, rel=1e-6)
 

@@ -119,6 +119,8 @@ def test_domain_spec_validation():
         ("report_alpha", 1.5, ConfigError),
         ("report_k_eigs", 0, ConfigError),
         ("report_probes", 1, BudgetError),
+        ("report_restarts", 0, BudgetError),
+        ("report_ascent_steps", 0, BudgetError),
     ],
 )
 def test_protocol_report_error_names_its_key(key, value, error):
