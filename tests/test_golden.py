@@ -197,9 +197,9 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 REPORT_HASHES = {
     ("init", "full"): "b22bf9601ce107d6268b2d9e17cd903ed7da9fb84e4ff1172ed349a7f0f874d7",
-    ("init", "small"): "25a54d3d0455ff9aac12c517e0aa42f02c3b32a6cce152f8a999ebb3ddf354e1",
+    ("init", "small"): "ca372dd5defc906d9a664f9bbac0c8cad7761f03d58c6a61a7509c77a661d530",
     ("fad", "full"): "ec7ecb997c152bebc1698788071eb6f5400e4150bb37f24a316468d1f3a88e12",
-    ("fad", "small"): "ccd1a6214f2e85c0ca38ee171b30e47054e44513196eacc58c56567b7f56d7d6",
+    ("fad", "small"): "a29159fda5d85676a49eedab6e221ecfc887ec7d17b1b69c50718ebb2eb52ded",
 }
 
 
