@@ -479,6 +479,7 @@ def test_restarts_beyond_the_last_start_are_not_run(calls):
         r0 = zeroth_order_flatness(obj, theta, rho, budget)
         runs.append((r0, first_order_flatness(obj, theta, rho, budget), dict(calls)))
     assert runs[0] == runs[1]
+    assert runs[1][2]["loss"] == 1 + 4 * (3 + 1)  # r0 ran all four starts
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
