@@ -33,6 +33,7 @@ from .objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
+    hvp,
     hvp_fd,
     load_dataset,
     random_spd_matrix,

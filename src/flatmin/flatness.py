@@ -24,8 +24,8 @@ combination pins the top Hessian eigenvalue via
 
 Curvature is probed matrix-free: Lanczos on finite-difference Hessian-vector
 products for the largest algebraic eigenvalues (one Krylov space reports a
-repeated eigenvalue once unless it breaks down), and Rademacher probes for the
-trace.
+repeated eigenvalue once unless it breaks down), and Rademacher probes on exact
+products for the trace.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .objectives import (
     Vector,
     eval_grad,
     eval_loss,
+    hvp,
     hvp_fd,
     norm,
 )
@@ -299,18 +300,14 @@ def hutchinson_trace(
 ) -> tuple[float, float]:
     """Hessian trace estimate (mean, standard error) from Rademacher probes.
 
-    Every probe's product shares one gradient at ``theta``, so the estimate
-    costs ``n_probes + 1`` gradients.
+    The probes are drawn in one call, the same draws as one per probe, and
+    their exact products are taken as one block: no loss or gradient call.
     """
     if not (n_probes >= 2):
         raise BudgetError(f"need at least 2 probes, got {n_probes}")
     rng = rng or np.random.default_rng(0)
-    g0 = eval_grad(obj, theta)
-    signs = np.array([-1.0, 1.0])
-    vals = np.empty(n_probes)
-    for i in range(n_probes):
-        v = rng.choice(signs, size=obj.dim)
-        vals[i] = float(v @ hvp_fd(obj, theta, v, g0=g0))
+    probes = rng.choice(np.array([-1.0, 1.0]), size=(n_probes, obj.dim))
+    vals = np.einsum("ij,ij->i", probes, hvp(obj, theta, probes))
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_probes))
 
 

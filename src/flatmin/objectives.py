@@ -39,6 +39,10 @@ IntVector = NDArray[np.int64]
 # finite-difference step of ``hvp_fd``, applied along a normalized direction
 FD_STEP = 1e-4
 
+# directions an MLP's R-op carries through the network at once: a few keep the
+# per-block numpy overhead down, more only move more memory per pass
+HVP_BLOCK = 4
+
 
 def norm(x: Vector) -> float:
     """Euclidean norm of a 1-D float64 vector, bit for bit what ``np.linalg.norm``
@@ -183,6 +187,10 @@ class Objective:
     def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
         raise NotImplementedError
 
+    def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
+        """The full-data Hessian at ``theta`` times every row of ``v``."""
+        raise NotImplementedError
+
 
 def _checked_loss(value: float) -> float:
     value = float(value)
@@ -222,9 +230,12 @@ def hvp_fd(
 
     The fixed step ``FD_STEP`` is taken along v normalized to unit length, then
     the difference quotient is rescaled by ||v||, so accuracy does not depend on
-    the magnitude of v; the result is biased by O(``FD_STEP``). ``g0`` is the
-    full-data gradient at ``theta`` when the caller already has it; otherwise
-    it is computed here.
+    the magnitude of v; the result is biased by O(``FD_STEP``) and is not
+    linear in v. ``g0`` is the full-data gradient at ``theta`` when the caller
+    already has it; otherwise it is computed here.
+
+    Only the Lanczos solve and ``r1``'s ascent still use it; the exact ``hvp``
+    is to replace it there too, together with the benchmark's pins on it.
     """
     theta = _as_param_vector(theta, obj.dim)
     v = _as_param_vector(v, obj.dim)
@@ -236,6 +247,28 @@ def hvp_fd(
     if g0 is None:
         g0 = eval_grad(obj, theta)
     return (g1 - g0) * (v_norm / FD_STEP)
+
+
+def hvp(obj: Objective, theta: Vector, v: Vector | Matrix) -> Vector | Matrix:
+    """Exact full-data Hessian-vector product H(theta) @ v.
+
+    ``v`` is one ``[dim]`` direction or a ``[P, dim]`` block of them, one per
+    row, and the result has its shape. The product is linear in ``v`` and makes
+    no loss or gradient call.
+    """
+    theta = _as_param_vector(theta, obj.dim)
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != obj.dim:
+        raise DimensionError(
+            f"hvp directions have shape {arr.shape}, need ({obj.dim},) or (P, {obj.dim})"
+        )
+    block = arr.reshape(-1, obj.dim)
+    out = np.asarray(obj._hvp(theta, block), dtype=np.float64)
+    if out.shape != block.shape:
+        raise DimensionError(f"hvp shape {out.shape} != {block.shape}")
+    if not np.isfinite(out).all():
+        raise NumericalError("Hessian-vector product contains non-finite values")
+    return out.reshape(arr.shape)
 
 
 class QuadraticObjective(Objective):
@@ -279,6 +312,10 @@ class QuadraticObjective(Objective):
             return self.diag * theta
         return self.matrix @ theta
 
+    def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
+        # the matrix is symmetric, so each row's v @ H is its H @ v
+        return v * self.diag if self.diag is not None else v @ self.matrix
+
 
 class RosenbrockObjective(Objective):
     """Extended Rosenbrock valley in d >= 2 dimensions (minimum at all-ones)."""
@@ -300,6 +337,19 @@ class RosenbrockObjective(Objective):
         g[:-1] += -400.0 * x * (y - x * x) - 2.0 * (1.0 - x)
         g[1:] += 200.0 * (y - x * x)
         return g
+
+    def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
+        # the Hessian is tridiagonal: each term 100(y - x^2)^2 + (1 - x)^2 adds
+        # 1200x^2 - 400y + 2 at (x, x), 200 at (y, y) and -400x at (x, y) and (y, x)
+        x, y = theta[:-1], theta[1:]
+        diag = np.zeros_like(theta)
+        diag[:-1] += 1200.0 * x * x - 400.0 * y + 2.0
+        diag[1:] += 200.0
+        off = -400.0 * x
+        out = v * diag
+        out[:, :-1] += off * v[:, 1:]
+        out[:, 1:] += off * v[:, :-1]
+        return out
 
 
 class DoubleWellObjective(Objective):
@@ -354,11 +404,17 @@ class DoubleWellObjective(Objective):
         v0, v1 = self._basin_values(float(theta[0]))
         return v0 if v0 <= v1 else v1
 
+    def _basin(self, theta: Vector) -> int:
+        """The basin active at ``theta``: the first at a crossing."""
+        v0, v1 = self._basin_values(float(theta[0]))
+        return 0 if v0 <= v1 else 1
+
     def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
-        x = float(theta[0])
-        v0, v1 = self._basin_values(x)
-        i = 0 if v0 <= v1 else 1
+        x, i = float(theta[0]), self._basin(theta)
         return np.array([self.curvatures[i] * (x - self.centers[i])], dtype=np.float64)
+
+    def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
+        return self.curvatures[self._basin(theta)] * v
 
 
 class MLPObjective(Objective):
@@ -516,6 +572,81 @@ class MLPObjective(Objective):
         layers, acts, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
         return self._backward(layers, acts, rows[2], expz, expz.sum(axis=1))
+
+    def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
+        """Pearlmutter's R-op: the directional derivative of the gradient's
+        forward and backward pass along each row of ``v``.
+
+        What the R-op reads of the point is computed once: the activations, the
+        softmax's Jacobian, and per layer its backward ``delta``, ``1 - a^2`` and
+        ``-2a * (delta @ w.T)``. The directions then go through in blocks of
+        ``HVP_BLOCK`` as ``[n, block, width]`` arrays: their products with the
+        layers and the point's arrays are 2-D matrix products, and the softmax
+        step is one product with each row's Jacobian.
+        """
+        rows = self._all
+        layers, acts, shifted = self._forward(theta, rows)
+        n, depth = shifted.shape[0], len(layers)
+        expz = np.exp(shifted)
+        prob = expz / expz.sum(axis=1)[:, None]
+        delta = prob.copy()
+        delta.reshape(-1)[rows[2]] -= 1.0
+        delta /= n
+        # each row's softmax Jacobian diag(p) - p p^T, over the row count of the mean
+        jac = -prob[:, :, None] * prob[:, None, :]
+        jac.reshape(n, -1)[:, :: prob.shape[1] + 1] += prob
+        jac /= n
+        # each layer's input with a column of ones, so that one product applies
+        # a direction's weight rows and the bias row after them
+        inputs = [np.hstack([a, np.ones((n, 1))]) for a in acts]
+        deltas: list = [None] * (depth - 1) + [delta]
+        slopes: list = [None] * depth
+        curls: list = [None] * depth
+        for li in range(depth - 1, 0, -1):
+            back = deltas[li] @ layers[li][0].T
+            slopes[li] = 1.0 - acts[li] * acts[li]
+            curls[li] = -2.0 * acts[li] * back
+            deltas[li - 1] = back * slopes[li]
+        out = np.empty_like(v)
+        for first in range(0, v.shape[0], HVP_BLOCK):
+            block, result = v[first : first + HVP_BLOCK], out[first : first + HVP_BLOCK]
+            size = block.shape[0]
+            # forward: r_acts[li] is the R-op of layer li's input, zero for the data
+            r_acts: list = [None]
+            spans, end = [], 0
+            for li, (w, _) in enumerate(layers):
+                fan_in, fan_out = w.shape
+                start, end = end, end + (fan_in + 1) * fan_out
+                d_wb = block[:, start:end].reshape(size, fan_in + 1, fan_out)
+                spans.append((start, end, d_wb))
+                r_z = inputs[li] @ d_wb.transpose(1, 0, 2).reshape(fan_in + 1, -1)
+                r_z = r_z.reshape(n, size, fan_out)
+                if r_acts[li] is not None:
+                    r_z += (r_acts[li].reshape(-1, fan_in) @ w).reshape(r_z.shape)
+                if li + 1 < depth:
+                    r_z *= slopes[li + 1][:, None, :]
+                    r_acts.append(r_z)
+            r_delta = np.matmul(r_z, jac)
+            # backward, last layer first, as in ``_backward``
+            for li in range(depth - 1, -1, -1):
+                w = layers[li][0]
+                fan_in, fan_out = w.shape
+                start, end, d_wb = spans[li]
+                r_wb = inputs[li].T @ r_delta.reshape(n, -1)
+                r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
+                if r_acts[li] is not None:
+                    r_w = r_acts[li].reshape(n, -1).T @ deltas[li]
+                    r_wb[:, :fan_in] += r_w.reshape(size, fan_in, fan_out)
+                result[:, start:end] = r_wb.reshape(size, -1)
+                if li > 0:
+                    d_w = d_wb[:, :fan_in].transpose(2, 0, 1).reshape(fan_out, -1)
+                    r_back = (r_delta.reshape(-1, fan_out) @ w.T).reshape(n, size, fan_in)
+                    r_back += (deltas[li] @ d_w).reshape(r_back.shape)
+                    r_back *= slopes[li][:, None, :]
+                    r_acts[li] *= curls[li][:, None, :]
+                    r_back += r_acts[li]
+                    r_delta = r_back
+        return out
 
 
 def random_spd_matrix(

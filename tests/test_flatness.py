@@ -318,6 +318,34 @@ def test_spectral_estimators_match_a_dense_solver_at_trained_points(readme_mlp, 
     assert abs(trace - dense.sum()) <= 3.0 * stderr
 
 
+def assert_near_dense_hessian(obj, theta):
+    """The exact products with every unit vector, one block, against the dense
+    central-difference Hessian, within 1e-6 of its largest entry."""
+    dense = central_difference_hessian(obj, theta)
+    exact = objectives.hvp(obj, theta, np.eye(obj.dim))
+    assert np.abs(exact - dense).max() <= 1e-6 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("method", README_TRAINING)
+def test_exact_hvp_is_the_dense_hessian_at_trained_points(readme_mlp, method, seed):
+    # measured: at most 4.5e-8 of the largest entry
+    theta0 = readme_mlp.init_params(np.random.default_rng([seed, 2]))
+    theta = run_training(readme_mlp, theta0, README_TRAINING[method], 300, seed=seed).theta_final
+    assert_near_dense_hessian(readme_mlp, theta)
+
+
+@pytest.mark.parametrize("net", ["ten_class", "width_one"])
+def test_exact_hvp_is_the_dense_hessian_on_other_shapes(readme_mlp, net):
+    # the golden oracle nets: 4-12-10 on 300 rows, and a width-1 hidden layer
+    if net == "ten_class":
+        ten = generate_domains(DomainSpec(num_classes=10, per_domain_n=100, feature_dim=4), 12)
+        obj = MLPObjective((4, 12, 10), pool_domains(ten, (0, 1, 2)))
+    else:
+        obj = MLPObjective((2, 8, 1, 3), readme_mlp.dataset)
+    assert_near_dense_hessian(obj, 0.5 * np.random.default_rng(8).standard_normal(obj.dim))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("method", README_TRAINING)
 def test_two_eigenvalues_at_trained_points_take_at_most_20_products(
@@ -428,10 +456,32 @@ def test_first_order_reuses_each_steps_gradient_in_its_hvp(calls):
     assert calls == {"grad": expected, "loss": 0}
 
 
-def test_hutchinson_shares_one_base_gradient(calls):
+def test_hutchinson_makes_no_loss_or_gradient_call(calls):
+    # every probe's product is exact, from the R-op
     obj, theta = small_mlp()
     hutchinson_trace(obj, theta, n_probes=5)
-    assert calls == {"grad": 5 + 1, "loss": 0}
+    assert calls == {"grad": 0, "loss": 0}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 27, 99])
+def test_hutchinson_draws_the_per_probe_draws_in_one_call(monkeypatch, dim):
+    # one (n_probes, dim) draw is, bit for bit, n_probes draws of dim signs, and
+    # leaves the stream where they would
+    blocks = []
+
+    def recorded(obj, theta, v):
+        blocks.append(v.copy())
+        return objectives.hvp(obj, theta, v)
+
+    monkeypatch.setattr(flatness, "hvp", recorded)
+    obj = QuadraticObjective(np.linspace(1.0, 2.0, dim))
+    rng, same = np.random.default_rng([dim, 5]), np.random.default_rng([dim, 5])
+    rng.random(3), same.random(3)  # start mid-stream, as a report's trace does
+    hutchinson_trace(obj, np.zeros(dim), n_probes=7, rng=rng)
+    signs = np.array([-1.0, 1.0])
+    per_probe = np.stack([same.choice(signs, size=dim) for _ in range(7)])
+    assert len(blocks) == 1 and np.array_equal(blocks[0], per_probe)
+    assert rng.random() == same.random()
 
 
 @pytest.fixture

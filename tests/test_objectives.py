@@ -1,7 +1,9 @@
 """Objective zoo checks: losses, analytic gradients, HVPs, datasets, batching.
 
 Gradient correctness is always checked against central finite differences
-computed here, independently of the hvp_fd helper the library ships.
+computed here, independently of the hvp_fd helper the library ships; the
+exact ``hvp`` against the quadratic's own Hessian and central differences of
+the gradient.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from flatmin.objectives import (
     RosenbrockObjective,
     eval_grad,
     eval_loss,
+    hvp,
     hvp_fd,
     load_dataset,
     norm,
@@ -295,6 +298,111 @@ def test_hvp_with_given_base_gradient_is_bit_identical(name, obj, theta):
     v = np.random.default_rng(9).standard_normal(obj.dim)
     given = hvp_fd(obj, theta, v, g0=eval_grad(obj, theta))
     assert np.array_equal(given, hvp_fd(obj, theta, v))
+
+
+# ------------------------------------------- exact Hessian-vector products
+
+
+def scale_of(x):
+    return max(1.0, float(np.abs(x).max()))
+
+
+@pytest.mark.parametrize(
+    "curvature",
+    [np.array([2.0, 8.0, -0.5]), random_spd_matrix(5, np.random.default_rng(4))],
+    ids=["diag", "matrix"],
+)
+def test_exact_hvp_is_the_quadratic_hessian_product(curvature):
+    obj = QuadraticObjective(curvature)
+    rng = np.random.default_rng(6)
+    theta = rng.standard_normal(obj.dim)
+    for v in rng.standard_normal((4, obj.dim)):
+        want = obj.hessian() @ v
+        assert np.abs(hvp(obj, theta, v) - want).max() <= 1e-12 * scale_of(want)
+
+
+def central_diff_hvp(obj, theta, v, h=1e-5):
+    """Independent Hessian-vector product: central differences of the gradient."""
+    return (eval_grad(obj, theta + h * v) - eval_grad(obj, theta - h * v)) / (2 * h)
+
+
+def test_exact_hvp_matches_central_differences_on_rosenbrock():
+    obj = RosenbrockObjective(5)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        theta = rng.uniform(-1.5, 1.5, size=5)
+        v = rng.standard_normal(5)
+        want = central_diff_hvp(obj, theta, v)
+        assert np.abs(hvp(obj, theta, v) - want).max() <= 1e-6 * scale_of(want)
+
+
+def test_exact_hvp_matches_central_differences_on_the_double_well():
+    obj = DoubleWellObjective()
+    crossings = obj.crossing_points()
+    rng = np.random.default_rng(2)
+    checked = 0
+    while checked < 20:
+        x = rng.uniform(-3.0, 3.0)
+        if crossings.size and np.abs(crossings - x).min() < 0.05:
+            continue
+        theta, v = np.array([x]), rng.standard_normal(1)
+        want = central_diff_hvp(obj, theta, v)
+        assert np.abs(hvp(obj, theta, v) - want).max() <= 1e-9 * scale_of(want)
+        checked += 1
+    # at a crossing the first basin wins, as it does for the gradient
+    for x in crossings:
+        assert hvp(obj, np.array([x]), np.array([2.0]))[0] == 2.0 * obj.curvatures[0]
+
+
+@pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
+def test_exact_hvp_is_linear_in_the_direction(name, obj, theta):
+    # unlike hvp_fd, whose step along v / |v| makes it depend on v's direction
+    # beyond the Hessian
+    rng = np.random.default_rng(10)
+    u, w = rng.standard_normal((2, obj.dim))
+    combined = hvp(obj, theta, 3.0 * u - 0.25 * w)
+    parts = 3.0 * hvp(obj, theta, u) - 0.25 * hvp(obj, theta, w)
+    assert np.abs(combined - parts).max() <= 1e-12 * scale_of(parts)
+    assert np.abs(hvp(obj, theta, 1e-3 * u) - 1e-3 * hvp(obj, theta, u)).max() <= 1e-15 * scale_of(
+        parts
+    )
+
+
+@pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
+def test_exact_hvp_of_a_block_is_each_rows_product(name, obj, theta):
+    # 7 rows: an MLP's R-op takes them in blocks, the last one short
+    block = np.random.default_rng(11).standard_normal((7, obj.dim))
+    got = hvp(obj, theta, block)
+    assert got.shape == block.shape
+    rows = np.stack([hvp(obj, theta, v) for v in block])
+    assert np.abs(got - rows).max() <= 1e-12 * scale_of(rows)
+    assert np.array_equal(hvp(obj, theta, block[:1]), hvp(obj, theta, block[0])[None, :])
+
+
+def test_exact_hvp_makes_no_loss_or_gradient_call(monkeypatch):
+    obj = MLPObjective((2, 5, 3), tiny_dataset())
+
+    def no_call(*args, **kwargs):
+        raise AssertionError("hvp called the loss or the gradient")
+
+    monkeypatch.setattr(MLPObjective, "_loss", no_call)
+    monkeypatch.setattr(MLPObjective, "_grad", no_call)
+    hvp(obj, np.random.default_rng(0).standard_normal(obj.dim), np.ones(obj.dim))
+
+
+def test_exact_hvp_checks_like_eval_grad():
+    obj = MLPObjective((2, 5, 3), tiny_dataset())
+    theta = np.zeros(obj.dim)
+    for v in (np.zeros(obj.dim + 1), np.zeros((3, obj.dim - 1)), np.zeros((2, 3, obj.dim))):
+        with pytest.raises(DimensionError):
+            hvp(obj, theta, v)
+    with pytest.raises(DimensionError):
+        hvp(obj, np.zeros(obj.dim + 1), np.zeros(obj.dim))
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        hvp(obj, np.full(obj.dim, np.nan), np.ones(obj.dim))
+    quad = QuadraticObjective(np.array([2.0, 8.0]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        hvp(quad, np.zeros(2), np.array([[1.0, 1.0], [1e308, 1e308]]))
 
 
 # ------------------------------------------------ plain MLP reference
