@@ -92,7 +92,7 @@ TRAJECTORY_HASHES = {
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "49a35b14fcc410c73c5b5c706566e2dd7398adcda21a333e23abd5aa2ac6cd2a",
+    "bench.json": "ebad791d3c2284b44dde7ffd7437da704312fd1ef3a9d68c3d1dee80dd98a7ed",
 }
 
 
@@ -196,10 +196,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "b22bf9601ce107d6268b2d9e17cd903ed7da9fb84e4ff1172ed349a7f0f874d7",
-    ("init", "small"): "ca372dd5defc906d9a664f9bbac0c8cad7761f03d58c6a61a7509c77a661d530",
-    ("fad", "full"): "ec7ecb997c152bebc1698788071eb6f5400e4150bb37f24a316468d1f3a88e12",
-    ("fad", "small"): "a29159fda5d85676a49eedab6e221ecfc887ec7d17b1b69c50718ebb2eb52ded",
+    ("init", "full"): "8a675f2a15f0795423980d3cbe012ee1d0288287614030f180a77d370fbef800",
+    ("init", "small"): "09b57f2c97f7cdf7d1c33faea5ddccc5ad92423ce2e3b7f300efdea2a786d671",
+    ("fad", "full"): "8260ab4c12a073e0b9f4722631fac146b8833c77f731233f56b80168901386a6",
+    ("fad", "small"): "39f33181227a8c9fbbafe063d7626e3f3a61be7fac5dac67045429227eaad84b",
 }
 
 
@@ -286,8 +286,8 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "f16517db4cfdb00477ddcafbfedd77411e16f6301766c809b906cc4cf910dac5",
-    "mlp": "97bc6b12e692cdec102da40fc4e2d332ef459f9c9d2da6ba7a56b11bcc743c39",
+    "quadratic": "c49862f8c1f7ecc205b251ade835eed71e543e3e8a8333cb3c382a615e974db9",
+    "mlp": "73df22ec959f40a3c0e1876026dc4a9e6891e5c199397ca3b552f64cd23f14dc",
 }
 
 
