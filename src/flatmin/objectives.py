@@ -1,9 +1,10 @@
-"""Loss surfaces and their exact first-order oracles.
+"""Loss surfaces and their exact oracles.
 
 Every objective exposes a scalar loss and an analytic gradient over a flat
-float64 parameter vector, optionally restricted to a minibatch of a dataset.
-Analytic test functions (quadratic, rosenbrock, double_well) ignore batches;
-the mlp objective evaluates an empirical mean over the selected rows.
+float64 parameter vector, optionally restricted to a minibatch of a dataset,
+and exact Hessian-vector products of its full-data loss. Analytic test
+functions (quadratic, rosenbrock, double_well) ignore batches; the mlp
+objective evaluates an empirical mean over the selected rows.
 
 All evaluations are pure: repeated calls with the same arguments return
 bitwise-identical results. An ``MLPObjective`` keeps the rows it gathered for
@@ -170,7 +171,8 @@ def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) ->
 
 
 class Objective:
-    """Scalar loss with an analytic gradient over a flat parameter vector."""
+    """Scalar loss with an analytic gradient and exact Hessian-vector products
+    over a flat parameter vector."""
 
     kind: str = "abstract"
     dim: int = 0

@@ -363,9 +363,6 @@ def test_exact_hvp_is_linear_in_the_direction(name, obj, theta):
     combined = hvp(obj, theta, 3.0 * u - 0.25 * w)
     parts = 3.0 * hvp(obj, theta, u) - 0.25 * hvp(obj, theta, w)
     assert np.abs(combined - parts).max() <= 1e-12 * scale_of(parts)
-    assert np.abs(hvp(obj, theta, 1e-3 * u) - 1e-3 * hvp(obj, theta, u)).max() <= 1e-15 * scale_of(
-        parts
-    )
 
 
 @pytest.mark.parametrize("name,obj,theta", KINDS, ids=[k[0] for k in KINDS])
