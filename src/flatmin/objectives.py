@@ -40,8 +40,11 @@ IntVector = NDArray[np.int64]
 # finite-difference step of ``hvp_fd``, applied along a normalized direction
 FD_STEP = 1e-4
 
-# directions an MLP's R-op carries through the network at once: a few keep the
-# per-block numpy overhead down, more only move more memory per pass
+# directions an MLP's R-op carries through the network at once. 64 probes at a
+# trained README-task point (2-16-3, 450 rows, 2-core host) took a median 3.20,
+# 2.64, 2.75 and 4.79 ms in blocks of 2, 4, 8 and 16: smaller blocks make more
+# numpy calls, larger ones move larger [block, width, rows] arrays, and peak RSS
+# grew by 0.1, 0.6, 1.5 and 3.1 MB
 HVP_BLOCK = 4
 
 
@@ -70,8 +73,8 @@ class Dataset:
     domain_ids: IntVector
 
     def __post_init__(self) -> None:
-        # C order, like the row copies a batch takes, so full-data and batch
-        # products run the same kernels
+        # row-major, one row per sample, in C order; an MLPObjective runs on
+        # its own feature-major copy, so this order does not reach its kernels
         inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         domains = np.asarray(self.domain_ids, dtype=np.int64)
@@ -425,6 +428,10 @@ class MLPObjective(Objective):
     ``layer_sizes`` lists (input_dim, hidden..., num_classes); parameters are a
     flat vector packing each layer's weight matrix then bias. The gradient is
     exact reverse-mode differentiation of the batch-mean loss.
+
+    The passes hold their activations feature-major, as ``[units, rows]``
+    C-order arrays, so that every elementwise op and reduction runs along the
+    long rows axis; ``logits`` still returns ``[rows, classes]``.
     """
 
     kind = "mlp"
@@ -444,12 +451,15 @@ class MLPObjective(Objective):
         self.layer_sizes = sizes
         self.dataset = dataset
         self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
-        # a call's rows record: its rows, their inputs, and the flat index of each
-        # row's label logit in the [rows, classes] logits; this one is full data
+        # the inputs as one C-order [features, n] array, which batches gather from
+        self._inputs = np.ascontiguousarray(dataset.inputs.T)
+        # a call's rows record: its rows, their [features, rows] inputs, and the
+        # flat index ``label * rows + position`` of each row's label logit in
+        # the [classes, rows] logits; this one is full data
         rows = np.arange(dataset.n, dtype=np.int64)
-        pick = rows * sizes[-1] + dataset.labels
+        pick = dataset.labels * dataset.n + rows
         rows.flags.writeable = pick.flags.writeable = False
-        self._all = (rows, dataset.inputs, pick)
+        self._all = (rows, self._inputs, pick)
         # the last batch's record, kept while the same read-only
         # ``Batch.indices`` array comes back; it starts as the full data's,
         # whose rows no batch holds
@@ -482,21 +492,22 @@ class MLPObjective(Objective):
     def _layer_outputs(
         layers: list[tuple[Matrix, Vector]], inputs: Matrix
     ) -> tuple[list[Matrix], Matrix]:
-        """The input of each layer, then the logits."""
+        """The input of each layer, then the logits, all ``[units, rows]``."""
         acts = [inputs]
         for w, b in layers[:-1]:
-            z = acts[-1] @ w
-            z += b
+            z = w.T @ acts[-1]
+            z += b[:, None]
             acts.append(np.tanh(z, out=z))
         w, b = layers[-1]
-        logits = acts[-1] @ w
-        logits += b
+        logits = w.T @ acts[-1]
+        logits += b[:, None]
         return acts, logits
 
     def logits(self, theta: Vector, inputs: Matrix) -> Matrix:
+        """The ``[rows, classes]`` logits of ``[rows, features]`` inputs."""
         theta = _as_param_vector(theta, self.dim)
-        inputs = np.asarray(inputs, dtype=np.float64)
-        return self._layer_outputs(self._unpack(theta), inputs)[1]
+        inputs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64).T)
+        return self._layer_outputs(self._unpack(theta), inputs)[1].T
 
     def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector]:
         if batch is None:
@@ -509,22 +520,18 @@ class MLPObjective(Objective):
             if idx.min() < 0 or idx.max() >= data.n:
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
-            pick = np.arange(idx.size) * self.layer_sizes[-1] + data.labels[idx]
-            self._batch = (idx, data.inputs[idx], pick)
+            pick = data.labels[idx] * idx.size + np.arange(idx.size)
+            self._batch = (idx, self._inputs.take(idx, axis=1), pick)
         return self._batch
 
     def _forward(
         self, theta: Vector, rows: tuple
     ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], Matrix]:
-        """Layers, activations, and the logits shifted by their row maximum."""
+        """Layers, activations, and the logits shifted by each row's maximum."""
         layers = self._unpack(theta)
         acts, logits = self._layer_outputs(layers, rows[1])
-        # the row maximum as a chain over the few columns: the same values as
-        # ``logits.max(axis=1)``, without the cost of a reduction along a short axis
-        top = logits[:, 0]
-        for j in range(1, logits.shape[1]):
-            top = np.maximum(top, logits[:, j])
-        return layers, acts, logits - top[:, None]
+        logits -= logits.max(axis=0)
+        return layers, acts, logits
 
     @staticmethod
     def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
@@ -539,29 +546,29 @@ class MLPObjective(Objective):
         expz: Matrix,
         expsum: Vector,
     ) -> Vector:
-        delta = expz / expsum[:, None]
+        delta = expz / expsum
         # delta is a fresh C-order array, so the reshape is a view of it
         delta.reshape(-1)[pick] -= 1.0
-        delta /= expz.shape[0]
+        delta /= pick.size
         # each layer's weight then bias gradient is written in place, last layer first
         grad = np.empty(self.dim)
         end = grad.size
         for li in range(len(layers) - 1, -1, -1):
             w, b = layers[li]
-            delta.sum(axis=0, out=grad[end - b.size : end])
+            delta.sum(axis=1, out=grad[end - b.size : end])
             end -= b.size + w.size
-            np.matmul(acts[li].T, delta, out=grad[end : end + w.size].reshape(w.shape))
+            np.matmul(acts[li], delta.T, out=grad[end : end + w.size].reshape(w.shape))
             if li > 0:
                 dtanh = acts[li] * acts[li]
                 np.subtract(1.0, dtanh, out=dtanh)
-                delta = delta @ w.T
+                delta = w @ delta
                 delta *= dtanh
         return grad
 
     def _loss(self, theta: Vector, rows: tuple) -> float:
         _, acts, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
-        expsum = expz.sum(axis=1)
+        expsum = expz.sum(axis=0)
         # the bytes, not the array, since a caller may write theta in place
         self._loss_pass = (theta.tobytes(), rows, acts, expz, expsum)
         return self._mean_nll(shifted, expsum, rows[2])
@@ -573,39 +580,36 @@ class MLPObjective(Objective):
             return self._backward(self._unpack(theta), kept[2], rows[2], *kept[3:])
         layers, acts, shifted = self._forward(theta, rows)
         expz = np.exp(shifted)
-        return self._backward(layers, acts, rows[2], expz, expz.sum(axis=1))
+        return self._backward(layers, acts, rows[2], expz, expz.sum(axis=0))
 
     def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
         """Pearlmutter's R-op: the directional derivative of the gradient's
         forward and backward pass along each row of ``v``.
 
         What the R-op reads of the point is computed once: the activations, the
-        softmax's Jacobian, and per layer its backward ``delta``, ``1 - a^2`` and
-        ``-2a * (delta @ w.T)``. The directions then go through in blocks of
-        ``HVP_BLOCK`` as ``[n, block, width]`` arrays: their products with the
-        layers and the point's arrays are 2-D matrix products, and the softmax
-        step is one product with each row's Jacobian.
+        softmax probabilities, and per layer its backward ``delta``, ``1 - a^2``
+        and ``-2a * (w @ delta)``. The directions then go through in blocks of
+        ``HVP_BLOCK`` as ``[block, width, rows]`` arrays. The softmax step is
+        ``q - p * sum_c q`` with ``q = p * r_z / n``: each row's Jacobian
+        ``(diag(p) - p p^T) / n`` applied without forming it.
         """
         rows = self._all
         layers, acts, shifted = self._forward(theta, rows)
-        n, depth = shifted.shape[0], len(layers)
+        n, depth = shifted.shape[1], len(layers)
         expz = np.exp(shifted)
-        prob = expz / expz.sum(axis=1)[:, None]
+        prob = expz / expz.sum(axis=0)
         delta = prob.copy()
         delta.reshape(-1)[rows[2]] -= 1.0
         delta /= n
-        # each row's softmax Jacobian diag(p) - p p^T, over the row count of the mean
-        jac = -prob[:, :, None] * prob[:, None, :]
-        jac.reshape(n, -1)[:, :: prob.shape[1] + 1] += prob
-        jac /= n
-        # each layer's input with a column of ones, so that one product applies
+        prob_over_n = prob / n
+        # each layer's input with a row of ones, so that one product applies
         # a direction's weight rows and the bias row after them
-        inputs = [np.hstack([a, np.ones((n, 1))]) for a in acts]
+        inputs = [np.vstack([a, np.ones((1, n))]) for a in acts]
         deltas: list = [None] * (depth - 1) + [delta]
         slopes: list = [None] * depth
         curls: list = [None] * depth
         for li in range(depth - 1, 0, -1):
-            back = deltas[li] @ layers[li][0].T
+            back = layers[li][0] @ deltas[li]
             slopes[li] = 1.0 - acts[li] * acts[li]
             curls[li] = -2.0 * acts[li] * back
             deltas[li - 1] = back * slopes[li]
@@ -621,31 +625,32 @@ class MLPObjective(Objective):
                 start, end = end, end + (fan_in + 1) * fan_out
                 d_wb = block[:, start:end].reshape(size, fan_in + 1, fan_out)
                 spans.append((start, end, d_wb))
-                r_z = inputs[li] @ d_wb.transpose(1, 0, 2).reshape(fan_in + 1, -1)
-                r_z = r_z.reshape(n, size, fan_out)
+                r_z = d_wb.transpose(0, 2, 1).reshape(-1, fan_in + 1) @ inputs[li]
+                r_z = r_z.reshape(size, fan_out, n)
                 if r_acts[li] is not None:
-                    r_z += (r_acts[li].reshape(-1, fan_in) @ w).reshape(r_z.shape)
+                    r_z += w.T @ r_acts[li]
                 if li + 1 < depth:
-                    r_z *= slopes[li + 1][:, None, :]
+                    r_z *= slopes[li + 1]
                     r_acts.append(r_z)
-            r_delta = np.matmul(r_z, jac)
+            q = r_z * prob_over_n
+            r_delta = q - prob * q.sum(axis=1, keepdims=True)
             # backward, last layer first, as in ``_backward``
             for li in range(depth - 1, -1, -1):
                 w = layers[li][0]
                 fan_in, fan_out = w.shape
                 start, end, d_wb = spans[li]
-                r_wb = inputs[li].T @ r_delta.reshape(n, -1)
+                r_wb = inputs[li] @ r_delta.reshape(-1, n).T
                 r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
                 if r_acts[li] is not None:
-                    r_w = r_acts[li].reshape(n, -1).T @ deltas[li]
+                    r_w = r_acts[li].reshape(-1, n) @ deltas[li].T
                     r_wb[:, :fan_in] += r_w.reshape(size, fan_in, fan_out)
                 result[:, start:end] = r_wb.reshape(size, -1)
                 if li > 0:
-                    d_w = d_wb[:, :fan_in].transpose(2, 0, 1).reshape(fan_out, -1)
-                    r_back = (r_delta.reshape(-1, fan_out) @ w.T).reshape(n, size, fan_in)
-                    r_back += (deltas[li] @ d_w).reshape(r_back.shape)
-                    r_back *= slopes[li][:, None, :]
-                    r_acts[li] *= curls[li][:, None, :]
+                    d_w = d_wb[:, :fan_in].reshape(-1, fan_out)
+                    r_back = w @ r_delta
+                    r_back += (d_w @ deltas[li]).reshape(r_back.shape)
+                    r_back *= slopes[li]
+                    r_acts[li] *= curls[li]
                     r_back += r_acts[li]
                     r_delta = r_back
         return out

@@ -405,14 +405,56 @@ def test_exact_hvp_checks_like_eval_grad():
 # ------------------------------------------------ plain MLP reference
 
 
-def reference_forward(sizes, theta, inputs):
-    """Layers, the input of each layer, and the logits, written plainly."""
+def unpack_layers(sizes, theta):
     layers, off = [], 0
     for fi, fo in zip(sizes[:-1], sizes[1:]):
         w = theta[off : off + fi * fo].reshape(fi, fo)
         off += fi * fo
         layers.append((w, theta[off : off + fo]))
         off += fo
+    return layers
+
+
+def reference_forward(sizes, theta, inputs):
+    """Layers, the input of each layer, and the logits, written plainly in
+    the oracle's feature-major layout: every array is [units, rows]."""
+    layers = unpack_layers(sizes, theta)
+    acts = [np.ascontiguousarray(inputs.T)]
+    for w, b in layers[:-1]:
+        acts.append(np.tanh(w.T @ acts[-1] + b[:, None]))
+    w, b = layers[-1]
+    return layers, acts, w.T @ acts[-1] + b[:, None]
+
+
+def reference_loss_and_grad(obj, theta, batch):
+    """Mean cross-entropy and its gradient with each row's maximum taken by
+    ``max(axis=0)``, the label logits picked by a (label, column) index and
+    the class sums over axis 0."""
+    data = obj.dataset
+    rows = np.arange(data.n) if batch is None else batch.indices
+    inputs = data.inputs if batch is None else data.inputs[rows]
+    layers, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
+    shifted = logits - logits.max(axis=0)
+    pick = (data.labels[rows], np.arange(rows.size))
+    expz = np.exp(shifted)
+    expsum = expz.sum(axis=0)
+    loss = float(np.mean(np.log(expsum) - shifted[pick]))
+    delta = expz / expsum
+    delta[pick] -= 1.0
+    delta /= rows.size
+    grads = []
+    for li in range(len(layers) - 1, -1, -1):
+        w, _ = layers[li]
+        grads[:0] = [(acts[li] @ delta.T).ravel(), delta.sum(axis=1)]
+        if li > 0:
+            delta = (w @ delta) * (1.0 - acts[li] * acts[li])
+    return loss, np.concatenate(grads)
+
+
+def row_major_forward(sizes, theta, inputs):
+    """The same network with every array [rows, units]: an independent check
+    of the layout, equal up to rounding."""
+    layers = unpack_layers(sizes, theta)
     acts = [inputs]
     for w, b in layers[:-1]:
         acts.append(np.tanh(acts[-1] @ w + b))
@@ -420,13 +462,13 @@ def reference_forward(sizes, theta, inputs):
     return layers, acts, acts[-1] @ w + b
 
 
-def reference_loss_and_grad(obj, theta, batch):
-    """Mean cross-entropy and its gradient with the row maximum taken by
+def row_major_loss_and_grad(obj, theta, batch):
+    """Mean cross-entropy and its gradient with each row's maximum taken by
     ``max(axis=1)`` and the label logits picked by a (row, label) index."""
     data = obj.dataset
     rows = np.arange(data.n) if batch is None else batch.indices
     inputs = data.inputs if batch is None else data.inputs[rows]
-    layers, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
+    layers, acts, logits = row_major_forward(obj.layer_sizes, theta, inputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
     pick = (np.arange(rows.size), data.labels[rows])
     expz = np.exp(shifted)
@@ -442,6 +484,10 @@ def reference_loss_and_grad(obj, theta, batch):
         if li > 0:
             delta = (delta @ w.T) * (1.0 - acts[li] * acts[li])
     return loss, np.concatenate(grads)
+
+
+def assert_close(got, want, rel=1e-12):
+    assert np.abs(np.asarray(got) - want).max() <= rel * np.abs(want).max()
 
 
 @st.composite
@@ -474,7 +520,18 @@ def test_mlp_oracle_matches_the_plain_reference_bit_for_bit(case):
         assert eval_loss(obj, theta, rows) == loss
         assert np.array_equal(eval_grad(obj, theta, rows), grad)
     logits = reference_forward(obj.layer_sizes, theta, inputs)[2]
-    assert np.array_equal(obj.logits(theta, inputs), logits)
+    assert np.array_equal(obj.logits(theta, inputs), logits.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mlp_cases())
+def test_mlp_oracle_matches_the_row_major_reference(case):
+    obj, inputs, theta, batch = case
+    for rows in (None, batch):
+        loss, grad = row_major_loss_and_grad(obj, theta, rows)
+        assert_close(eval_loss(obj, theta, rows), loss)
+        assert_close(eval_grad(obj, theta, rows), grad)
+    assert_close(obj.logits(theta, inputs), row_major_forward(obj.layer_sizes, theta, inputs)[2])
 
 
 # ------------------------------------ the last-batch and last-loss memos
