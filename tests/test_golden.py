@@ -70,29 +70,29 @@ SCHEDULED = {
 
 TRAJECTORY_HASHES = {
     "constant": {
-        "sgd": "1df414a1b644833d458335564f0d62122e6180c3a392c270029c640ed41a7f06",
-        "momentum_sgd": "7a1f2415e6fefdd04637162f0cbbe93c2cd8570561c8af70e3c193aa9e46e0f4",
-        "adam": "596ef1b47956d90fa06dc02b1153d9832c50b54cbffc7948889b546cecc906d5",
-        "adamw": "e45958d60d32e621727aba1985edb55c16ef27a516dc05ab1e7bb12681b51a8c",
-        "sam": "5f1922e27a28b0f8908b2f3533c81cff68d81ad5c40da110b4c5570c756cfca0",
-        "gam": "853163b307040db21a148a1cf743629e70b2b39b8002152c45cc228e30185217",
-        "fad": "35e6453c7b646cf44951345d595d6ce3b984979b192dd6155b2655d3c9d97193",
+        "sgd": "75b90ade0a88a3c8fbb26e67b13251741dbeff2796cec5f7f5322943abc7c17d",
+        "momentum_sgd": "c0ae36c25493a956004964230c3e460e65e14269f6e678c7ea07e064e9b42f6c",
+        "adam": "9586436cbf6bf95d522e387f41b75917259ee937b626bd134ae8e36dac0882fa",
+        "adamw": "798953b9776835ee2f4fdbbda9f7096f12432a4c0f5086079e484fca00defb6c",
+        "sam": "24389bfe23c15d7e7ab37de5e59102d629ca03f858f5b27fb90a56f60bde8d65",
+        "gam": "556c09d15290f94dbec46e7ad4d846b236b466322b67e0ccb4e6bcb5a8e57116",
+        "fad": "f3e804733fa9e216ced78dde86300e844dc039f41ff7158062473564577608bc",
     },
     "inverse_sqrt": {
-        "sgd": "a0590fa04c29d1bf1bea20c64815a3d55ed78b4faf0d8e8e8ef8d92253e1d91e",
-        "momentum_sgd": "c7ecab0e6a36b9e028bf7a47768f2675702152b10c48af3741fa620e8686bd8f",
-        "adam": "ac258ae22eb084be4d28a5423dc645863bd00b7449cfb08c91b917e62a688972",
-        "adamw": "7017799236932fa87dc5226a7b29c59c203242ebb1c4d86d730bc9f734d1b059",
-        "sam": "ca1e740b7ad0241e5a80a33d28adb23317545297fed2ff53f43f5141d9f0adbb",
-        "gam": "c5f7097893563dc3503ae93ddb3af9b7133651db9aa6abc6fd68741133bffc77",
-        "fad": "f51138322007c03a93056a71c93b4864c59cb6ee8f310d636d9e0253917963c1",
+        "sgd": "4e363c59e5b89689bf1b915f084093d76dc19218ca1afa35115a347e3b30fdbe",
+        "momentum_sgd": "d07b4377ad807fc1f369dda0b130de2149d34111b74cbc99bd58995fa228200d",
+        "adam": "4808b8e52acc4400bf9c84a03d178d846d654903b90e42f33174a65a69b09e62",
+        "adamw": "cd4f0a97171b160d5ab40ce4fa2735f8db0b530efaa53a859dee1cd2a423db63",
+        "sam": "e4aad48cfd42057ebeecc431550af339ac04fd52f91243f6b1a04942fffa13c6",
+        "gam": "bbcf73d435b0f85742188d03ee6e17e1e16c79a99d53bf4cd29efe071fddb30a",
+        "fad": "11579bda59b71201a4780ef051cc4bce64e139d65d56a81fa9a4ba83abc94dd2",
     },
 }
 
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "ebad791d3c2284b44dde7ffd7437da704312fd1ef3a9d68c3d1dee80dd98a7ed",
+    "bench.json": "fda7ae5263d9c55c6dfb8fce363a7b7f93a83f1be6115cc25a89b96f81db6638",
 }
 
 
@@ -158,12 +158,12 @@ def test_bench_files_are_unchanged(tmp_path):
 
 
 ORACLE_HASHES = {
-    ("readme", "full"): "0a352a0de6235360f3e3d4f72db84103542ed84db62017ce8c067ae49dea1ce3",
-    ("readme", "repeats"): "41ee06994f75bf82f197267dd849d4e601aee866f25738a3ef59e9f381e8721c",
-    ("ten_class", "full"): "0b4861117e3f66441052f4729f7fa506934b0870dac1f2058a75e275467948ff",
-    ("ten_class", "repeats"): "213e7589005ce54c76b7a3d0d3a41ab7a008b22051d91c4b622a152a837d1cea",
-    ("width_one", "full"): "0c867de76a236f954e96f1cd7220e9f61bb7e68b83efe5540332776a000dca43",
-    ("width_one", "repeats"): "378d529eb1818e9ac56c01b1d155afa0c97c921199b7746a4b59c9c5144faa42",
+    ("readme", "full"): "57e28477c4101950b191d2cad4c69a1b2f4ff95d30baa6250e4c26231837a34e",
+    ("readme", "repeats"): "470f87a402886436d980d9c087873da1019565644a3c911325724b2b16bf3d70",
+    ("ten_class", "full"): "174a10f76b06a6287277bf6a504b5c46490adf489615cf6a01d31f916ad41c6d",
+    ("ten_class", "repeats"): "919bd920e2f6b9a86c0c7f96752f7abbc83bfb36de941a7aa6fb313e0fde44fd",
+    ("width_one", "full"): "b7a6305017f396d92810a103c48ffa92d5148579aa42d2ed7727bfd0a4b8f5fd",
+    ("width_one", "repeats"): "05fe3fcb94854561cf5d9afbb0702dff854bfb5db46c10d7b831a04a012c60d8",
 }
 
 
@@ -196,10 +196,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "8a675f2a15f0795423980d3cbe012ee1d0288287614030f180a77d370fbef800",
-    ("init", "small"): "09b57f2c97f7cdf7d1c33faea5ddccc5ad92423ce2e3b7f300efdea2a786d671",
-    ("fad", "full"): "8260ab4c12a073e0b9f4722631fac146b8833c77f731233f56b80168901386a6",
-    ("fad", "small"): "39f33181227a8c9fbbafe063d7626e3f3a61be7fac5dac67045429227eaad84b",
+    ("init", "full"): "8130b5cf680d5554766bb51621b06556414fdf69d35e792293e3a98ea7091b43",
+    ("init", "small"): "664e0965f8373af0c09cebe75c3fb1ba9d0c5866caa26bbe686a36d2781f5c9c",
+    ("fad", "full"): "e73bad359b6bb6b2e393d32f6b683437bf42036c3c952775fbf1cc5bc4275f98",
+    ("fad", "small"): "f6e9a254a59626fff09054f1ca7f27556f2547ad6f670a147a5eb70948ce9f0d",
 }
 
 
@@ -251,7 +251,7 @@ CONVERGE_DOCS = {
 
 CONVERGE_HASHES = {
     "quadratic": "6860919394f3ff14dcb69fd7cc7bfb988141b484c5706a95b36b18720614c798",
-    "mlp": "eb144ca1b23cc1afc16d2500419e2bf86263369e58838c5c12d0af18bd58ab7d",
+    "mlp": "b842b80172b31591588be9e91343b639b28cd6e3c15be43bf6fcb90ed4a32312",
 }
 
 
@@ -287,7 +287,7 @@ FLATNESS_DOCS = {
 
 FLATNESS_HASHES = {
     "quadratic": "c49862f8c1f7ecc205b251ade835eed71e543e3e8a8333cb3c382a615e974db9",
-    "mlp": "73df22ec959f40a3c0e1876026dc4a9e6891e5c199397ca3b552f64cd23f14dc",
+    "mlp": "41a7e09ab7f8cb0bff4b4bc5c636976fd33682d5cb8713d7a0ced99637689d4c",
 }
 
 
