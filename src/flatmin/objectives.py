@@ -451,15 +451,14 @@ class MLPObjective(Objective):
         self.layer_sizes = sizes
         self.dataset = dataset
         self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
-        # the inputs as one C-order [features, n] array, which batches gather from
-        self._inputs = np.ascontiguousarray(dataset.inputs.T)
-        # a call's rows record: its rows, their [features, rows] inputs, and the
-        # flat index ``label * rows + position`` of each row's label logit in
-        # the [classes, rows] logits; this one is full data
+        # a call's rows record: its rows, their inputs as a C-order
+        # [features, rows] array, and the flat index ``label * rows + position``
+        # of each row's label logit in the [classes, rows] logits; this one is
+        # full data, and a batch gathers its inputs from it
         rows = np.arange(dataset.n, dtype=np.int64)
         pick = dataset.labels * dataset.n + rows
         rows.flags.writeable = pick.flags.writeable = False
-        self._all = (rows, self._inputs, pick)
+        self._all = (rows, np.ascontiguousarray(dataset.inputs.T), pick)
         # the last batch's record, kept while the same read-only
         # ``Batch.indices`` array comes back; it starts as the full data's,
         # whose rows no batch holds
@@ -521,7 +520,7 @@ class MLPObjective(Objective):
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
             pick = data.labels[idx] * idx.size + np.arange(idx.size)
-            self._batch = (idx, self._inputs.take(idx, axis=1), pick)
+            self._batch = (idx, self._all[1].take(idx, axis=1), pick)
         return self._batch
 
     def _forward(
