@@ -9,9 +9,11 @@ objective evaluates an empirical mean over the selected rows.
 All evaluations are pure: repeated calls with the same arguments return
 bitwise-identical results. An ``MLPObjective`` keeps the rows it gathered for
 the last batch it saw, so that the several calls one optimizer step makes on
-a batch gather them once, and it keeps what a loss call's forward pass
-computed, so that a gradient at the same point and rows right after it runs
-only the backward pass. Results do not depend on that state, but one
+a batch gather them once, and it keeps its last two forward passes, each
+with its gradient once one is asked for, until two passes at other points or
+rows have run since its last use: a loss, gradient or exact product at the
+same point and rows as a kept pass runs no forward pass, and a gradient there
+no backward pass either. Results do not depend on that state, but one
 objective is not for concurrent use.
 """
 
@@ -422,6 +424,21 @@ class DoubleWellObjective(Objective):
         return self.curvatures[self._basin(theta)] * v
 
 
+@dataclass(eq=False)
+class _Pass:
+    """What one forward pass of an ``MLPObjective`` computed, under the bytes of
+    its point and its rows record, and the gradient there once one is asked for."""
+
+    key: bytes
+    rows: tuple
+    layers: list[Matrix]
+    acts: list[Matrix]
+    shifted: Matrix
+    expz: Matrix
+    expsum: Vector
+    grad: Vector | None = None
+
+
 class MLPObjective(Objective):
     """Fully-connected tanh network with mean softmax cross-entropy loss.
 
@@ -429,9 +446,18 @@ class MLPObjective(Objective):
     flat vector packing each layer's weight matrix then bias. The gradient is
     exact reverse-mode differentiation of the batch-mean loss.
 
-    The passes hold their activations feature-major, as ``[units, rows]``
-    C-order arrays, so that every elementwise op and reduction runs along the
-    long rows axis; ``logits`` still returns ``[rows, classes]``.
+    Each layer is one ``[fan_in + 1, fan_out]`` block of that vector, its
+    weights with the bias as the last row, and each layer's input ends in a
+    row of ones, so that one product applies both and one product gives both
+    gradients. The passes hold their activations feature-major, as
+    ``[units, rows]`` C-order arrays, so that every elementwise op and
+    reduction runs along the long rows axis; ``logits`` still returns
+    ``[rows, classes]``.
+
+    The objective keeps its last two forward passes, the least recently used
+    one giving way to a new one; a loss, gradient or exact product at a kept
+    pass's point (by its bytes) and rows takes that pass, and a gradient there
+    returns a copy of the one first computed from it.
     """
 
     kind = "mlp"
@@ -452,20 +478,20 @@ class MLPObjective(Objective):
         self.dataset = dataset
         self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
         # a call's rows record: its rows, their inputs as a C-order
-        # [features, rows] array, and the flat index ``label * rows + position``
-        # of each row's label logit in the [classes, rows] logits; this one is
-        # full data, and a batch gathers its inputs from it
+        # [features + 1, rows] array whose last row is ones, and the flat index
+        # ``label * rows + position`` of each row's label logit in the
+        # [classes, rows] logits; this one is full data, and a batch gathers
+        # its inputs, ones included, from it
         rows = np.arange(dataset.n, dtype=np.int64)
         pick = dataset.labels * dataset.n + rows
         rows.flags.writeable = pick.flags.writeable = False
-        self._all = (rows, np.ascontiguousarray(dataset.inputs.T), pick)
+        self._all = (rows, self._with_ones(dataset.inputs.T), pick)
         # the last batch's record, kept while the same read-only
         # ``Batch.indices`` array comes back; it starts as the full data's,
         # whose rows no batch holds
         self._batch = self._all
-        # the last loss call's point as bytes, its rows record, and what its
-        # forward pass computed, until the next gradient call takes it
-        self._loss_pass: tuple | None = None
+        # the last two passes, the least recently used first
+        self._passes: list[_Pass] = []
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -476,36 +502,39 @@ class MLPObjective(Objective):
             chunks.append(np.zeros(fo))
         return np.concatenate(chunks)
 
-    def _unpack(self, theta: Vector) -> list[tuple[Matrix, Vector]]:
+    def _unpack(self, theta: Vector) -> list[Matrix]:
+        """Each layer's ``[fan_in + 1, fan_out]`` block of ``theta``."""
         layers = []
         off = 0
         for fi, fo in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            w = theta[off : off + fi * fo].reshape(fi, fo)
-            off += fi * fo
-            b = theta[off : off + fo]
-            off += fo
-            layers.append((w, b))
+            layers.append(theta[off : off + (fi + 1) * fo].reshape(fi + 1, fo))
+            off += (fi + 1) * fo
         return layers
 
     @staticmethod
-    def _layer_outputs(
-        layers: list[tuple[Matrix, Vector]], inputs: Matrix
-    ) -> tuple[list[Matrix], Matrix]:
-        """The input of each layer, then the logits, all ``[units, rows]``."""
+    def _with_ones(inputs: Matrix) -> Matrix:
+        """A C-order copy of ``[features, rows]`` inputs with a row of ones below."""
+        out = np.ones((inputs.shape[0] + 1, inputs.shape[1]))
+        out[:-1] = inputs
+        return out
+
+    @staticmethod
+    def _layer_outputs(layers: list[Matrix], inputs: Matrix) -> tuple[list[Matrix], Matrix]:
+        """The input of each layer, each with its row of ones, then the logits,
+        all ``[units, rows]``."""
         acts = [inputs]
-        for w, b in layers[:-1]:
-            z = w.T @ acts[-1]
-            z += b[:, None]
-            acts.append(np.tanh(z, out=z))
-        w, b = layers[-1]
-        logits = w.T @ acts[-1]
-        logits += b[:, None]
-        return acts, logits
+        for wb in layers[:-1]:
+            a = np.empty((wb.shape[1] + 1, inputs.shape[1]))
+            z = np.matmul(wb.T, acts[-1], out=a[:-1])
+            np.tanh(z, out=z)
+            a[-1] = 1.0
+            acts.append(a)
+        return acts, layers[-1].T @ acts[-1]
 
     def logits(self, theta: Vector, inputs: Matrix) -> Matrix:
         """The ``[rows, classes]`` logits of ``[rows, features]`` inputs."""
         theta = _as_param_vector(theta, self.dim)
-        inputs = np.ascontiguousarray(np.asarray(inputs, dtype=np.float64).T)
+        inputs = self._with_ones(np.asarray(inputs, dtype=np.float64).T)
         return self._layer_outputs(self._unpack(theta), inputs)[1].T
 
     def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector]:
@@ -523,111 +552,113 @@ class MLPObjective(Objective):
             self._batch = (idx, self._all[1].take(idx, axis=1), pick)
         return self._batch
 
-    def _forward(
-        self, theta: Vector, rows: tuple
-    ) -> tuple[list[tuple[Matrix, Vector]], list[Matrix], Matrix]:
+    def _forward(self, theta: Vector, rows: tuple) -> tuple[list[Matrix], list[Matrix], Matrix]:
         """Layers, activations, and the logits shifted by each row's maximum."""
         layers = self._unpack(theta)
         acts, logits = self._layer_outputs(layers, rows[1])
         logits -= logits.max(axis=0)
         return layers, acts, logits
 
+    def _pass(self, theta: Vector, rows: tuple) -> _Pass:
+        """The kept pass at ``theta``'s bytes and ``rows``, else a new one."""
+        key = theta.tobytes()
+        for kept in self._passes:
+            if kept.rows is rows and kept.key == key:
+                self._passes.remove(kept)
+                break
+        else:
+            # the layers view the key's own bytes, not theta, which a caller
+            # may write in place
+            layers, acts, shifted = self._forward(np.frombuffer(key), rows)
+            expz = np.exp(shifted)
+            kept = _Pass(key, rows, layers, acts, shifted, expz, expz.sum(axis=0))
+            del self._passes[:-1]
+        self._passes.append(kept)
+        return kept
+
     @staticmethod
     def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
         # np.mean's own arithmetic: the pairwise sum, then one division
         return float((np.log(expsum) - shifted.take(pick)).sum() / pick.size)
 
-    def _backward(
-        self,
-        layers: list[tuple[Matrix, Vector]],
-        acts: list[Matrix],
-        pick: IntVector,
-        expz: Matrix,
-        expsum: Vector,
-    ) -> Vector:
-        delta = expz / expsum
+    def _backward(self, kept: _Pass, pick: IntVector) -> Vector:
+        layers, acts = kept.layers, kept.acts
+        delta = kept.expz / kept.expsum
         # delta is a fresh C-order array, so the reshape is a view of it
         delta.reshape(-1)[pick] -= 1.0
         delta /= pick.size
-        # each layer's weight then bias gradient is written in place, last layer first
+        # each layer's weight-and-bias gradient is one product written in
+        # place, last layer first
         grad = np.empty(self.dim)
         end = grad.size
         for li in range(len(layers) - 1, -1, -1):
-            w, b = layers[li]
-            delta.sum(axis=1, out=grad[end - b.size : end])
-            end -= b.size + w.size
-            np.matmul(acts[li], delta.T, out=grad[end : end + w.size].reshape(w.shape))
+            wb = layers[li]
+            end -= wb.size
+            np.matmul(acts[li], delta.T, out=grad[end : end + wb.size].reshape(wb.shape))
             if li > 0:
-                dtanh = acts[li] * acts[li]
+                a = acts[li][:-1]
+                dtanh = a * a
                 np.subtract(1.0, dtanh, out=dtanh)
-                delta = w @ delta
+                delta = wb[:-1] @ delta
                 delta *= dtanh
         return grad
 
     def _loss(self, theta: Vector, rows: tuple) -> float:
-        _, acts, shifted = self._forward(theta, rows)
-        expz = np.exp(shifted)
-        expsum = expz.sum(axis=0)
-        # the bytes, not the array, since a caller may write theta in place
-        self._loss_pass = (theta.tobytes(), rows, acts, expz, expsum)
-        return self._mean_nll(shifted, expsum, rows[2])
+        kept = self._pass(theta, rows)
+        return self._mean_nll(kept.shifted, kept.expsum, rows[2])
 
     def _grad(self, theta: Vector, rows: tuple) -> Vector:
-        kept, self._loss_pass = self._loss_pass, None
-        if kept is not None and kept[1] is rows and kept[0] == theta.tobytes():
-            # the same inputs, so the forward pass would compute the same bits
-            return self._backward(self._unpack(theta), kept[2], rows[2], *kept[3:])
-        layers, acts, shifted = self._forward(theta, rows)
-        expz = np.exp(shifted)
-        return self._backward(layers, acts, rows[2], expz, expz.sum(axis=0))
+        kept = self._pass(theta, rows)
+        if kept.grad is None:
+            kept.grad = self._backward(kept, rows[2])
+        return kept.grad.copy()
 
     def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
         """Pearlmutter's R-op: the directional derivative of the gradient's
         forward and backward pass along each row of ``v``.
 
-        What the R-op reads of the point is computed once: the activations, the
-        softmax probabilities, and per layer its backward ``delta``, ``1 - a^2``
-        and ``-2a * (w @ delta)``. The directions then go through in blocks of
-        ``HVP_BLOCK`` as ``[block, width, rows]`` arrays. The softmax step is
-        ``q - p * sum_c q`` with ``q = p * r_z / n``: each row's Jacobian
+        What the R-op reads of the point is computed once: the full-data pass,
+        the softmax probabilities, and per layer its backward ``delta``,
+        ``1 - a^2`` and ``-2a * (w @ delta)``. The directions then go through in
+        blocks of ``HVP_BLOCK`` as ``[block, width, rows]`` arrays. The softmax
+        step is ``q - p * sum_c q`` with ``q = p * r_z / n``: each row's Jacobian
         ``(diag(p) - p p^T) / n`` applied without forming it.
         """
         rows = self._all
-        layers, acts, shifted = self._forward(theta, rows)
-        n, depth = shifted.shape[1], len(layers)
-        expz = np.exp(shifted)
-        prob = expz / expz.sum(axis=0)
+        kept = self._pass(theta, rows)
+        layers, acts = kept.layers, kept.acts
+        n, depth = kept.shifted.shape[1], len(layers)
+        prob = kept.expz / kept.expsum
         delta = prob.copy()
         delta.reshape(-1)[rows[2]] -= 1.0
         delta /= n
         prob_over_n = prob / n
-        # each layer's input with a row of ones, so that one product applies
-        # a direction's weight rows and the bias row after them
-        inputs = [np.vstack([a, np.ones((1, n))]) for a in acts]
         deltas: list = [None] * (depth - 1) + [delta]
         slopes: list = [None] * depth
         curls: list = [None] * depth
         for li in range(depth - 1, 0, -1):
-            back = layers[li][0] @ deltas[li]
-            slopes[li] = 1.0 - acts[li] * acts[li]
-            curls[li] = -2.0 * acts[li] * back
+            a = acts[li][:-1]
+            back = layers[li][:-1] @ deltas[li]
+            slopes[li] = 1.0 - a * a
+            curls[li] = -2.0 * a * back
             deltas[li - 1] = back * slopes[li]
         out = np.empty_like(v)
         for first in range(0, v.shape[0], HVP_BLOCK):
             block, result = v[first : first + HVP_BLOCK], out[first : first + HVP_BLOCK]
             size = block.shape[0]
-            # forward: r_acts[li] is the R-op of layer li's input, zero for the data
+            # forward: r_acts[li] is the R-op of layer li's input, zero for the
+            # data; each layer's input carries its row of ones, so one product
+            # applies a direction's weight rows and the bias row after them
             r_acts: list = [None]
             spans, end = [], 0
-            for li, (w, _) in enumerate(layers):
-                fan_in, fan_out = w.shape
-                start, end = end, end + (fan_in + 1) * fan_out
-                d_wb = block[:, start:end].reshape(size, fan_in + 1, fan_out)
+            for li, wb in enumerate(layers):
+                start, end = end, end + wb.size
+                d_wb = block[:, start:end].reshape(size, *wb.shape)
                 spans.append((start, end, d_wb))
-                r_z = d_wb.transpose(0, 2, 1).reshape(-1, fan_in + 1) @ inputs[li]
-                r_z = r_z.reshape(size, fan_out, n)
+                r_z = d_wb.transpose(0, 2, 1).reshape(-1, wb.shape[0]) @ acts[li]
+                r_z = r_z.reshape(size, wb.shape[1], n)
                 if r_acts[li] is not None:
-                    r_z += w.T @ r_acts[li]
+                    r_z += wb[:-1].T @ r_acts[li]
                 if li + 1 < depth:
                     r_z *= slopes[li + 1]
                     r_acts.append(r_z)
@@ -635,10 +666,10 @@ class MLPObjective(Objective):
             r_delta = q - prob * q.sum(axis=1, keepdims=True)
             # backward, last layer first, as in ``_backward``
             for li in range(depth - 1, -1, -1):
-                w = layers[li][0]
-                fan_in, fan_out = w.shape
+                wb = layers[li]
+                fan_in, fan_out = wb.shape[0] - 1, wb.shape[1]
                 start, end, d_wb = spans[li]
-                r_wb = inputs[li] @ r_delta.reshape(-1, n).T
+                r_wb = acts[li] @ r_delta.reshape(-1, n).T
                 r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
                 if r_acts[li] is not None:
                     r_w = r_acts[li].reshape(-1, n) @ deltas[li].T
@@ -646,7 +677,7 @@ class MLPObjective(Objective):
                 result[:, start:end] = r_wb.reshape(size, -1)
                 if li > 0:
                     d_w = d_wb[:, :fan_in].reshape(-1, fan_out)
-                    r_back = w @ r_delta
+                    r_back = wb[:-1] @ r_delta
                     r_back += (d_w @ deltas[li]).reshape(r_back.shape)
                     r_back *= slopes[li]
                     r_acts[li] *= curls[li]

@@ -38,6 +38,7 @@ from flatmin.objectives import (
     sample_batch,
     save_dataset,
 )
+from flatmin.flatness import power_iteration_lambda_max
 from flatmin.optimizers import OptimizerConfig, OptimizerState, step
 
 
@@ -415,25 +416,40 @@ def unpack_layers(sizes, theta):
     return layers
 
 
+def unpack_blocks(sizes, theta):
+    """Each layer's [fan_in + 1, fan_out] block: its weights, then its bias row."""
+    blocks, off = [], 0
+    for fi, fo in zip(sizes[:-1], sizes[1:]):
+        blocks.append(theta[off : off + (fi + 1) * fo].reshape(fi + 1, fo))
+        off += (fi + 1) * fo
+    return blocks
+
+
+def with_ones(x):
+    """[units, rows] ``x`` with a row of ones below, in C order."""
+    return np.ascontiguousarray(np.vstack([x, np.ones((1, x.shape[1]))]))
+
+
 def reference_forward(sizes, theta, inputs):
-    """Layers, the input of each layer, and the logits, written plainly in
-    the oracle's feature-major layout: every array is [units, rows]."""
-    layers = unpack_layers(sizes, theta)
-    acts = [np.ascontiguousarray(inputs.T)]
-    for w, b in layers[:-1]:
-        acts.append(np.tanh(w.T @ acts[-1] + b[:, None]))
-    w, b = layers[-1]
-    return layers, acts, w.T @ acts[-1] + b[:, None]
+    """Layer blocks, the input of each layer, and the logits, written plainly
+    in the oracle's feature-major layout: every array is [units, rows], and
+    each layer's input has a row of ones below, which its bias row multiplies."""
+    blocks = unpack_blocks(sizes, theta)
+    acts = [with_ones(inputs.T)]
+    for wb in blocks[:-1]:
+        acts.append(with_ones(np.tanh(wb.T @ acts[-1])))
+    return blocks, acts, blocks[-1].T @ acts[-1]
 
 
 def reference_loss_and_grad(obj, theta, batch):
     """Mean cross-entropy and its gradient with each row's maximum taken by
-    ``max(axis=0)``, the label logits picked by a (label, column) index and
-    the class sums over axis 0."""
+    ``max(axis=0)``, the label logits picked by a (label, column) index, the
+    class sums over axis 0 and each layer's weight-and-bias gradient as one
+    product."""
     data = obj.dataset
     rows = np.arange(data.n) if batch is None else batch.indices
     inputs = data.inputs if batch is None else data.inputs[rows]
-    layers, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
+    blocks, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
     shifted = logits - logits.max(axis=0)
     pick = (data.labels[rows], np.arange(rows.size))
     expz = np.exp(shifted)
@@ -443,11 +459,10 @@ def reference_loss_and_grad(obj, theta, batch):
     delta[pick] -= 1.0
     delta /= rows.size
     grads = []
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        grads[:0] = [(acts[li] @ delta.T).ravel(), delta.sum(axis=1)]
+    for li in range(len(blocks) - 1, -1, -1):
+        grads[:0] = [(acts[li] @ delta.T).ravel()]
         if li > 0:
-            delta = (w @ delta) * (1.0 - acts[li] * acts[li])
+            delta = (blocks[li][:-1] @ delta) * (1.0 - acts[li][:-1] * acts[li][:-1])
     return loss, np.concatenate(grads)
 
 
@@ -534,7 +549,7 @@ def test_mlp_oracle_matches_the_row_major_reference(case):
     assert_close(obj.logits(theta, inputs), row_major_forward(obj.layer_sizes, theta, inputs)[2])
 
 
-# ------------------------------------ the last-batch and last-loss memos
+# ------------------------------------ the last-batch and last-pass memos
 
 
 def test_batch_memo_is_invisible():
@@ -599,6 +614,63 @@ def test_batch_memo_is_invisible():
         a.indices[0] = 1
     with pytest.raises(ValueError):
         a.indices.flags.writeable = True
+
+
+def test_pass_memo_is_invisible():
+    # one objective alternates a point and points a small step away, as a
+    # forward-difference product does, on full data and on a batch; each result
+    # must equal, by bytes, that of an objective that saw nothing before
+    data = tiny_dataset(n=40, seed=5)
+    obj = MLPObjective((2, 5, 3), data)
+    rng = np.random.default_rng(4)
+    theta = rng.standard_normal(obj.dim)
+    a = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
+
+    def cold():
+        return MLPObjective((2, 5, 3), data)
+
+    def check(point, batch):
+        assert eval_loss(obj, point, batch) == eval_loss(cold(), point, batch)
+        assert eval_grad(obj, point, batch).tobytes() == eval_grad(cold(), point, batch).tobytes()
+        if batch is None:
+            v = np.ones((3, obj.dim))
+            assert hvp(obj, point, v).tobytes() == hvp(cold(), point, v).tobytes()
+
+    for batch in (None, a):
+        for u in rng.standard_normal((3, obj.dim)):
+            for point in (theta + 1e-4 * u, theta, theta + 1e-4 * u, theta):
+                check(point, batch)
+    # writing into the point after a call that made a pass, or into a
+    # gradient returned from it, changes no later result
+    for batch in (None, a):
+        obj = cold()
+        point = theta.copy()
+        eval_loss(obj, point, batch)
+        point[:] = 1.0
+        grad = eval_grad(obj, theta, batch)
+        grad[:] = 0.0
+        check(theta, batch)
+    # a batch pass never serves a full-data call at the same point, nor the
+    # reverse, whichever call made it
+    for first in (eval_loss, eval_grad):
+        for then in (None, a):
+            other = a if then is None else None
+            obj = MLPObjective((2, 5, 3), data)
+            first(obj, theta, other)
+            check(theta, then)
+
+
+def test_a_lanczos_solve_runs_one_forward_pass_at_its_point(monkeypatch):
+    # each forward-difference product takes a gradient at a new point and one
+    # at the solve's point; from the second product on, a kept pass serves the
+    # latter, so 5 products run 6 passes, not 10
+    obj = MLPObjective((2, 5, 3), tiny_dataset(n=40, seed=5))
+    theta = obj.init_params(np.random.default_rng(0))
+    forward = obj._forward
+    passes = []
+    monkeypatch.setattr(obj, "_forward", lambda *args: passes.append(args) or forward(*args))
+    power_iteration_lambda_max(obj, theta, max_iter=5)
+    assert len(passes) == 6
 
 
 def test_an_sgd_step_runs_one_forward_pass(monkeypatch):
