@@ -70,29 +70,29 @@ SCHEDULED = {
 
 TRAJECTORY_HASHES = {
     "constant": {
-        "sgd": "75b90ade0a88a3c8fbb26e67b13251741dbeff2796cec5f7f5322943abc7c17d",
-        "momentum_sgd": "c0ae36c25493a956004964230c3e460e65e14269f6e678c7ea07e064e9b42f6c",
-        "adam": "9586436cbf6bf95d522e387f41b75917259ee937b626bd134ae8e36dac0882fa",
-        "adamw": "798953b9776835ee2f4fdbbda9f7096f12432a4c0f5086079e484fca00defb6c",
-        "sam": "24389bfe23c15d7e7ab37de5e59102d629ca03f858f5b27fb90a56f60bde8d65",
-        "gam": "556c09d15290f94dbec46e7ad4d846b236b466322b67e0ccb4e6bcb5a8e57116",
-        "fad": "f3e804733fa9e216ced78dde86300e844dc039f41ff7158062473564577608bc",
+        "sgd": "8235a713037246f69829542ce578370500ae9c6e024994e70bc2b2b1b93387fa",
+        "momentum_sgd": "4ec9af326526dcac0f81837862bfc28b8dd6507a5ddee9e22899e9fa656d7800",
+        "adam": "59367ac67952445bf3d8ce71b4f546a72919ee678256483b75dbd39301f487e6",
+        "adamw": "bb0b9f47bb9d2658621b95015dbadceceaeeee4750c20f33a54774738d45ed9f",
+        "sam": "8e017564a7cff698705957acbe3435fb9a2d199d4e96c53d25522dc893c6fe6e",
+        "gam": "4e15ce6bac0b92d9714ab87ba1f16628ceadd4be79d2f11eeabd3c3c84069f2e",
+        "fad": "e4d8cf11f0253e88dfd2e43d387fbaf6bd9f0820bf167a9460714ddbc25f079e",
     },
     "inverse_sqrt": {
-        "sgd": "4e363c59e5b89689bf1b915f084093d76dc19218ca1afa35115a347e3b30fdbe",
-        "momentum_sgd": "d07b4377ad807fc1f369dda0b130de2149d34111b74cbc99bd58995fa228200d",
-        "adam": "4808b8e52acc4400bf9c84a03d178d846d654903b90e42f33174a65a69b09e62",
-        "adamw": "cd4f0a97171b160d5ab40ce4fa2735f8db0b530efaa53a859dee1cd2a423db63",
-        "sam": "e4aad48cfd42057ebeecc431550af339ac04fd52f91243f6b1a04942fffa13c6",
-        "gam": "bbcf73d435b0f85742188d03ee6e17e1e16c79a99d53bf4cd29efe071fddb30a",
-        "fad": "11579bda59b71201a4780ef051cc4bce64e139d65d56a81fa9a4ba83abc94dd2",
+        "sgd": "f5d4fd893908b6464a12156170770a8e0059f99b694a795fd5b4d45e10e32366",
+        "momentum_sgd": "c02d3f030f510af495a4c76c08b81ede096503b80a9cff18bde93c4f48550b29",
+        "adam": "0230ead1bbc908d2a3ee2e989523fdc3a56cd81b0ae71f51702f2f86ad6aedf8",
+        "adamw": "035527114c2c33fc81521363c4a5e0faca3486994e5d40658b1915de47c75565",
+        "sam": "12d40cbc2b7a2fa052cd24a9101eb520f4e993f6d2c2723330347121640f9c0b",
+        "gam": "4b158c24896e4db7523650ededb63d1cbefc3fd62b030ad876f9a683902c2167",
+        "fad": "4131bb620bc0c79778c732761dabcb937a91de5429ef01c7e0d980c96553772f",
     },
 }
 
 BENCH_HASHES = {
     "bench_table.csv": "3ee5c192e5daf4efd297407cdf4c0a2d71fdaf144121d8aea3722ef52acb341c",
     "bench_hparams.json": "4ebf4bdfe62c60fc51c832f9f673986035df8a45632fc6ee17434062d5088921",
-    "bench.json": "fda7ae5263d9c55c6dfb8fce363a7b7f93a83f1be6115cc25a89b96f81db6638",
+    "bench.json": "ca518e2c0ac78ca859c07954b0c93d56729dc878970e11b170b80badd985deb7",
 }
 
 
@@ -158,12 +158,12 @@ def test_bench_files_are_unchanged(tmp_path):
 
 
 ORACLE_HASHES = {
-    ("readme", "full"): "57e28477c4101950b191d2cad4c69a1b2f4ff95d30baa6250e4c26231837a34e",
-    ("readme", "repeats"): "470f87a402886436d980d9c087873da1019565644a3c911325724b2b16bf3d70",
-    ("ten_class", "full"): "174a10f76b06a6287277bf6a504b5c46490adf489615cf6a01d31f916ad41c6d",
-    ("ten_class", "repeats"): "919bd920e2f6b9a86c0c7f96752f7abbc83bfb36de941a7aa6fb313e0fde44fd",
-    ("width_one", "full"): "b7a6305017f396d92810a103c48ffa92d5148579aa42d2ed7727bfd0a4b8f5fd",
-    ("width_one", "repeats"): "05fe3fcb94854561cf5d9afbb0702dff854bfb5db46c10d7b831a04a012c60d8",
+    ("readme", "full"): "32c4da07206bc99cccd5e833304fbd1a8c9654d16fdf9e59a2404d44d7ab9e65",
+    ("readme", "repeats"): "18a430bc13249248f851abf8c34f84633be2fe381c37c50032749d67c87388dd",
+    ("ten_class", "full"): "12962f34a7b94db2b0708350de682f465cc64463b506242b04e8f841f9d93c5e",
+    ("ten_class", "repeats"): "3eb56a6d24f9392c3a92087da0a62dbc50a466259a51be52a70d8a25229ebe0b",
+    ("width_one", "full"): "3e9739d30789a31d43af0a67b949f628889c2a7759b80dd70ceb4c0555c88c96",
+    ("width_one", "repeats"): "3dbac23f1f0ecfd89555d0ce6fa85ad28c479017794de0e708f81101ab7fb19b",
 }
 
 
@@ -196,10 +196,10 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
 
 
 REPORT_HASHES = {
-    ("init", "full"): "8130b5cf680d5554766bb51621b06556414fdf69d35e792293e3a98ea7091b43",
-    ("init", "small"): "664e0965f8373af0c09cebe75c3fb1ba9d0c5866caa26bbe686a36d2781f5c9c",
-    ("fad", "full"): "e73bad359b6bb6b2e393d32f6b683437bf42036c3c952775fbf1cc5bc4275f98",
-    ("fad", "small"): "f6e9a254a59626fff09054f1ca7f27556f2547ad6f670a147a5eb70948ce9f0d",
+    ("init", "full"): "d77f744439eff5792192c9ac8ba3f2f77c512606d91f391cc4458f2367f9fe59",
+    ("init", "small"): "1045b1ef996a577472b2897991ca1aaa010e7a8e0f977ccc564f6da741450bce",
+    ("fad", "full"): "3dd4da5a0fbf8dd36ba87390bac6871fde2572ab1ab5f2cbbd12d00f4d30f45a",
+    ("fad", "small"): "8467ac3bd41dc0f38507882446341ba6130fbee5195cfc0e83b50c0d2945852f",
 }
 
 
@@ -251,7 +251,7 @@ CONVERGE_DOCS = {
 
 CONVERGE_HASHES = {
     "quadratic": "6860919394f3ff14dcb69fd7cc7bfb988141b484c5706a95b36b18720614c798",
-    "mlp": "b842b80172b31591588be9e91343b639b28cd6e3c15be43bf6fcb90ed4a32312",
+    "mlp": "67959deb7fcc0a2186cec7f638b0da0700745d38b81d7eca51affd59af6c0a1e",
 }
 
 
@@ -287,7 +287,7 @@ FLATNESS_DOCS = {
 
 FLATNESS_HASHES = {
     "quadratic": "c49862f8c1f7ecc205b251ade835eed71e543e3e8a8333cb3c382a615e974db9",
-    "mlp": "41a7e09ab7f8cb0bff4b4bc5c636976fd33682d5cb8713d7a0ced99637689d4c",
+    "mlp": "900ab056d378cb9a96744107ad51996eeae18cdb11991ad4dc8980d959a83f22",
 }
 
 
