@@ -239,7 +239,8 @@ def hvp_fd(
     the difference quotient is rescaled by ||v||, so accuracy does not depend on
     the magnitude of v; the result is biased by O(``FD_STEP``) and is not
     linear in v. ``g0`` is the full-data gradient at ``theta`` when the caller
-    already has it; otherwise it is computed here.
+    already has it; otherwise it is asked for here, and an MLP that kept the
+    pass at ``theta`` returns its gradient without computing it again.
 
     Only the Lanczos solve and ``r1``'s ascent still use it; the exact ``hvp``
     is to replace it there too, together with the benchmark's pins on it.
@@ -572,7 +573,7 @@ class MLPObjective(Objective):
             layers, acts, shifted = self._forward(np.frombuffer(key), rows)
             expz = np.exp(shifted)
             kept = _Pass(key, rows, layers, acts, shifted, expz, expz.sum(axis=0))
-            del self._passes[:-1]
+            del self._passes[:-1]  # the most recently used one stays beside it
         self._passes.append(kept)
         return kept
 
@@ -581,8 +582,8 @@ class MLPObjective(Objective):
         # np.mean's own arithmetic: the pairwise sum, then one division
         return float((np.log(expsum) - shifted.take(pick)).sum() / pick.size)
 
-    def _backward(self, kept: _Pass, pick: IntVector) -> Vector:
-        layers, acts = kept.layers, kept.acts
+    def _backward(self, kept: _Pass) -> Vector:
+        layers, acts, pick = kept.layers, kept.acts, kept.rows[2]
         delta = kept.expz / kept.expsum
         # delta is a fresh C-order array, so the reshape is a view of it
         delta.reshape(-1)[pick] -= 1.0
@@ -610,7 +611,7 @@ class MLPObjective(Objective):
     def _grad(self, theta: Vector, rows: tuple) -> Vector:
         kept = self._pass(theta, rows)
         if kept.grad is None:
-            kept.grad = self._backward(kept, rows[2])
+            kept.grad = self._backward(kept)
         return kept.grad.copy()
 
     def _hvp(self, theta: Vector, v: Matrix) -> Matrix:

@@ -21,6 +21,7 @@ from flatmin.errors import (
     DimensionError,
     NumericalError,
 )
+from flatmin.flatness import power_iteration_lambda_max
 from flatmin.objectives import (
     Batch,
     Dataset,
@@ -38,7 +39,6 @@ from flatmin.objectives import (
     sample_batch,
     save_dataset,
 )
-from flatmin.flatness import power_iteration_lambda_max
 from flatmin.optimizers import OptimizerConfig, OptimizerState, step
 
 
@@ -655,7 +655,7 @@ def test_pass_memo_is_invisible():
     for first in (eval_loss, eval_grad):
         for then in (None, a):
             other = a if then is None else None
-            obj = MLPObjective((2, 5, 3), data)
+            obj = cold()
             first(obj, theta, other)
             check(theta, then)
 
