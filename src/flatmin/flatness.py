@@ -38,6 +38,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .objectives import (
     FD_STEP,
+    Matrix,
     Objective,
     Vector,
     eval_grad,
@@ -116,11 +117,11 @@ class _BallAscent:
         if previous is None:
             return plain
         d_residual = residual - previous[1]
-        size = d_residual @ d_residual
+        size = d_residual.dot(d_residual)
         if size == 0.0:
             return plain
         self.mixed = True
-        gamma = (d_residual @ residual) / size
+        gamma = d_residual.dot(residual) / size
         mixed = plain - gamma * (x - previous[0] + d_residual)
         return _project_to_ball(self.center, self.rho, mixed)
 
@@ -150,9 +151,9 @@ def _ball_maximum(
     base = best = probe(theta, False)[0]
     if directions is None:
         directions = power_iteration_lambda_max(obj, theta, k=1, rng=rng)[2][pick]
-    starts = [theta + sign * rho * v for v in directions for sign in (1.0, -1.0)]
-    for start in starts[: budget.n_random]:
-        x, ascent = _project_to_ball(theta, rho, start), _BallAscent(theta, rho)
+    starts = [(sign, v) for v in directions for sign in (1.0, -1.0)]
+    for sign, v in starts[: budget.n_random]:
+        x, ascent = _project_to_ball(theta, rho, theta + sign * rho * v), _BallAscent(theta, rho)
         for _ in range(budget.n_ascent_steps):
             value, direction = probe(x, True)
             best = max(best, value)
@@ -230,9 +231,8 @@ def lambda_max_from_fad(r_fad: float, rho: float, alpha: float) -> float:
     return r_fad / (rho * rho * (1.0 - alpha / 2.0))
 
 
-def _orthogonalise(basis: list[Vector], x: Vector) -> Vector:
-    """``x`` less its part in the span of the orthonormal ``basis``, in two passes."""
-    q = np.array(basis)
+def _orthogonalise(q: Matrix, x: Vector) -> Vector:
+    """``x`` less its part in the span of the orthonormal rows of ``q``, in two passes."""
     x = x - q.T @ (q @ x)
     return x - q.T @ (q @ x)  # the second pass removes what roundoff left
 
@@ -264,30 +264,33 @@ def power_iteration_lambda_max(
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
     rng = rng or np.random.default_rng(0)
     signs = np.array([-1.0, 1.0])
-    basis: list[Vector] = []
-    alphas, betas = [], []  # betas[j] couples basis[j] and basis[j + 1]
+    steps = min(max_iter, obj.dim)
+    # filled in place: row j of the basis, and the tridiagonal's entry (j, j)
+    # and the coupling of rows j and j + 1 at (j, j + 1) and (j + 1, j)
+    basis, tri = np.empty((steps, obj.dim)), np.zeros((steps, steps))
     w = rng.choice(signs, size=obj.dim)
-    for _ in range(min(max_iter, obj.dim)):
-        basis.append(w / norm(w))
-        w = hvp_fd(obj, theta, basis[-1])
-        alphas.append(float(basis[-1] @ w))
-        w = _orthogonalise(basis, w)
+    for j in range(steps):
+        basis[j] = w / norm(w)
+        w = hvp_fd(obj, theta, basis[j])
+        tri[j, j] = float(basis[j].dot(w))
+        q = basis[: j + 1]
+        w = _orthogonalise(q, w)
         beta = norm(w)
-        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
         residuals = beta * np.abs(vecs[-1])
-        if len(ritz) >= k and (residuals[-k:] < LANCZOS_TOL).all():
+        if j + 1 >= k and (residuals[-k:] < LANCZOS_TOL).all():
             break
         if beta < LANCZOS_TOL:  # breakdown: some sign vector keeps norm >= 1 off the span
             beta, w = 0.0, np.zeros(obj.dim)
             while norm(w) < 0.5:
-                w = _orthogonalise(basis, rng.choice(signs, size=obj.dim))
-        betas.append(beta)
+                w = _orthogonalise(q, rng.choice(signs, size=obj.dim))
+        if j + 1 < steps:
+            tri[j, j + 1] = tri[j + 1, j] = beta
     n = min(k, len(ritz))
     values = np.full(k, np.nan)
     values[:n] = ritz[::-1][:n]
     flags = [bool(r < LANCZOS_TOL) for r in residuals[::-1][:n]] + [False] * (k - n)
-    q = np.array(basis).T
-    by_value = [q @ vecs[:, j] for j in range(len(ritz) - 1, -1, -1)]
+    by_value = [q.T @ vecs[:, i] for i in range(len(ritz) - 1, -1, -1)]
     order = sorted(range(len(ritz)), key=lambda i: -abs(ritz[-1 - i]))  # ties keep value order
     return values, flags, (by_value, [by_value[i] for i in order])
 

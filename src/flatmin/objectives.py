@@ -57,6 +57,12 @@ def norm(x: Vector) -> float:
     return math.sqrt(x.dot(x))
 
 
+def all_finite(x: NDArray) -> bool:
+    """Whether every entry of ``x`` is finite: ``np.isfinite(x).all()`` without
+    the overhead of a ufunc reduction."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _as_param_vector(theta: object, dim: int) -> Vector:
     arr = np.asarray(theta, dtype=np.float64)
     if arr.ndim != 1:
@@ -210,7 +216,7 @@ def _checked_grad(obj: Objective, grad: Vector) -> Vector:
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (obj.dim,):
         raise DimensionError(f"gradient shape {grad.shape} != ({obj.dim},)")
-    if not np.isfinite(grad).all():
+    if not all_finite(grad):
         raise NumericalError("gradient contains non-finite values")
     return grad
 
@@ -274,7 +280,7 @@ def hvp(obj: Objective, theta: Vector, v: Vector | Matrix) -> Vector | Matrix:
     out = np.asarray(obj._hvp(theta, block), dtype=np.float64)
     if out.shape != block.shape:
         raise DimensionError(f"hvp shape {out.shape} != {block.shape}")
-    if not np.isfinite(out).all():
+    if not all_finite(out):
         raise NumericalError("Hessian-vector product contains non-finite values")
     return out.reshape(arr.shape)
 
@@ -425,7 +431,7 @@ class DoubleWellObjective(Objective):
         return self.curvatures[self._basin(theta)] * v
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Pass:
     """What one forward pass of an ``MLPObjective`` computed, under the bytes of
     its point and its rows record, and the gradient there once one is asked for."""
@@ -477,16 +483,22 @@ class MLPObjective(Objective):
             raise ConfigError("dataset labels outside [0, num_classes)")
         self.layer_sizes = sizes
         self.dataset = dataset
-        self.dim = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:]))
+        shapes = [(fi + 1, fo) for fi, fo in zip(sizes[:-1], sizes[1:])]
+        ends = np.cumsum([0] + [fi * fo for fi, fo in shapes]).tolist()
+        self._blocks = list(zip(ends[:-1], ends[1:], shapes))  # each layer's (start, end, shape)
+        self.dim = ends[-1]
         # a call's rows record: its rows, their inputs as a C-order
-        # [features + 1, rows] array whose last row is ones, and the flat index
+        # [features + 1, rows] array whose last row is ones, the flat index
         # ``label * rows + position`` of each row's label logit in the
-        # [classes, rows] logits; this one is full data, and a batch gathers
-        # its inputs, ones included, from it
+        # [classes, rows] logits, and the one-hot [classes, rows] labels; this
+        # one is full data, and a batch gathers its inputs, ones included, and
+        # its one-hot labels from it
         rows = np.arange(dataset.n, dtype=np.int64)
         pick = dataset.labels * dataset.n + rows
-        rows.flags.writeable = pick.flags.writeable = False
-        self._all = (rows, self._with_ones(dataset.inputs.T), pick)
+        target = np.zeros((sizes[-1], dataset.n))
+        target.reshape(-1)[pick] = 1.0
+        rows.flags.writeable = pick.flags.writeable = target.flags.writeable = False
+        self._all = (rows, self._with_ones(dataset.inputs.T), pick, target)
         # the last batch's record, kept while the same read-only
         # ``Batch.indices`` array comes back; it starts as the full data's,
         # whose rows no batch holds
@@ -505,12 +517,7 @@ class MLPObjective(Objective):
 
     def _unpack(self, theta: Vector) -> list[Matrix]:
         """Each layer's ``[fan_in + 1, fan_out]`` block of ``theta``."""
-        layers = []
-        off = 0
-        for fi, fo in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            layers.append(theta[off : off + (fi + 1) * fo].reshape(fi + 1, fo))
-            off += (fi + 1) * fo
-        return layers
+        return [theta[start:end].reshape(shape) for start, end, shape in self._blocks]
 
     @staticmethod
     def _with_ones(inputs: Matrix) -> Matrix:
@@ -538,26 +545,29 @@ class MLPObjective(Objective):
         inputs = self._with_ones(np.asarray(inputs, dtype=np.float64).T)
         return self._layer_outputs(self._unpack(theta), inputs)[1].T
 
-    def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector]:
+    def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector, Matrix]:
         if batch is None:
             return self._all
         idx = batch.indices
         if idx is not self._batch[0]:
-            if idx.size == 0:
+            size = idx.size
+            if size == 0:
                 raise BatchSizeError("batch is empty")
             data = self.dataset
-            if idx.min() < 0 or idx.max() >= data.n:
+            # a negative index reads as one above any row count
+            if np.maximum.reduce(idx.view(np.uint64)) >= data.n:
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
-            pick = data.labels[idx] * idx.size + np.arange(idx.size)
-            self._batch = (idx, self._all[1].take(idx, axis=1), pick)
+            pick = data.labels[idx] * size + np.arange(size)
+            _, inputs, _, target = self._all
+            self._batch = (idx, inputs.take(idx, axis=1), pick, target.take(idx, axis=1))
         return self._batch
 
     def _forward(self, theta: Vector, rows: tuple) -> tuple[list[Matrix], list[Matrix], Matrix]:
         """Layers, activations, and the logits shifted by each row's maximum."""
         layers = self._unpack(theta)
         acts, logits = self._layer_outputs(layers, rows[1])
-        logits -= logits.max(axis=0)
+        logits -= np.maximum.reduce(logits, axis=0)
         return layers, acts, logits
 
     def _pass(self, theta: Vector, rows: tuple) -> _Pass:
@@ -572,7 +582,7 @@ class MLPObjective(Objective):
             # may write in place
             layers, acts, shifted = self._forward(np.frombuffer(key), rows)
             expz = np.exp(shifted)
-            kept = _Pass(key, rows, layers, acts, shifted, expz, expz.sum(axis=0))
+            kept = _Pass(key, rows, layers, acts, shifted, expz, np.add.reduce(expz, axis=0))
             del self._passes[:-1]  # the most recently used one stays beside it
         self._passes.append(kept)
         return kept
@@ -580,22 +590,21 @@ class MLPObjective(Objective):
     @staticmethod
     def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
         # np.mean's own arithmetic: the pairwise sum, then one division
-        return float((np.log(expsum) - shifted.take(pick)).sum() / pick.size)
+        return float(np.add.reduce(np.log(expsum) - shifted.take(pick)) / pick.size)
 
     def _backward(self, kept: _Pass) -> Vector:
-        layers, acts, pick = kept.layers, kept.acts, kept.rows[2]
+        layers, acts, target = kept.layers, kept.acts, kept.rows[3]
         delta = kept.expz / kept.expsum
-        # delta is a fresh C-order array, so the reshape is a view of it
-        delta.reshape(-1)[pick] -= 1.0
-        delta /= pick.size
+        # x - 0.0 is x, so this is the label entries' -= 1.0
+        delta -= target
+        delta /= target.shape[1]
         # each layer's weight-and-bias gradient is one product written in
         # place, last layer first
         grad = np.empty(self.dim)
-        end = grad.size
         for li in range(len(layers) - 1, -1, -1):
             wb = layers[li]
-            end -= wb.size
-            np.matmul(acts[li], delta.T, out=grad[end : end + wb.size].reshape(wb.shape))
+            start, end, _ = self._blocks[li]
+            np.matmul(acts[li], delta.T, out=grad[start:end].reshape(wb.shape))
             if li > 0:
                 a = acts[li][:-1]
                 dtanh = a * a
@@ -630,8 +639,7 @@ class MLPObjective(Objective):
         layers, acts = kept.layers, kept.acts
         n, depth = kept.shifted.shape[1], len(layers)
         prob = kept.expz / kept.expsum
-        delta = prob.copy()
-        delta.reshape(-1)[rows[2]] -= 1.0
+        delta = prob - rows[3]
         delta /= n
         prob_over_n = prob / n
         deltas: list = [None] * (depth - 1) + [delta]
@@ -651,11 +659,10 @@ class MLPObjective(Objective):
             # data; each layer's input carries its row of ones, so one product
             # applies a direction's weight rows and the bias row after them
             r_acts: list = [None]
-            spans, end = [], 0
-            for li, wb in enumerate(layers):
-                start, end = end, end + wb.size
-                d_wb = block[:, start:end].reshape(size, *wb.shape)
-                spans.append((start, end, d_wb))
+            d_wbs = []
+            for li, (wb, (start, end, shape)) in enumerate(zip(layers, self._blocks)):
+                d_wb = block[:, start:end].reshape(size, *shape)
+                d_wbs.append(d_wb)
                 r_z = d_wb.transpose(0, 2, 1).reshape(-1, wb.shape[0]) @ acts[li]
                 r_z = r_z.reshape(size, wb.shape[1], n)
                 if r_acts[li] is not None:
@@ -664,12 +671,12 @@ class MLPObjective(Objective):
                     r_z *= slopes[li + 1]
                     r_acts.append(r_z)
             q = r_z * prob_over_n
-            r_delta = q - prob * q.sum(axis=1, keepdims=True)
+            r_delta = q - prob * np.add.reduce(q, axis=1, keepdims=True)
             # backward, last layer first, as in ``_backward``
             for li in range(depth - 1, -1, -1):
                 wb = layers[li]
                 fan_in, fan_out = wb.shape[0] - 1, wb.shape[1]
-                start, end, d_wb = spans[li]
+                (start, end, _), d_wb = self._blocks[li], d_wbs[li]
                 r_wb = acts[li] @ r_delta.reshape(-1, n).T
                 r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
                 if r_acts[li] is not None:

@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NumericalError
-from .objectives import Batch, Objective, Vector, eval_grad, eval_loss, norm, sample_batch
+from .objectives import Batch, Objective, Vector, all_finite, eval_grad, eval_loss, norm
+from .objectives import sample_batch
 
 METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
 SCHEDULES = ("constant", "inverse_sqrt")
@@ -113,7 +114,7 @@ class OptimizerState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepTrace:
     """Everything one optimizer step computed, for logging and diagnostics."""
 
@@ -155,11 +156,15 @@ def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
         state.adam_m = np.zeros_like(g0)
         state.adam_v = np.zeros_like(g0)
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    state.adam_m = b1 * state.adam_m + (1.0 - b1) * g0
-    state.adam_v = b2 * state.adam_v + (1.0 - b2) * g0 * g0
-    mhat = state.adam_m / (1.0 - b1**t)
-    vhat = state.adam_v / (1.0 - b2**t)
-    return mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m, v = state.adam_m, state.adam_v
+    # in place, in the order of b1*m + (1-b1)*g0 and b2*v + (1-b2)*g0*g0
+    m *= b1
+    m += (1.0 - b1) * g0
+    v *= b2
+    v += (1.0 - b2) * g0 * g0
+    denom = np.sqrt(v / (1.0 - b2**t))
+    denom += ADAM_EPS
+    return np.divide(m / (1.0 - b1**t), denom, out=denom)
 
 
 StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, StepTrace]]
@@ -218,7 +223,7 @@ def step(
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t
     theta_next = theta - eta * delta
-    if not np.isfinite(theta_next).all():
+    if not all_finite(theta_next):
         raise NumericalError("parameter update produced non-finite values")
     trace = StepTrace(t, eta, rho, loss0, g0, h0, h1, delta, applied, g1=g1, g2=g2, g3=g3)
     return theta_next, trace

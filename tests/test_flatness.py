@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatmin import flatness, objectives
 from flatmin.errors import BudgetError, ConfigError
@@ -247,6 +249,92 @@ def test_power_iteration_flags_entries_the_steps_ran_out_before(hvps):
     assert len(eigs) == len(converged) == 3
     assert np.isfinite(eigs[:2]).all() and np.isnan(eigs[2])
     assert converged == [False, False, False]
+
+
+def list_lanczos(obj, theta, k, max_iter, rng):
+    """The plain reference of ``power_iteration_lambda_max``: the same solve with
+    the basis as a list of vectors and the tridiagonal rebuilt by ``np.diag``
+    at every step."""
+    signs = np.array([-1.0, 1.0])
+    basis, alphas, betas = [], [], []
+
+    def orthogonalise(x):
+        q = np.array(basis)
+        x = x - q.T @ (q @ x)
+        return x - q.T @ (q @ x)
+
+    w = rng.choice(signs, size=obj.dim)
+    for _ in range(min(max_iter, obj.dim)):
+        basis.append(w / objectives.norm(w))
+        w = objectives.hvp_fd(obj, theta, basis[-1])
+        alphas.append(float(basis[-1] @ w))
+        w = orthogonalise(w)
+        beta = objectives.norm(w)
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        residuals = beta * np.abs(vecs[-1])
+        if len(ritz) >= k and (residuals[-k:] < flatness.LANCZOS_TOL).all():
+            break
+        if beta < flatness.LANCZOS_TOL:
+            beta, w = 0.0, np.zeros(obj.dim)
+            while objectives.norm(w) < 0.5:
+                w = orthogonalise(rng.choice(signs, size=obj.dim))
+        betas.append(beta)
+    n = min(k, len(ritz))
+    values = np.full(k, np.nan)
+    values[:n] = ritz[::-1][:n]
+    flags = [bool(r < flatness.LANCZOS_TOL) for r in residuals[::-1][:n]] + [False] * (k - n)
+    q = np.array(basis).T
+    by_value = [q @ vecs[:, j] for j in range(len(ritz) - 1, -1, -1)]
+    order = sorted(range(len(ritz)), key=lambda i: -abs(ritz[-1 - i]))
+    return values, flags, (by_value, [by_value[i] for i in order])
+
+
+def assert_same_solve(obj, theta, k, max_iter, seed):
+    """Values, flags, both Ritz-vector lists and the RNG state after the solve,
+    bit for bit against ``list_lanczos``."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    values, flags, vectors = power_iteration_lambda_max(obj, theta, k, max_iter, rng)
+    ref_values, ref_flags, ref_vectors = list_lanczos(obj, theta, k, max_iter, ref_rng)
+    assert values.tobytes() == ref_values.tobytes()
+    assert flags == ref_flags
+    for got, ref in zip(vectors, ref_vectors):
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in ref]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@st.composite
+def lanczos_cases(draw):
+    """A diagonal or dense SPD quadratic of dim 1-30 at a random point, k 1-3,
+    and a max_iter that may run out first; a spectrum of two repeated values
+    makes each Krylov space break down after at most two steps."""
+    dim = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=min(3, dim)))
+    max_iter = draw(st.sampled_from([1, 2, 3, 1000]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        spectrum = rng.choice([1.0, 4.0], size=dim)
+    else:
+        spectrum = rng.uniform(0.5, 10.0, size=dim)
+    if draw(st.booleans()):
+        obj = QuadraticObjective(spectrum)
+    else:
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        mat = (q * spectrum) @ q.T
+        obj = QuadraticObjective((mat + mat.T) / 2.0)
+    return obj, rng.standard_normal(dim), k, max_iter, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lanczos_cases())
+def test_power_iteration_is_the_list_reference_bit_for_bit(case):
+    assert_same_solve(*case)
+
+
+def test_power_iteration_is_the_list_reference_bit_for_bit_at_a_trained_point(readme_mlp):
+    theta0 = readme_mlp.init_params(np.random.default_rng([0, 2]))
+    theta = run_training(readme_mlp, theta0, README_TRAINING["adam"], 300, seed=0).theta_final
+    assert_same_solve(readme_mlp, theta, 2, 1000, 0)
 
 
 # --------------------------------------------------------------- hutchinson

@@ -599,7 +599,12 @@ def test_batch_memo_is_invisible():
             eval_loss(obj, far)
         assert same_as_cold(eval_grad(obj, far), None, far)
     # a rejected batch is rejected again, as itself and as an equal new batch
-    for rows, error in (([], BatchSizeError), ([40], DimensionError), ([-1], DimensionError)):
+    for rows, error in (
+        ([], BatchSizeError),
+        ([40], DimensionError),
+        ([-1], DimensionError),
+        ([3, np.iinfo(np.int64).min], DimensionError),
+    ):
         bad = Batch(np.array(rows, dtype=np.int64))
         for batch in (bad, bad, Batch(bad.indices)):
             with pytest.raises(error):
@@ -673,14 +678,23 @@ def test_a_lanczos_solve_runs_one_forward_pass_at_its_point(monkeypatch):
     assert len(passes) == 6
 
 
-def test_an_sgd_step_runs_one_forward_pass(monkeypatch):
+@pytest.mark.parametrize(
+    "method, points",
+    [("sgd", 1), ("momentum_sgd", 1), ("adam", 1), ("adamw", 1), ("sam", 2), ("gam", 4), ("fad", 4)],
+)
+def test_a_step_runs_one_forward_and_one_backward_pass_per_gradient_point(monkeypatch, method, points):
+    # the step's loss and its first gradient share one forward pass, and each
+    # further gradient is taken at a point of its own
     obj = MLPObjective((2, 5, 3), tiny_dataset(n=40, seed=5))
     theta = obj.init_params(np.random.default_rng(0))
-    forward = obj._forward
-    passes = []
+    forward, backward = obj._forward, obj._backward
+    passes, backwards = [], []
     monkeypatch.setattr(obj, "_forward", lambda *args: passes.append(args) or forward(*args))
-    step(obj, theta, OptimizerState.fresh(0), OptimizerConfig("sgd", eta0=0.1, batch_size=8))
-    assert len(passes) == 1
+    monkeypatch.setattr(obj, "_backward", lambda *args: backwards.append(args) or backward(*args))
+    config = OptimizerConfig(method, eta0=0.1, rho0=0.1, batch_size=8)
+    _, trace = step(obj, theta, OptimizerState.fresh(0), config)
+    assert trace.fad_applied == (points > 1)
+    assert len(passes) == len(backwards) == points
 
 
 # ------------------------------------------------------------------- norm
