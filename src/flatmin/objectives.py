@@ -505,6 +505,10 @@ class MLPObjective(Objective):
         self._batch = self._all
         # the last two passes, the least recently used first
         self._passes: list[_Pass] = []
+        # the R-op's [HVP_BLOCK, width, rows] arrays for each hidden layer's input
+        # R-op, its backward R-op and a product, kept so that the allocator does
+        # not hand their pages back after each call, to fault them in again
+        self._work = [np.empty((3, HVP_BLOCK, fo, dataset.n)) for _, fo in shapes[:-1]]
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -663,8 +667,9 @@ class MLPObjective(Objective):
             for li, (wb, (start, end, shape)) in enumerate(zip(layers, self._blocks)):
                 d_wb = block[:, start:end].reshape(size, *shape)
                 d_wbs.append(d_wb)
-                r_z = d_wb.transpose(0, 2, 1).reshape(-1, wb.shape[0]) @ acts[li]
-                r_z = r_z.reshape(size, wb.shape[1], n)
+                r_z = self._work[li][0, :size] if li + 1 < depth else np.empty((size, shape[1], n))
+                d_wt = d_wb.transpose(0, 2, 1).reshape(-1, shape[0])
+                np.matmul(d_wt, acts[li], out=r_z.reshape(-1, n))
                 if r_acts[li] is not None:
                     r_z += wb[:-1].T @ r_acts[li]
                 if li + 1 < depth:
@@ -676,17 +681,19 @@ class MLPObjective(Objective):
             for li in range(depth - 1, -1, -1):
                 wb = layers[li]
                 fan_in, fan_out = wb.shape[0] - 1, wb.shape[1]
-                (start, end, _), d_wb = self._blocks[li], d_wbs[li]
+                (start, end, shape), d_wb = self._blocks[li], d_wbs[li]
                 r_wb = acts[li] @ r_delta.reshape(-1, n).T
                 r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
                 if r_acts[li] is not None:
                     r_w = r_acts[li].reshape(-1, n) @ deltas[li].T
                     r_wb[:, :fan_in] += r_w.reshape(size, fan_in, fan_out)
-                result[:, start:end] = r_wb.reshape(size, -1)
+                result[:, start:end].reshape(size, *shape)[...] = r_wb
                 if li > 0:
+                    _, r_back, d_back = self._work[li - 1][:, :size]
                     d_w = d_wb[:, :fan_in].reshape(-1, fan_out)
-                    r_back = wb[:-1] @ r_delta
-                    r_back += (d_w @ deltas[li]).reshape(r_back.shape)
+                    np.matmul(wb[:-1], r_delta, out=r_back)
+                    np.matmul(d_w, deltas[li], out=d_back.reshape(-1, n))
+                    r_back += d_back
                     r_back *= slopes[li]
                     r_acts[li] *= curls[li]
                     r_back += r_acts[li]
