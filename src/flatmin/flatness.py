@@ -265,8 +265,8 @@ def power_iteration_lambda_max(
     rng = rng or np.random.default_rng(0)
     signs = np.array([-1.0, 1.0])
     steps = min(max_iter, obj.dim)
-    # filled in place: row j of the basis, and the tridiagonal's entry (j, j)
-    # and the coupling of rows j and j + 1 at (j, j + 1) and (j + 1, j)
+    # filled in place: basis row j (rows never reached are never touched), and the
+    # tridiagonal at (j, j) and its couplings at (j, j + 1) and (j + 1, j)
     basis, tri = np.empty((steps, obj.dim)), np.zeros((steps, steps))
     w = rng.choice(signs, size=obj.dim)
     for j in range(steps):

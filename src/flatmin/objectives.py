@@ -505,10 +505,8 @@ class MLPObjective(Objective):
         self._batch = self._all
         # the last two passes, the least recently used first
         self._passes: list[_Pass] = []
-        # the R-op's [HVP_BLOCK, width, rows] arrays for each hidden layer's input
-        # R-op, its backward R-op and a product, kept so that the allocator does
-        # not hand their pages back after each call, to fault them in again
-        self._work = [np.empty((3, HVP_BLOCK, fo, dataset.n)) for _, fo in shapes[:-1]]
+        # the exact product's block arrays, made by its first call (see ``_hvp``)
+        self._work: list[Matrix] | None = None
 
     def init_params(self, rng: np.random.Generator) -> Vector:
         """Symmetric uniform weight init with limit sqrt(6/(fan_in+fan_out)); zero biases."""
@@ -554,15 +552,14 @@ class MLPObjective(Objective):
             return self._all
         idx = batch.indices
         if idx is not self._batch[0]:
-            size = idx.size
-            if size == 0:
+            if idx.size == 0:
                 raise BatchSizeError("batch is empty")
             data = self.dataset
             # a negative index reads as one above any row count
             if np.maximum.reduce(idx.view(np.uint64)) >= data.n:
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
-            pick = data.labels[idx] * size + np.arange(size)
+            pick = data.labels[idx] * idx.size + np.arange(idx.size)
             _, inputs, _, target = self._all
             self._batch = (idx, inputs.take(idx, axis=1), pick, target.take(idx, axis=1))
         return self._batch
@@ -655,6 +652,10 @@ class MLPObjective(Objective):
             slopes[li] = 1.0 - a * a
             curls[li] = -2.0 * a * back
             deltas[li - 1] = back * slopes[li]
+        if self._work is None:
+            # per hidden layer, [HVP_BLOCK, width, rows] for its input's R-op, its backward
+            # R-op and a product; kept, as freed pages go back and would fault in again
+            self._work = [np.empty((3, HVP_BLOCK, a.shape[0] - 1, n)) for a in acts[1:]]
         out = np.empty_like(v)
         for first in range(0, v.shape[0], HVP_BLOCK):
             block, result = v[first : first + HVP_BLOCK], out[first : first + HVP_BLOCK]

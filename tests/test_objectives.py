@@ -603,6 +603,7 @@ def test_batch_memo_is_invisible():
         ([], BatchSizeError),
         ([40], DimensionError),
         ([-1], DimensionError),
+        ([np.iinfo(np.int64).min], DimensionError),
         ([3, np.iinfo(np.int64).min], DimensionError),
     ):
         bad = Batch(np.array(rows, dtype=np.int64))
