@@ -13,8 +13,8 @@ a batch gather them once, and it keeps its last two forward passes, each
 with its gradient once one is asked for, until two passes at other points or
 rows have run since its last use: a loss, gradient or exact product at the
 same point and rows as a kept pass runs no forward pass, and a gradient there
-no backward pass either. Results do not depend on that state, but one
-objective is not for concurrent use.
+no backward pass either; its exact products keep the arrays they work in.
+Results do not depend on that state, but one objective is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -484,7 +484,7 @@ class MLPObjective(Objective):
         self.layer_sizes = sizes
         self.dataset = dataset
         shapes = [(fi + 1, fo) for fi, fo in zip(sizes[:-1], sizes[1:])]
-        ends = np.cumsum([0] + [fi * fo for fi, fo in shapes]).tolist()
+        ends = np.cumsum([0] + [a * b for a, b in shapes]).tolist()
         self._blocks = list(zip(ends[:-1], ends[1:], shapes))  # each layer's (start, end, shape)
         self.dim = ends[-1]
         # a call's rows record: its rows, their inputs as a C-order
@@ -682,13 +682,13 @@ class MLPObjective(Objective):
             for li in range(depth - 1, -1, -1):
                 wb = layers[li]
                 fan_in, fan_out = wb.shape[0] - 1, wb.shape[1]
-                (start, end, shape), d_wb = self._blocks[li], d_wbs[li]
+                (start, end, _), d_wb = self._blocks[li], d_wbs[li]
                 r_wb = acts[li] @ r_delta.reshape(-1, n).T
                 r_wb = r_wb.reshape(fan_in + 1, size, fan_out).transpose(1, 0, 2)
                 if r_acts[li] is not None:
                     r_w = r_acts[li].reshape(-1, n) @ deltas[li].T
                     r_wb[:, :fan_in] += r_w.reshape(size, fan_in, fan_out)
-                result[:, start:end].reshape(size, *shape)[...] = r_wb
+                result[:, start:end] = r_wb.reshape(size, -1)
                 if li > 0:
                     _, r_back, d_back = self._work[li - 1][:, :size]
                     d_w = d_wb[:, :fan_in].reshape(-1, fan_out)
