@@ -681,9 +681,19 @@ def test_a_lanczos_solve_runs_one_forward_pass_at_its_point(monkeypatch):
 
 @pytest.mark.parametrize(
     "method, points",
-    [("sgd", 1), ("momentum_sgd", 1), ("adam", 1), ("adamw", 1), ("sam", 2), ("gam", 4), ("fad", 4)],
+    [
+        ("sgd", 1),
+        ("momentum_sgd", 1),
+        ("adam", 1),
+        ("adamw", 1),
+        ("sam", 2),
+        ("gam", 4),
+        ("fad", 4),
+    ],
 )
-def test_a_step_runs_one_forward_and_one_backward_pass_per_gradient_point(monkeypatch, method, points):
+def test_a_step_runs_one_forward_and_one_backward_pass_per_gradient_point(
+    monkeypatch, method, points
+):
     # the step's loss and its first gradient share one forward pass, and each
     # further gradient is taken at a point of its own
     obj = MLPObjective((2, 5, 3), tiny_dataset(n=40, seed=5))
