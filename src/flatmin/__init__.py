@@ -45,7 +45,6 @@ from .optimizers import (
     OptimizerConfig,
     OptimizerState,
     RunRecord,
-    StepTrace,
     convergence_check,
     run_training,
     schedule_value,

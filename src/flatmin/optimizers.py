@@ -114,24 +114,6 @@ class OptimizerState:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class StepTrace:
-    """Everything one optimizer step computed, for logging and diagnostics."""
-
-    t: int
-    eta_t: float
-    rho_t: float
-    loss_before: float
-    g0: Vector
-    h0: Vector
-    h1: Vector
-    delta: Vector
-    fad_applied: bool
-    g1: Vector | None = None
-    g2: Vector | None = None
-    g3: Vector | None = None
-
-
 def schedule_value(base: float, schedule: str, t: int) -> float:
     """Value of a scheduled coefficient at 1-indexed step t."""
     if t < 1:
@@ -167,18 +149,20 @@ def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
     return np.divide(m / (1.0 - b1**t), denom, out=denom)
 
 
-StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, StepTrace]]
+StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, dict]]
 
 
 def step(
     obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, StepTrace]:
+) -> tuple[Vector, dict]:
     """One step of ``config.method``; see the module docstring for the fad update.
 
-    ``sam`` descends along the gradient at the ascent point
-    theta + rho*g0/(|g0|+xi); ``gam`` is the fad step with alpha pinned to 0;
-    ``adamw`` shrinks theta by (1 - eta_t*wd) outside the Adam moments, where
-    every other method adds the decay to each gradient it evaluates.
+    Returns the next theta and the step's columns of its log row, ``t``
+    through ``fad_applied`` in ``LOG_COLUMNS`` order. ``sam`` descends along
+    the gradient at the ascent point theta + rho*g0/(|g0|+xi); ``gam`` is the
+    fad step with alpha pinned to 0; ``adamw`` shrinks theta by (1 - eta_t*wd)
+    outside the Adam moments, where every other method adds the decay to each
+    gradient it evaluates.
     """
     method = config.method
     t = state.t + 1
@@ -190,8 +174,9 @@ def step(
         batch = sample_batch(obj.dataset, config.batch_size, state.rng)
     loss0 = eval_loss(obj, theta, batch)
     g0 = _grad(obj, theta, batch, wd)
-    h0 = h1 = np.zeros(g0.shape)
-    g1 = g2 = g3 = None
+    norm_g0 = norm(g0)
+    # h0 and h1 log as 0 on a step that does not evaluate them
+    norm_h0 = norm_h1 = 0.0
     delta = g0
     if method == "momentum_sgd":
         if state.momentum_buf is None:
@@ -209,15 +194,17 @@ def step(
     )
     xi = config.xi
     if applied:
-        g1 = _grad(obj, theta + rho * g0 / (norm(g0) + xi), batch, wd)
+        g1 = _grad(obj, theta + rho * g0 / (norm_g0 + xi), batch, wd)
         h0 = g1 - g0
+        norm_h0 = norm(h0)
         delta = g1
     if applied and method != "sam":
         alpha = 0.0 if method == "gam" else config.alpha
-        ascent2 = theta + rho * h0 / (norm(h0) + xi)
+        ascent2 = theta + rho * h0 / (norm_h0 + xi)
         g2 = _grad(obj, ascent2, batch, wd)
         g3 = _grad(obj, ascent2 + rho * g2 / (norm(g2) + xi), batch, wd)
         h1 = g3 - g2
+        norm_h1 = norm(h1)
         delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
@@ -225,8 +212,18 @@ def step(
     theta_next = theta - eta * delta
     if not all_finite(theta_next):
         raise NumericalError("parameter update produced non-finite values")
-    trace = StepTrace(t, eta, rho, loss0, g0, h0, h1, delta, applied, g1=g1, g2=g2, g3=g3)
-    return theta_next, trace
+    return theta_next, {
+        "t": t,
+        "eta_t": eta,
+        "rho_t": rho,
+        "loss": loss0,
+        "norm_g0": norm_g0,
+        "norm_h0": norm_h0,
+        "norm_h1": norm_h1,
+        # delta is g0 itself for sgd and a skipped gam or fad step
+        "norm_delta": norm_g0 if delta is g0 else norm(delta),
+        "fad_applied": int(applied),
+    }
 
 
 # run_training looks the step up per method, so a caller can wrap one method's steps
@@ -237,29 +234,6 @@ STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
 class RunRecord:
     theta_final: Vector
     rows: list[dict]
-
-
-def trace_to_row(
-    trace: StepTrace, run_id: str, method: str, seed: int, wall_ms: float
-) -> dict:
-    # h0 and h1 stay the zero vector the step starts from unless it evaluated g1
-    # and g3 respectively, and delta is g0 itself for sgd and a skipped fad step
-    norm_g0 = norm(trace.g0)
-    return {
-        "run_id": run_id,
-        "method": method,
-        "seed": seed,
-        "t": trace.t,
-        "eta_t": trace.eta_t,
-        "rho_t": trace.rho_t,
-        "loss": trace.loss_before,
-        "norm_g0": norm_g0,
-        "norm_h0": 0.0 if trace.g1 is None else norm(trace.h0),
-        "norm_h1": 0.0 if trace.g3 is None else norm(trace.h1),
-        "norm_delta": norm_g0 if trace.delta is trace.g0 else norm(trace.delta),
-        "fad_applied": int(trace.fad_applied),
-        "wall_ms": wall_ms,
-    }
 
 
 def run_training(
@@ -281,14 +255,16 @@ def run_training(
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     theta = np.array(theta0, dtype=np.float64, copy=True)
+    seed = int(seed)
     state = OptimizerState.fresh(seed)
-    step_fn = STEP_FUNCTIONS[config.method]
+    method = config.method
+    step_fn = STEP_FUNCTIONS[method]
     rows: list[dict] = []
     for _ in range(iterations):
         t0 = time.perf_counter()
-        theta, trace = step_fn(obj, theta, state, config)
+        theta, columns = step_fn(obj, theta, state, config)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        row = trace_to_row(trace, run_id, config.method, int(seed), wall_ms)
+        row = {"run_id": run_id, "method": method, "seed": seed, **columns, "wall_ms": wall_ms}
         rows.append(row)
         if log_sink is not None:
             log_sink(row)

@@ -703,8 +703,8 @@ def test_a_step_runs_one_forward_and_one_backward_pass_per_gradient_point(
     monkeypatch.setattr(obj, "_forward", lambda *args: passes.append(args) or forward(*args))
     monkeypatch.setattr(obj, "_backward", lambda *args: backwards.append(args) or backward(*args))
     config = OptimizerConfig(method, eta0=0.1, rho0=0.1, batch_size=8)
-    _, trace = step(obj, theta, OptimizerState.fresh(0), config)
-    assert trace.fad_applied == (points > 1)
+    _, columns = step(obj, theta, OptimizerState.fresh(0), config)
+    assert columns["fad_applied"] == (points > 1)
     assert len(passes) == len(backwards) == points
 
 

@@ -2,7 +2,7 @@
 
 The flatness-aware step is pinned against values worked by hand with exact
 arithmetic on H = diag(2, 8) at theta = (1, 1), rho = 0.1, xi = 0. Everything
-downstream (per-step traces, the training loop, the convergence report) is
+downstream (the log rows, the training loop, the convergence report) is
 checked for determinism and for the exact batch/stream discipline the log
 format promises.
 """
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatmin import optimizers
 from flatmin.errors import ConfigError, InsufficientDataError, NumericalError
 from flatmin.objectives import (
     Batch,
@@ -37,7 +38,6 @@ from flatmin.optimizers import (
     run_training,
     schedule_value,
     step,
-    trace_to_row,
 )
 
 # Hand-worked single step on H = diag(2, 8), theta = (1, 1), rho = 0.1, xi = 0.
@@ -79,36 +79,68 @@ def tiny_mlp(seed=0, n=24):
     return MLPObjective((2, 4, 3), ds)
 
 
+def recorded_grads(monkeypatch):
+    """Wrap ``optimizers.eval_grad``; the list it returns gets a copy of every
+    gradient the step evaluates, in call order (g0, g1, g2, g3 for fad)."""
+    grads = []
+
+    def record(*args):
+        g = eval_grad(*args)
+        grads.append(g.copy())
+        return g
+
+    monkeypatch.setattr(optimizers, "eval_grad", record)
+    return grads
+
+
+def fad_delta(grads, cfg):
+    # the fad direction from the recorded gradients, in the step's own order
+    g0, g1, g2, g3 = grads
+    return g0 + cfg.beta * (cfg.alpha * (g1 - g0) + (1.0 - cfg.alpha) * (g3 - g2))
+
+
 # ------------------------------------------------------ worked fad example
 
 
-def test_fad_step_matches_hand_computed_intermediates():
+def test_fad_step_matches_hand_computed_intermediates(monkeypatch):
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = fad_config()
-    _, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
-    for name in ("g0", "g1", "h0", "g2", "g3", "h1"):
-        np.testing.assert_allclose(getattr(trace, name), WORKED[name], atol=1e-12)
-    np.testing.assert_allclose(trace.delta, WORKED["delta_a05_b01"], atol=1e-12)
-    assert trace.fad_applied
+    grads = recorded_grads(monkeypatch)
+    theta1, columns = step(obj, theta, OptimizerState.fresh(0), cfg)
+    assert len(grads) == 4
+    for name, g in zip(("g0", "g1", "g2", "g3"), grads):
+        np.testing.assert_allclose(g, WORKED[name], atol=1e-12)
+    for name in ("g0", "h0", "h1"):
+        expected = np.linalg.norm(WORKED[name])
+        np.testing.assert_allclose(columns[f"norm_{name}"], expected, atol=1e-12)
+    delta = (theta - theta1) / cfg.eta0
+    np.testing.assert_allclose(delta, WORKED["delta_a05_b01"], atol=1e-12)
+    expected = np.linalg.norm(WORKED["delta_a05_b01"])
+    np.testing.assert_allclose(columns["norm_delta"], expected, atol=1e-12)
+    assert columns["fad_applied"] == 1
 
 
-def test_fad_step_applies_the_update():
+def test_fad_step_applies_the_update(monkeypatch):
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = fad_config()
-    theta1, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
-    np.testing.assert_allclose(theta1, theta - cfg.eta0 * trace.delta, atol=1e-15)
+    grads = recorded_grads(monkeypatch)
+    theta1, _ = step(obj, theta, OptimizerState.fresh(0), cfg)
+    np.testing.assert_allclose(theta1, theta - cfg.eta0 * fad_delta(grads, cfg), atol=1e-15)
 
 
 def test_fad_delta_combinations():
+    # delta = g0 + h1 pins h1, and delta = g0 + h0 = g1 pins h0
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
-    _, tr = step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=0.0, beta=1.0))
-    np.testing.assert_allclose(tr.delta, WORKED["delta_a0_b1"], atol=1e-12)
+    cfg = fad_config(alpha=0.0, beta=1.0)
+    theta1, _ = step(obj, theta, OptimizerState.fresh(0), cfg)
+    np.testing.assert_allclose((theta - theta1) / cfg.eta0, WORKED["delta_a0_b1"], atol=1e-12)
     # alpha=1, beta=1 collapses to g0 + h0 = g1
-    _, tr = step(obj, theta, OptimizerState.fresh(0), fad_config(alpha=1.0, beta=1.0))
-    np.testing.assert_allclose(tr.delta, WORKED["g1"], atol=1e-12)
+    cfg = fad_config(alpha=1.0, beta=1.0)
+    theta1, _ = step(obj, theta, OptimizerState.fresh(0), cfg)
+    np.testing.assert_allclose((theta - theta1) / cfg.eta0, WORKED["g1"], atol=1e-12)
 
 
 # ------------------------------------------------------ reduction identities
@@ -334,14 +366,16 @@ def test_fad_ratio_extremes_and_frequency():
     assert 60 < applied < 140  # ~5 sigma around 100
 
 
-def test_fad_ratio_does_not_disturb_batch_stream():
+def test_fad_ratio_does_not_disturb_batch_stream(monkeypatch):
     # the skip coin must come from its own stream: whatever the ratio, the
     # same seed has to see the same batches, so g0 agrees step by step
     obj = tiny_mlp()
     theta0 = obj.init_params(np.random.default_rng(1))
-    _, on = step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=1.0, batch_size=8))
-    _, off = step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=0.0, batch_size=8))
-    np.testing.assert_array_equal(on.g0, off.g0)
+    on = recorded_grads(monkeypatch)
+    step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=1.0, batch_size=8))
+    off = recorded_grads(monkeypatch)
+    step(obj, theta0, OptimizerState.fresh(9), fad_config(fad_ratio=0.0, batch_size=8))
+    np.testing.assert_array_equal(on[0], off[0])
 
 
 # ---------------------------------------------------------- adam and decay
@@ -379,9 +413,9 @@ def test_coupled_weight_decay_enters_the_gradient():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     theta = np.array([1.0, 1.0])
     cfg = OptimizerConfig(method="sgd", eta0=0.1, weight_decay=0.5)
-    theta1, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
+    theta1, columns = step(obj, theta, OptimizerState.fresh(0), cfg)
     expected_g = eval_grad(obj, theta) + 0.5 * theta
-    np.testing.assert_allclose(trace.g0, expected_g, atol=1e-15)
+    np.testing.assert_allclose(columns["norm_g0"], np.linalg.norm(expected_g), atol=1e-15)
     np.testing.assert_allclose(theta1, theta - 0.1 * expected_g, atol=1e-15)
 
 
@@ -419,9 +453,9 @@ def test_step_dispatch_covers_every_method():
     theta = np.array([1.0, 1.0])
     for method in METHODS:
         cfg = OptimizerConfig(method=method, eta0=0.01, rho0=0.1)
-        theta1, trace = step(obj, theta, OptimizerState.fresh(0), cfg)
+        theta1, columns = step(obj, theta, OptimizerState.fresh(0), cfg)
         assert theta1.shape == theta.shape
-        assert trace.t == 1
+        assert columns["t"] == 1
 
 
 # ------------------------------------------------------------- run harness
@@ -440,14 +474,26 @@ def test_run_training_is_deterministic():
         }
 
 
-def test_run_training_row_schema():
+@pytest.mark.parametrize("method", METHODS)
+def test_run_training_row_schema(method):
+    # gam and fad at ratio 0.5 log both corrected and skipped steps
     obj = QuadraticObjective(np.array([2.0, 8.0]))
-    rec = run_training(obj, np.array([1.0, 1.0]), fad_config(), 3, run_id="abc")
-    assert len(rec.rows) == 3
+    ratio = 0.5 if method in ("gam", "fad") else 1.0
+    cfg = OptimizerConfig(method, eta0=0.1, rho0=0.1, fad_ratio=ratio)
+    rec = run_training(obj, np.array([1.0, 1.0]), cfg, 20, run_id="abc")
+    assert len(rec.rows) == 20
     for i, row in enumerate(rec.rows):
         assert tuple(row.keys()) == LOG_COLUMNS
         assert row["run_id"] == "abc"
         assert row["t"] == i + 1
+        assert type(row["fad_applied"]) is int
+        assert (row["norm_h0"] == 0.0) == (row["fad_applied"] == 0)
+        if method not in ("gam", "fad"):
+            assert row["norm_h1"] == 0.0
+        if method == "sgd" or (method in ("gam", "fad") and not row["fad_applied"]):
+            assert row["norm_delta"] == row["norm_g0"]
+    if method in ("gam", "fad"):
+        assert 0 < sum(row["fad_applied"] for row in rec.rows) < 20
 
 
 def test_run_training_drives_quadratic_to_zero():
@@ -506,14 +552,20 @@ def test_fad_step_evaluates_all_gradients_on_one_batch():
         np.testing.assert_array_equal(rows, reference)
 
 
-def test_trace_to_row_norms_match():
+def test_step_row_norms_match(monkeypatch):
     obj = QuadraticObjective(np.array([2.0, 8.0]))
-    _, trace = step(obj, np.array([1.0, 1.0]), OptimizerState.fresh(0), fad_config())
-    row = trace_to_row(trace, run_id="r", method="fad", seed=0, wall_ms=1.5)
-    assert row["norm_g0"] == np.linalg.norm(trace.g0)
-    assert row["norm_delta"] == np.linalg.norm(trace.delta)
-    assert row["loss"] == trace.loss_before
-    assert row["wall_ms"] == 1.5
+    theta = np.array([1.0, 1.0])
+    cfg = fad_config()
+    grads = recorded_grads(monkeypatch)
+    _, columns = step(obj, theta, OptimizerState.fresh(0), cfg)
+    g0, g1, g2, g3 = grads
+    assert columns["norm_g0"] == np.linalg.norm(g0)
+    assert columns["norm_h0"] == np.linalg.norm(g1 - g0)
+    assert columns["norm_h1"] == np.linalg.norm(g3 - g2)
+    assert columns["norm_delta"] == np.linalg.norm(fad_delta(grads, cfg))
+    assert columns["loss"] == eval_loss(obj, theta)
+    row = run_training(obj, theta, cfg, 1, run_id="r").rows[0]
+    assert row == {"run_id": "r", "method": "fad", "seed": 0, **columns, "wall_ms": row["wall_ms"]}
 
 
 # ------------------------------------------------------- convergence check
