@@ -24,7 +24,6 @@ from .flatness import (
     zeroth_order_flatness,
 )
 from .objectives import (
-    Batch,
     Dataset,
     DoubleWellObjective,
     MLPObjective,

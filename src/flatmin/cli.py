@@ -215,6 +215,11 @@ class TrainConfig:
     theta0: tuple[float, ...] | None = None
     flatness: ReportConfig = field(default_factory=ReportConfig)
 
+    def __post_init__(self) -> None:
+        # the outputs are <run_id>.csv and <run_id>_flatness.json in --out-dir
+        if self.run_id in ("", ".", "..") or Path(self.run_id).name != self.run_id:
+            raise ConfigError(f"run_id must name a file inside --out-dir, got {self.run_id!r}")
+
 
 @dataclass(frozen=True)
 class ConvergeConfig:

@@ -200,17 +200,18 @@ def first_order_flatness(
     """Estimate rho times the largest gradient norm over the rho-ball.
 
     Ascent follows the gradient of ||grad||, i.e. H(x) @ grad / ||grad||, with one
-    finite-difference Hessian-vector product per step that reuses the step's
-    gradient. Near a critical point that is power iteration on H^2, so here the
-    default start directions are the Hessian's Ritz vectors in order of magnitude,
-    from one k=1 Lanczos solve on ``rng``.
+    finite-difference Hessian-vector product per step, whose gradient at the
+    step's point an MLP takes from the step's own kept pass. Near a critical
+    point that is power iteration on H^2, so here the default start directions
+    are the Hessian's Ritz vectors in order of magnitude, from one k=1 Lanczos
+    solve on ``rng``.
     """
 
     def probe(x: Vector, ascending: bool) -> tuple[float, Vector | None]:
         g = eval_grad(obj, x)
         norm_g = norm(g)
         ascend = ascending and norm_g > 0.0
-        return norm_g, hvp_fd(obj, x, g, g0=g) / norm_g if ascend else None
+        return norm_g, hvp_fd(obj, x, g) / norm_g if ascend else None
 
     return rho * _ball_maximum(obj, theta, rho, budget, rng, directions, probe, pick=1)[1]
 

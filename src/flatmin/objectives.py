@@ -6,15 +6,11 @@ and exact Hessian-vector products of its full-data loss. Analytic test
 functions (quadratic, rosenbrock, double_well) ignore batches; the mlp
 objective evaluates an empirical mean over the selected rows.
 
-All evaluations are pure: repeated calls with the same arguments return
-bitwise-identical results. An ``MLPObjective`` keeps the rows it gathered for
-the last batch it saw, so that the several calls one optimizer step makes on
-a batch gather them once, and it keeps its last two forward passes, each
-with its gradient once one is asked for, until two passes at other points or
-rows have run since its last use: a loss, gradient or exact product at the
-same point and rows as a kept pass runs no forward pass, and a gradient there
-no backward pass either; its exact products keep the arrays they work in.
-Results do not depend on that state, but one objective is not for concurrent use.
+A batch is a 1-D array of row indices, and ``None`` means the full data.
+Every result depends only on the bytes of the point and on the indices of the
+rows, never on which array holds them or on the calls made before: an
+``MLPObjective`` reuses what it computed for earlier calls, but one objective is
+not for concurrent use.
 """
 
 from __future__ import annotations
@@ -150,35 +146,13 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Row indices into a Dataset, held as a read-only copy of the given ones.
-
-    An objective may keep what it derived from a batch's indices for as long
-    as it sees the same ``indices`` array, which is why they cannot change.
-    """
-
-    indices: IntVector
-
-    def __post_init__(self) -> None:
-        idx = np.array(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise DimensionError("batch indices must be 1-D")
-        idx.flags.writeable = False
-        # held as a view, whose flag cannot be set back while its base is read-only
-        object.__setattr__(self, "indices", idx[:])
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-
-def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> Batch:
-    """Draw ``batch_size`` distinct rows uniformly (without replacement)."""
+def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> IntVector:
+    """The 1-D int64 indices of ``batch_size`` distinct rows drawn uniformly
+    (without replacement)."""
     n = dataset.n
     if batch_size < 1 or batch_size > n:
         raise BatchSizeError(f"batch size {batch_size} outside [1, {n}]")
-    return Batch(rng.choice(n, size=batch_size, replace=False))
+    return rng.choice(n, size=batch_size, replace=False)
 
 
 class Objective:
@@ -189,15 +163,12 @@ class Objective:
     dim: int = 0
     dataset: Dataset | None = None
 
-    def _rows(self, batch: Batch | None) -> tuple | None:
-        """The record of the rows a batch selects, which ``_loss`` and ``_grad``
-        read; None for surfaces without a dataset."""
-        return None
-
-    def _loss(self, theta: Vector, rows: tuple | None) -> float:
+    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
+        """The loss over the rows ``batch`` indexes, or over the full data for None;
+        surfaces without a dataset ignore ``batch``."""
         raise NotImplementedError
 
-    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
+    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
         raise NotImplementedError
 
     def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
@@ -221,32 +192,27 @@ def _checked_grad(obj: Objective, grad: Vector) -> Vector:
     return grad
 
 
-def eval_loss(obj: Objective, theta: Vector, batch: Batch | None = None) -> float:
-    """Loss at ``theta`` over ``batch`` (or the full dataset / analytic surface)."""
+def eval_loss(obj: Objective, theta: Vector, batch: IntVector | None = None) -> float:
+    """Loss at ``theta`` over the rows ``batch`` indexes (or the full dataset /
+    analytic surface)."""
     theta = _as_param_vector(theta, obj.dim)
-    return _checked_loss(obj._loss(theta, obj._rows(batch)))
+    return _checked_loss(obj._loss(theta, batch))
 
 
-def eval_grad(obj: Objective, theta: Vector, batch: Batch | None = None) -> Vector:
+def eval_grad(obj: Objective, theta: Vector, batch: IntVector | None = None) -> Vector:
     """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would use."""
     theta = _as_param_vector(theta, obj.dim)
-    return _checked_grad(obj, obj._grad(theta, obj._rows(batch)))
+    return _checked_grad(obj, obj._grad(theta, batch))
 
 
-def hvp_fd(
-    obj: Objective,
-    theta: Vector,
-    v: Vector,
-    g0: Vector | None = None,
-) -> Vector:
+def hvp_fd(obj: Objective, theta: Vector, v: Vector) -> Vector:
     """Full-data Hessian-vector product H(theta) @ v by forward-differencing the gradient.
 
     The fixed step ``FD_STEP`` is taken along v normalized to unit length, then
     the difference quotient is rescaled by ||v||, so accuracy does not depend on
     the magnitude of v; the result is biased by O(``FD_STEP``) and is not
-    linear in v. ``g0`` is the full-data gradient at ``theta`` when the caller
-    already has it; otherwise it is asked for here, and an MLP that kept the
-    pass at ``theta`` returns its gradient without computing it again.
+    linear in v. An MLP that kept the pass at ``theta`` returns the gradient
+    there without computing it again.
 
     Only the Lanczos solve and ``r1``'s ascent still use it; the exact ``hvp``
     is to replace it there too, together with the benchmark's pins on it.
@@ -258,8 +224,7 @@ def hvp_fd(
         raise DegenerateDirectionError("hvp direction has zero norm")
     unit = v / v_norm
     g1 = eval_grad(obj, theta + FD_STEP * unit)
-    if g0 is None:
-        g0 = eval_grad(obj, theta)
+    g0 = eval_grad(obj, theta)
     return (g1 - g0) * (v_norm / FD_STEP)
 
 
@@ -316,12 +281,12 @@ class QuadraticObjective(Objective):
         assert self.matrix is not None
         return self.matrix
 
-    def _loss(self, theta: Vector, rows: tuple | None) -> float:
+    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
         if self.diag is not None:
             return 0.5 * float(self.diag @ (theta * theta))
         return 0.5 * float(theta @ (self.matrix @ theta))
 
-    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
+    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
         if self.diag is not None:
             return self.diag * theta
         return self.matrix @ theta
@@ -341,11 +306,11 @@ class RosenbrockObjective(Objective):
             raise ConfigError(f"rosenbrock needs dim >= 2, got {dim}")
         self.dim = int(dim)
 
-    def _loss(self, theta: Vector, rows: tuple | None) -> float:
+    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
         x, y = theta[:-1], theta[1:]
         return float(np.sum(100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2))
 
-    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
+    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
         g = np.zeros_like(theta)
         x, y = theta[:-1], theta[1:]
         g[:-1] += -400.0 * x * (y - x * x) - 2.0 * (1.0 - x)
@@ -414,7 +379,7 @@ class DoubleWellObjective(Objective):
         root = np.sqrt(disc)
         return np.sort(np.array([(-a1 - root) / (2 * a2), (-a1 + root) / (2 * a2)]))
 
-    def _loss(self, theta: Vector, rows: tuple | None) -> float:
+    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
         v0, v1 = self._basin_values(float(theta[0]))
         return v0 if v0 <= v1 else v1
 
@@ -423,7 +388,7 @@ class DoubleWellObjective(Objective):
         v0, v1 = self._basin_values(float(theta[0]))
         return 0 if v0 <= v1 else 1
 
-    def _grad(self, theta: Vector, rows: tuple | None) -> Vector:
+    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
         x, i = float(theta[0]), self._basin(theta)
         return np.array([self.curvatures[i] * (x - self.centers[i])], dtype=np.float64)
 
@@ -461,10 +426,12 @@ class MLPObjective(Objective):
     reduction runs along the long rows axis; ``logits`` still returns
     ``[rows, classes]``.
 
-    The objective keeps its last two forward passes, the least recently used
-    one giving way to a new one; a loss, gradient or exact product at a kept
-    pass's point (by its bytes) and rows takes that pass, and a gradient there
-    returns a copy of the one first computed from it.
+    Results depend only on the point's bytes and the rows' indices. Within
+    that rule the objective keeps the rows it gathered for the last batch,
+    under the bytes of its int64 indices, and its last two forward passes, the
+    least recently used one giving way to a new one; a loss, gradient or exact
+    product at a kept pass's point and rows takes that pass, and a gradient
+    there returns a copy of the one first computed from it.
     """
 
     kind = "mlp"
@@ -487,21 +454,19 @@ class MLPObjective(Objective):
         ends = np.cumsum([0] + [a * b for a, b in shapes]).tolist()
         self._blocks = list(zip(ends[:-1], ends[1:], shapes))  # each layer's (start, end, shape)
         self.dim = ends[-1]
-        # a call's rows record: its rows, their inputs as a C-order
-        # [features + 1, rows] array whose last row is ones, the flat index
-        # ``label * rows + position`` of each row's label logit in the
-        # [classes, rows] logits, and the one-hot [classes, rows] labels; this
-        # one is full data, and a batch gathers its inputs, ones included, and
-        # its one-hot labels from it
-        rows = np.arange(dataset.n, dtype=np.int64)
-        pick = dataset.labels * dataset.n + rows
+        # a call's rows record: the bytes of its batch's int64 indices (None
+        # for full data), the rows' inputs as a C-order [features + 1, rows]
+        # array whose last row is ones, the flat index ``label * rows +
+        # position`` of each row's label logit in the [classes, rows] logits,
+        # and the one-hot [classes, rows] labels; this one is full data, and a
+        # batch gathers its inputs, ones included, and its one-hot labels from it
+        pick = dataset.labels * dataset.n + np.arange(dataset.n)
         target = np.zeros((sizes[-1], dataset.n))
         target.reshape(-1)[pick] = 1.0
-        rows.flags.writeable = pick.flags.writeable = target.flags.writeable = False
-        self._all = (rows, self._with_ones(dataset.inputs.T), pick, target)
-        # the last batch's record, kept while the same read-only
-        # ``Batch.indices`` array comes back; it starts as the full data's,
-        # whose rows no batch holds
+        pick.flags.writeable = target.flags.writeable = False
+        self._all = (None, self._with_ones(dataset.inputs.T), pick, target)
+        # the last batch's record, kept while indices of the same bytes come
+        # back; it starts as the full data's, whose key no batch's bytes equal
         self._batch = self._all
         # the last two passes, the least recently used first
         self._passes: list[_Pass] = []
@@ -547,11 +512,15 @@ class MLPObjective(Objective):
         inputs = self._with_ones(np.asarray(inputs, dtype=np.float64).T)
         return self._layer_outputs(self._unpack(theta), inputs)[1].T
 
-    def _rows(self, batch: Batch | None) -> tuple[IntVector, Matrix, IntVector, Matrix]:
+    def _rows(self, batch: IntVector | None) -> tuple[bytes | None, Matrix, IntVector, Matrix]:
+        """The rows record of ``batch``'s indices, or of the full data for None."""
         if batch is None:
             return self._all
-        idx = batch.indices
-        if idx is not self._batch[0]:
+        idx = np.asarray(batch, dtype=np.int64)
+        if idx.ndim != 1:
+            raise DimensionError(f"batch indices must be 1-D, got shape {idx.shape}")
+        key = idx.tobytes()
+        if key != self._batch[0]:
             if idx.size == 0:
                 raise BatchSizeError("batch is empty")
             data = self.dataset
@@ -561,7 +530,7 @@ class MLPObjective(Objective):
             # a batch may repeat rows, so its pick index counts batch positions
             pick = data.labels[idx] * idx.size + np.arange(idx.size)
             _, inputs, _, target = self._all
-            self._batch = (idx, inputs.take(idx, axis=1), pick, target.take(idx, axis=1))
+            self._batch = (key, inputs.take(idx, axis=1), pick, target.take(idx, axis=1))
         return self._batch
 
     def _forward(self, theta: Vector, rows: tuple) -> tuple[list[Matrix], list[Matrix], Matrix]:
@@ -614,12 +583,12 @@ class MLPObjective(Objective):
                 delta *= dtanh
         return grad
 
-    def _loss(self, theta: Vector, rows: tuple) -> float:
-        kept = self._pass(theta, rows)
-        return self._mean_nll(kept.shifted, kept.expsum, rows[2])
+    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
+        kept = self._pass(theta, self._rows(batch))
+        return self._mean_nll(kept.shifted, kept.expsum, kept.rows[2])
 
-    def _grad(self, theta: Vector, rows: tuple) -> Vector:
-        kept = self._pass(theta, rows)
+    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
+        kept = self._pass(theta, self._rows(batch))
         if kept.grad is None:
             kept.grad = self._backward(kept)
         return kept.grad.copy()

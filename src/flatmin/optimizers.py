@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NumericalError
-from .objectives import Batch, Objective, Vector, all_finite, eval_grad, eval_loss, norm
+from .objectives import IntVector, Objective, Vector, all_finite, eval_grad, eval_loss, norm
 from .objectives import sample_batch
 
 METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
@@ -125,7 +125,7 @@ def schedule_value(base: float, schedule: str, t: int) -> float:
     raise ConfigError(f"unknown schedule '{schedule}'")
 
 
-def _grad(obj: Objective, theta: Vector, batch: Batch | None, wd: float) -> Vector:
+def _grad(obj: Objective, theta: Vector, batch: IntVector | None, wd: float) -> Vector:
     # coupled L2: the regularized objective's gradient at the evaluation point
     g = eval_grad(obj, theta, batch)
     if wd != 0.0:

@@ -181,6 +181,16 @@ def test_non_finite_number_exits_2_before_training(tmp_path, number):
     assert not (tmp_path / "demo.csv").exists()
 
 
+@pytest.mark.parametrize("run_id", ["../escaped", "a/b", "", ".."])
+def test_run_id_outside_the_out_dir_exits_2_before_training(tmp_path, run_id):
+    cfg = write_config(tmp_path, train_doc(run_id=run_id))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli("train", "--config", cfg, "--out-dir", str(out_dir)) == CONFIG_EXIT
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -853,15 +863,16 @@ def readme_config_blocks():
 
 
 def test_readme_layout_names_resolve():
-    # every bare backticked name with an underscore in a ``flatmin.X`` row of
-    # the Layout table is one that module holds
+    # every bare backticked name with an underscore or in CamelCase in a
+    # ``flatmin.X`` row of the Layout table is one that module holds
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `flatmin\.(\w+)` \|(.*)$", readme, re.MULTILINE)
     assert len(rows) == 5
     for module, contents in rows:
         mod = importlib.import_module(f"flatmin.{module}")
         for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
-            assert "_" not in name or hasattr(mod, name), f"flatmin.{module}.{name}"
+            named = "_" in name or re.fullmatch(r"[A-Z]\w*[a-z]\w*", name)
+            assert not named or hasattr(mod, name), f"flatmin.{module}.{name}"
 
 
 def test_readme_optimizer_table_names_every_field_with_its_default():

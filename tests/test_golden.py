@@ -36,7 +36,6 @@ import pytest
 from flatmin.cli import main
 from flatmin.flatness import FlatnessBudget, build_flatness_report
 from flatmin.objectives import (
-    Batch,
     MLPObjective,
     eval_grad,
     eval_loss,
@@ -186,7 +185,7 @@ def test_oracle_outputs_are_unchanged(oracle_mlps, model, variant):
     theta = 0.5 * rng.standard_normal(obj.dim)
     batch = None
     if variant == "repeats":
-        batch = Batch(rng.integers(0, obj.dataset.n, size=obj.dataset.n + 7))
+        batch = rng.integers(0, obj.dataset.n, size=obj.dataset.n + 7)
     loss, grad = eval_loss(obj, theta, batch), eval_grad(obj, theta, batch)
     parts = [np.float64(eval_loss(obj, theta, batch)), eval_grad(obj, theta, batch)]
     data = b"".join(np.asarray(x).tobytes() for x in [*parts, np.float64(loss), grad])

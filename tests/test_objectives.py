@@ -23,7 +23,6 @@ from flatmin.errors import (
 )
 from flatmin.flatness import power_iteration_lambda_max
 from flatmin.objectives import (
-    Batch,
     Dataset,
     DoubleWellObjective,
     MLPObjective,
@@ -181,7 +180,7 @@ def test_mlp_gradient_matches_finite_differences():
 def test_mlp_minibatch_gradient_matches_finite_differences():
     ds = tiny_dataset()
     obj = MLPObjective((2, 4, 3), ds)
-    batch = Batch(np.array([0, 3, 7, 9]))
+    batch = np.array([0, 3, 7, 9])
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(obj.dim) * 0.5
     err = np.abs(eval_grad(obj, theta, batch) - central_diff_grad(obj, theta, batch)).max()
@@ -259,7 +258,7 @@ def every_kind():
 
 KINDS = every_kind()
 MLPS = [k for k in KINDS if k[0].startswith("mlp")]
-BATCH = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
+BATCH = np.array([7, 0, 31, 12, 12, 5, 39])
 
 
 @pytest.mark.parametrize("batch", [None, BATCH], ids=["full", "batch"])
@@ -278,7 +277,7 @@ def test_loss_and_grad_equals_separate_calls_bit_for_bit(name, obj, theta, batch
 def test_full_data_path_equals_an_all_rows_batch(name, obj, theta):
     # the full-data path reads the dataset in place; an explicit batch of
     # every row takes the indexed copy, and both must agree bit for bit
-    every_row = Batch(np.arange(obj.dataset.n))
+    every_row = np.arange(obj.dataset.n)
     assert eval_loss(obj, theta) == eval_loss(obj, theta, every_row)
     assert np.array_equal(eval_grad(obj, theta), eval_grad(obj, theta, every_row))
 
@@ -292,13 +291,6 @@ def test_loss_and_grad_checks_like_the_separate_calls():
     for call in (eval_loss, eval_grad, eval_grad):
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
             call(obj, np.full(obj.dim, np.nan))
-
-
-@pytest.mark.parametrize("name,obj,theta", KINDS, ids=[f"{k[0]}-full" for k in KINDS])
-def test_hvp_with_given_base_gradient_is_bit_identical(name, obj, theta):
-    v = np.random.default_rng(9).standard_normal(obj.dim)
-    given = hvp_fd(obj, theta, v, g0=eval_grad(obj, theta))
-    assert np.array_equal(given, hvp_fd(obj, theta, v))
 
 
 # ------------------------------------------- exact Hessian-vector products
@@ -447,7 +439,7 @@ def reference_loss_and_grad(obj, theta, batch):
     class sums over axis 0 and each layer's weight-and-bias gradient as one
     product."""
     data = obj.dataset
-    rows = np.arange(data.n) if batch is None else batch.indices
+    rows = np.arange(data.n) if batch is None else batch
     inputs = data.inputs if batch is None else data.inputs[rows]
     blocks, acts, logits = reference_forward(obj.layer_sizes, theta, inputs)
     shifted = logits - logits.max(axis=0)
@@ -481,7 +473,7 @@ def row_major_loss_and_grad(obj, theta, batch):
     """Mean cross-entropy and its gradient with each row's maximum taken by
     ``max(axis=1)`` and the label logits picked by a (row, label) index."""
     data = obj.dataset
-    rows = np.arange(data.n) if batch is None else batch.indices
+    rows = np.arange(data.n) if batch is None else batch
     inputs = data.inputs if batch is None else data.inputs[rows]
     layers, acts, logits = row_major_forward(obj.layer_sizes, theta, inputs)
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -520,7 +512,7 @@ def mlp_cases(draw):
     data = Dataset(inputs, rng.integers(classes, size=n), np.zeros(n, dtype=np.int64))
     obj = MLPObjective((features, *hidden, classes), data)
     theta = draw(st.floats(min_value=0.1, max_value=3.0)) * rng.standard_normal(obj.dim)
-    batch = Batch(rng.integers(n, size=draw(st.integers(min_value=1, max_value=2 * n + 3))))
+    batch = rng.integers(n, size=draw(st.integers(min_value=1, max_value=2 * n + 3)))
     return obj, inputs, theta, batch
 
 
@@ -558,10 +550,9 @@ def test_batch_memo_is_invisible():
     data = tiny_dataset(n=40, seed=5)
     obj = MLPObjective((2, 5, 3), data)
     theta = np.random.default_rng(2).standard_normal(obj.dim)
-    source = np.array([7, 0, 31, 12, 12, 5, 39])
-    a = Batch(source)
-    b = Batch(np.array([5, 5, 20]))
-    one = Batch(np.array([4]))
+    a = np.array([7, 0, 31, 12, 12, 5, 39])
+    b = np.array([5, 5, 20])
+    one = np.array([4])
 
     def same_as_cold(grad, batch, point=theta):
         # by bytes, so that the sign of a zero counts too
@@ -573,11 +564,11 @@ def test_batch_memo_is_invisible():
         assert eval_loss(obj, theta, batch) == loss
         assert same_as_cold(eval_grad(obj, theta, batch), batch)
 
-    for batch in (None, a, b, a, Batch(a.indices), None, a, one):
+    for batch in (None, a, b, a, a.copy(), None, a, one):
         check(batch)
     # a loss call's forward pass serves only a gradient at its rows and the
     # bytes of its point
-    for first, then in ((a, b), (a, None), (None, a), (a, Batch(a.indices))):
+    for first, then in ((a, b), (a, None), (None, a), (a, a.copy())):
         eval_loss(obj, theta, first)
         assert same_as_cold(eval_grad(obj, theta, then), then)
     point = theta.copy()
@@ -598,7 +589,7 @@ def test_batch_memo_is_invisible():
         with pytest.raises(NumericalError):
             eval_loss(obj, far)
         assert same_as_cold(eval_grad(obj, far), None, far)
-    # a rejected batch is rejected again, as itself and as an equal new batch
+    # a rejected batch is rejected again, as itself and as an equal new array
     for rows, error in (
         ([], BatchSizeError),
         ([40], DimensionError),
@@ -606,20 +597,43 @@ def test_batch_memo_is_invisible():
         ([np.iinfo(np.int64).min], DimensionError),
         ([3, np.iinfo(np.int64).min], DimensionError),
     ):
-        bad = Batch(np.array(rows, dtype=np.int64))
-        for batch in (bad, bad, Batch(bad.indices)):
+        bad = np.array(rows, dtype=np.int64)
+        for batch in (bad, bad, bad.copy()):
             with pytest.raises(error):
                 eval_grad(obj, theta, batch)
         check(one)
-    # the batch keeps the rows it was built from, also while it is the last one seen
+    # an index array written in place between two calls, also while it is the
+    # last batch seen and after a loss call on it, gives the results of its new rows
     check(a)
-    source[:] = 1
+    eval_loss(obj, theta, a)
+    a[:] = [1, 1, 1, 2, 39, 0, 3]
+    assert same_as_cold(eval_grad(obj, theta, a), [1, 1, 1, 2, 39, 0, 3])
     check(a)
-    assert a.indices.tolist() == [7, 0, 31, 12, 12, 5, 39]
-    with pytest.raises(ValueError):
-        a.indices[0] = 1
-    with pytest.raises(ValueError):
-        a.indices.flags.writeable = True
+
+
+@pytest.mark.parametrize("shape", [(), (2, 3)], ids=["0-D", "2-D"])
+def test_batch_indices_that_are_not_1d_are_rejected(shape):
+    # also when their bytes are those of the last batch seen
+    obj = MLPObjective((2, 5, 3), tiny_dataset(n=40, seed=5))
+    theta = np.random.default_rng(2).standard_normal(obj.dim)
+    bad = np.full(shape, 4, dtype=np.int64)
+    eval_grad(obj, theta, bad.reshape(-1))
+    for call in (eval_loss, eval_grad):
+        with pytest.raises(DimensionError):
+            call(obj, theta, bad)
+
+
+@pytest.mark.parametrize("given", [list, lambda rows: rows.astype(np.int32)], ids=["list", "int32"])
+def test_a_list_or_int32_batch_gives_the_bytes_of_its_int64_array(given):
+    data = tiny_dataset(n=40, seed=5)
+    obj = MLPObjective((2, 5, 3), data)
+    theta = np.random.default_rng(2).standard_normal(obj.dim)
+    rows = np.array([7, 0, 31, 12, 12, 5, 39])
+    want = eval_loss(obj, theta, rows), eval_grad(obj, theta, rows).tobytes()
+    # a cold objective gathers the rows itself; ``obj`` last saw the int64 array
+    for seen in (MLPObjective((2, 5, 3), data), obj):
+        got = eval_loss(seen, theta, given(rows)), eval_grad(seen, theta, given(rows)).tobytes()
+        assert got == want
 
 
 def test_pass_memo_is_invisible():
@@ -630,7 +644,7 @@ def test_pass_memo_is_invisible():
     obj = MLPObjective((2, 5, 3), data)
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(obj.dim)
-    a = Batch(np.array([7, 0, 31, 12, 12, 5, 39]))
+    a = np.array([7, 0, 31, 12, 12, 5, 39])
 
     def cold():
         return MLPObjective((2, 5, 3), data)
@@ -753,16 +767,16 @@ def test_sample_batch_draws_without_replacement():
     rng = np.random.default_rng(0)
     for _ in range(50):
         b = sample_batch(ds, 6, rng)
-        assert b.size == 6
-        assert len(set(b.indices.tolist())) == 6
-        assert b.indices.min() >= 0 and b.indices.max() < 10
+        assert b.shape == (6,) and b.dtype == np.int64
+        assert len(set(b.tolist())) == 6
+        assert b.min() >= 0 and b.max() < 10
 
 
 def test_sample_batch_is_uniform():
     # index 0 should appear ~ b/n of the time: 10000 draws, mean 320, sd 17.6
     ds = tiny_dataset(n=1000)
     rng = np.random.default_rng(7)
-    hits = sum(0 in sample_batch(ds, 32, rng).indices for _ in range(10000))
+    hits = sum(0 in sample_batch(ds, 32, rng) for _ in range(10000))
     assert 232 < hits < 408  # five sigma window
 
 

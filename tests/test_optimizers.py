@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from flatmin import optimizers
 from flatmin.errors import ConfigError, InsufficientDataError, NumericalError
 from flatmin.objectives import (
-    Batch,
     Dataset,
     MLPObjective,
     QuadraticObjective,
@@ -524,19 +523,19 @@ def test_log_sink_and_rows_agree():
 
 
 class RecordingObjective(MLPObjective):
-    """Wrapper that records the row set of every loss/gradient evaluation."""
+    """Wrapper that records the batch array of every loss/gradient evaluation."""
 
     def __init__(self, layer_sizes, dataset):
         super().__init__(layer_sizes, dataset)
         self.calls: list[tuple[str, np.ndarray | None]] = []
 
-    def _loss(self, theta, rows):
-        self.calls.append(("loss", rows[0].copy()))
-        return super()._loss(theta, rows)
+    def _loss(self, theta, batch):
+        self.calls.append(("loss", batch))
+        return super()._loss(theta, batch)
 
-    def _grad(self, theta, rows):
-        self.calls.append(("grad", rows[0].copy()))
-        return super()._grad(theta, rows)
+    def _grad(self, theta, batch):
+        self.calls.append(("grad", batch))
+        return super()._grad(theta, batch)
 
 
 def test_fad_step_evaluates_all_gradients_on_one_batch():
