@@ -251,49 +251,37 @@ def hvp(obj: Objective, theta: Vector, v: Vector | Matrix) -> Vector | Matrix:
 
 
 class QuadraticObjective(Objective):
-    """0.5 * theta^T H theta for a symmetric H (dense matrix or diagonal)."""
+    """0.5 * theta^T H theta for a symmetric H, given as a square matrix or as
+    the vector of a diagonal one."""
 
     kind = "quadratic"
 
     def __init__(self, curvature: Matrix | Vector):
         arr = np.asarray(curvature, dtype=np.float64)
         if arr.ndim == 1:
-            if arr.size == 0:
-                raise ConfigError("quadratic curvature is empty")
-            self.diag: Vector | None = arr
-            self.matrix: Matrix | None = None
-            self.dim = int(arr.size)
-        elif arr.ndim == 2:
-            if arr.shape[0] != arr.shape[1]:
-                raise DimensionError(f"curvature matrix must be square, got {arr.shape}")
-            scale = max(1.0, float(np.abs(arr).max()))
-            if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
-                raise ConfigError("curvature matrix must be symmetric")
-            self.diag = None
-            self.matrix = arr
-            self.dim = int(arr.shape[0])
-        else:
-            raise DimensionError("curvature must be a vector or a square matrix")
+            arr = np.diag(arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionError(f"curvature must be a vector or a square matrix, got {arr.shape}")
+        if arr.size == 0:
+            raise ConfigError("quadratic curvature is empty")
+        scale = max(1.0, float(np.abs(arr).max()))
+        if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
+            raise ConfigError("curvature matrix must be symmetric")
+        self.matrix = arr
+        self.dim = int(arr.shape[0])
 
     def hessian(self) -> Matrix:
-        if self.diag is not None:
-            return np.diag(self.diag)
-        assert self.matrix is not None
         return self.matrix
 
     def _loss(self, theta: Vector, batch: IntVector | None) -> float:
-        if self.diag is not None:
-            return 0.5 * float(self.diag @ (theta * theta))
         return 0.5 * float(theta @ (self.matrix @ theta))
 
     def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
-        if self.diag is not None:
-            return self.diag * theta
         return self.matrix @ theta
 
     def _hvp(self, theta: Vector, v: Matrix) -> Matrix:
         # the matrix is symmetric, so each row's v @ H is its H @ v
-        return v * self.diag if self.diag is not None else v @ self.matrix
+        return v @ self.matrix
 
 
 class RosenbrockObjective(Objective):

@@ -72,11 +72,16 @@ def test_quadratic_known_loss_and_grad():
 
 
 def test_quadratic_matrix_form_matches_diag_form():
-    diag = QuadraticObjective(np.array([2.0, 8.0]))
-    full = QuadraticObjective(np.diag([2.0, 8.0]))
-    theta = np.array([0.3, -1.2])
-    assert eval_loss(diag, theta) == pytest.approx(eval_loss(full, theta), rel=1e-15)
-    np.testing.assert_allclose(eval_grad(diag, theta), eval_grad(full, theta), rtol=1e-15)
+    # a diagonal is kept as its matrix, so both forms give the same bytes
+    rng = np.random.default_rng(4)
+    curvature = rng.uniform(0.5, 10.0, size=5)
+    diag = QuadraticObjective(curvature)
+    full = QuadraticObjective(np.diag(curvature))
+    theta, v = rng.standard_normal(5), rng.standard_normal((3, 5))
+    assert diag.hessian().tobytes() == full.hessian().tobytes()
+    assert np.float64(eval_loss(diag, theta)).tobytes() == np.float64(eval_loss(full, theta)).tobytes()
+    assert eval_grad(diag, theta).tobytes() == eval_grad(full, theta).tobytes()
+    assert hvp(diag, theta, v).tobytes() == hvp(full, theta, v).tobytes()
 
 
 def test_quadratic_rejects_asymmetric_matrix():
