@@ -285,7 +285,7 @@ FLATNESS_DOCS = {
 }
 
 FLATNESS_HASHES = {
-    "quadratic": "c49862f8c1f7ecc205b251ade835eed71e543e3e8a8333cb3c382a615e974db9",
+    "quadratic": "cddd3b0b7713162a1be560433c95232893756bebcfb737c672ac76e69d94a3d2",
     "mlp": "900ab056d378cb9a96744107ad51996eeae18cdb11991ad4dc8980d959a83f22",
 }
 
