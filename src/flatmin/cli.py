@@ -36,7 +36,7 @@ from .flatness import (
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
 from .objectives import RosenbrockObjective, eval_loss, load_dataset
-from .objectives import Vector, random_spd_matrix
+from .objectives import Vector, random_spd_matrix, unique_keys
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -506,7 +506,12 @@ def _finite_float(text: str) -> float:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite_float, parse_constant=_reject_non_finite)
+            doc = json.load(
+                fh,
+                object_pairs_hook=unique_keys,
+                parse_float=_finite_float,
+                parse_constant=_reject_non_finite,
+            )
     except OSError as err:
         raise ConfigError(f"config file cannot be read: {err}") from err
     except json.JSONDecodeError as err:

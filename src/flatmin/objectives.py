@@ -135,9 +135,24 @@ class Dataset:
         return cls(inputs, labels.astype(np.int64), domains.astype(np.int64))
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object as a dict, for ``json.load``'s ``object_pairs_hook``: a
+    key that repeats is a config error, where ``json`` would keep its last value."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"JSON object repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_dataset(path: str | Path) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return Dataset.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh, object_pairs_hook=unique_keys)
+        except (json.JSONDecodeError, ConfigError) as err:
+            raise ConfigError(f"dataset file {path} is not valid: {err}") from err
+    return Dataset.from_dict(doc)
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -232,6 +232,79 @@ def test_malformed_value_exits_2(tmp_path):
     assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
 
 
+# config texts that repeat a key; json would keep the last value of each
+REPEATED_KEY_CONFIGS = {
+    "top_level": json.dumps(train_doc())[:-1] + ', "optimizer": {"method": "sgd", "eta0": 0.5}}',
+    "nested": json.dumps(train_doc()).replace('"eta0": 0.05', '"eta0": 0.05, "eta0": 0.5'),
+}
+
+
+@pytest.mark.parametrize("text", REPEATED_KEY_CONFIGS.values(), ids=REPEATED_KEY_CONFIGS.keys())
+def test_repeated_config_key_exits_2_before_training(tmp_path, monkeypatch, capsys, text):
+    calls = []
+    monkeypatch.setattr(cli, "run_training", lambda *a, **kw: calls.append(a))
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("train", "--config", str(path), "--out-dir", str(out)) == CONFIG_EXIT
+    assert "repeats the key" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def mlp_flatness_doc(objective, **overrides):
+    return {"objective": {"kind": "mlp", **objective}, "rho": 0.1, **overrides}
+
+
+# (command, config document, a piece of the error message) for each check
+BAD_CONFIGS = {
+    "root_not_object": ("train", [train_doc()], "config root must be a JSON object"),
+    "not_a_list": (
+        "train",
+        train_doc(objective={"kind": "quadratic", "diag": 3}),
+        "objective.diag must be a list",
+    ),
+    "block_not_object": ("train", train_doc(optimizer=3), "optimizer must be a JSON object"),
+    "empty_grid": (
+        "sweep",
+        {
+            "data": data_block(),
+            "iterations": 5,
+            "optimizer": {"method": "sgd", "eta0": 0.1},
+            "grid": {"param": "rho", "values": []},
+        },
+        "grid.values is empty",
+    ),
+    "test_domain_out_of_range": (
+        "sweep",
+        {
+            "data": data_block(),
+            "iterations": 5,
+            "optimizer": {"method": "sgd", "eta0": 0.1},
+            "grid": {"param": "rho", "values": [0.1]},
+            "test_domain": 3,
+        },
+        "test_domain 3 out of range",
+    ),
+    "dataset_without_layer_sizes": (
+        "flatness",
+        mlp_flatness_doc({"dataset": "data.json"}),
+        "needs layer_sizes",
+    ),
+    "mlp_without_rows": ("flatness", mlp_flatness_doc({}), "either a 'dataset' path or a 'data'"),
+    "negative_seed": ("train", train_doc(seed=-1), "malformed config value"),
+}
+
+
+@pytest.mark.parametrize("command,doc,message", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys, command, doc, message):
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", cfg, "--out-dir", str(out)) == CONFIG_EXIT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 ERROR_EXITS = {
     errors.ConfigError: CONFIG_EXIT,
     errors.DimensionError: CONFIG_EXIT,
@@ -529,8 +602,7 @@ BAD_DATASET_FILES = {
 }
 
 
-@pytest.mark.parametrize("text", BAD_DATASET_FILES.values(), ids=BAD_DATASET_FILES.keys())
-def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
+def assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
     calls = []
     monkeypatch.setattr(cli, "build_flatness_report", lambda *a, **kw: calls.append(a))
     path = tmp_path / "data.json"
@@ -541,6 +613,24 @@ def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkey
     assert "dataset" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "flatness.json").exists()
+
+
+@pytest.mark.parametrize("text", BAD_DATASET_FILES.values(), ids=BAD_DATASET_FILES.keys())
+def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
+    assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text)
+
+
+MALFORMED_DATASET_FILES = {
+    "repeated_labels": dataset_text(labels='[0, 1, 2], "labels": [2, 1, 0]'),
+    "invalid_json": dataset_text()[:-1],
+}
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED_DATASET_FILES.values(), ids=MALFORMED_DATASET_FILES.keys()
+)
+def test_malformed_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
+    assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text)
 
 
 # objective blocks as given and as embedded, every default filled in
@@ -780,6 +870,47 @@ def test_sweep_interleaves_timing_repeats(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, doc)
     assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == 0
     assert order == [0.0, 0.5, 1.0] * 3
+
+
+def sweep_statuses(out_dir):
+    lines = (out_dir / "sweep.csv").read_text().strip().split("\n")[2:]
+    return [line.rsplit(",", 1)[1] for line in lines]
+
+
+def test_sweep_does_not_rerun_a_failed_point(tmp_path, monkeypatch):
+    order = []
+    train = cli.run_training
+
+    def failing(obj, theta0, config, iterations, seed):
+        order.append(config.fad_ratio)
+        if config.fad_ratio == 0.5:
+            raise errors.NumericalError("diverged")
+        return train(obj, theta0, config, iterations, seed=seed)
+
+    monkeypatch.setattr(cli, "run_training", failing)
+    doc = sweep_doc(timing_repeats=3, grid={"param": "fad_ratio", "values": [0.0, 0.5, 1.0]})
+    cfg = write_config(tmp_path, doc)
+    assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+    assert order == [0.0, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert sweep_statuses(tmp_path) == ["ok", "error:NumericalError", "ok"]
+
+
+def test_sweep_marks_a_point_whose_evaluation_fails(tmp_path, monkeypatch):
+    solve = cli.power_iteration_lambda_max
+    solves = []
+
+    def failing_first(*args, **kwargs):
+        solves.append(args)
+        if len(solves) == 1:
+            raise errors.DegenerateDirectionError("no direction")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "power_iteration_lambda_max", failing_first)
+    cfg = write_config(tmp_path, sweep_doc())
+    assert run_cli("sweep", "--config", cfg, "--out-dir", str(tmp_path)) == 0
+    assert sweep_statuses(tmp_path) == ["error:DegenerateDirectionError", "ok"]
+    first = (tmp_path / "sweep.csv").read_text().split("\n")[2]
+    assert first == "0.0,nan,nan,nan,error:DegenerateDirectionError"
 
 
 def test_sweep_repeats_change_only_wall_ms(tmp_path):

@@ -28,6 +28,7 @@ from flatmin.flatness import (
 )
 from flatmin.objectives import (
     Dataset,
+    DoubleWellObjective,
     MLPObjective,
     QuadraticObjective,
     eval_grad,
@@ -90,6 +91,21 @@ def test_flatness_is_zero_clamped_on_flat_ground():
     # a zero quadratic has no loss increase anywhere in the ball
     obj = QuadraticObjective(np.array([0.0, 0.0]))
     assert zeroth_order_flatness(obj, np.zeros(2), rho=0.5) == 0.0
+
+
+def test_an_r1_restart_ends_where_the_gradient_vanishes(monkeypatch):
+    # the restart starts at -0.5 + 0.5 * -1 = -1, the first basin's centre,
+    # where r1's ascent has no direction; theta itself lies in the second
+    # basin, where the gradient norm is 0.5 * |-0.5 - 1| = 0.75
+    grads, products = [], []
+    monkeypatch.setattr(flatness, "eval_grad", lambda obj, x: grads.append(x) or eval_grad(obj, x))
+    monkeypatch.setattr(flatness, "hvp_fd", lambda *args: products.append(args))
+    obj, budget = DoubleWellObjective(), FlatnessBudget(n_random=1, n_ascent_steps=10)
+    r1 = first_order_flatness(obj, np.array([-0.5]), 0.5, budget, directions=[np.array([-1.0])])
+    assert r1 == 0.5 * 0.75
+    # theta, then the start point once as an ascent step and once as the last iterate
+    assert [x.tolist() for x in grads] == [[-0.5], [-1.0], [-1.0]]
+    assert products == []
 
 
 # ------------------------------------------------------ regularizer algebra

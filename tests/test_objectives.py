@@ -26,6 +26,7 @@ from flatmin.objectives import (
     Dataset,
     DoubleWellObjective,
     MLPObjective,
+    Objective,
     QuadraticObjective,
     RosenbrockObjective,
     eval_grad,
@@ -79,7 +80,8 @@ def test_quadratic_matrix_form_matches_diag_form():
     full = QuadraticObjective(np.diag(curvature))
     theta, v = rng.standard_normal(5), rng.standard_normal((3, 5))
     assert diag.hessian().tobytes() == full.hessian().tobytes()
-    assert np.float64(eval_loss(diag, theta)).tobytes() == np.float64(eval_loss(full, theta)).tobytes()
+    losses = np.array([eval_loss(diag, theta), eval_loss(full, theta)])
+    assert losses[0].tobytes() == losses[1].tobytes()
     assert eval_grad(diag, theta).tobytes() == eval_grad(full, theta).tobytes()
     assert hvp(diag, theta, v).tobytes() == hvp(full, theta, v).tobytes()
 
@@ -172,6 +174,23 @@ def test_double_well_rejects_nan_curvature(curvatures):
         DoubleWellObjective(curvatures=curvatures)
 
 
+@pytest.mark.parametrize(
+    "centers,curvatures,offsets,expected",
+    [
+        # equal basins meet halfway between their centres
+        ((-1.0, 3.0), (2.0, 2.0), (0.5, 0.5), [1.0]),
+        # one basin lies 1 above the other everywhere
+        ((0.5, 0.5), (3.0, 3.0), (0.0, 1.0), []),
+        # 0.5 x^2 = 1 + x^2 has no real solution
+        ((0.0, 0.0), (1.0, 2.0), (0.0, 1.0), []),
+    ],
+    ids=["equal_basins", "parallel_offset", "nested"],
+)
+def test_double_well_crossing_points_are_the_analytic_ones(centers, curvatures, offsets, expected):
+    obj = DoubleWellObjective(centers=centers, curvatures=curvatures, offsets=offsets)
+    assert obj.crossing_points().tolist() == expected
+
+
 def test_mlp_gradient_matches_finite_differences():
     ds = tiny_dataset()
     obj = MLPObjective((2, 4, 3), ds)
@@ -225,6 +244,50 @@ def test_eval_raises_on_nonfinite_results():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     with np.errstate(over="ignore"), pytest.raises(NumericalError):
         eval_loss(obj, np.array([1e200, 1e200]))
+
+
+class WrongShapes(Objective):
+    """An objective whose gradient and products have one entry too many."""
+
+    dim = 2
+
+    def _grad(self, theta, batch):
+        return np.zeros(3)
+
+    def _hvp(self, theta, v):
+        return np.zeros((v.shape[0], 3))
+
+
+def labelled(labels):
+    return Dataset(np.zeros((len(labels), 2)), np.array(labels), np.zeros(len(labels)))
+
+
+BAD_INPUTS = {
+    "theta_not_1d": (DimensionError, lambda: eval_loss(RosenbrockObjective(2), np.ones((1, 2)))),
+    "labels_not_1d": (
+        DimensionError,
+        lambda: Dataset(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2)),
+    ),
+    "dataset_keys_missing": (ConfigError, lambda: Dataset.from_dict({"inputs": [[0.0, 1.0]]})),
+    "gradient_shape": (DimensionError, lambda: eval_grad(WrongShapes(), np.zeros(2))),
+    "product_shape": (DimensionError, lambda: hvp(WrongShapes(), np.zeros(2), np.ones(2))),
+    "three_basins": (ConfigError, lambda: DoubleWellObjective(centers=(-1.0, 0.0, 1.0))),
+    "one_layer": (ConfigError, lambda: MLPObjective((2,), labelled([0, 1]))),
+    "empty_layer": (ConfigError, lambda: MLPObjective((2, 0, 3), labelled([0, 1]))),
+    "label_too_large": (ConfigError, lambda: MLPObjective((2, 3), labelled([0, 3]))),
+    "negative_label": (ConfigError, lambda: MLPObjective((2, 3), labelled([-1, 1]))),
+    "curvature_scalar": (DimensionError, lambda: QuadraticObjective(np.float64(2.0))),
+    "curvature_3d": (DimensionError, lambda: QuadraticObjective(np.ones((2, 2, 2)))),
+    "curvature_not_square": (DimensionError, lambda: QuadraticObjective(np.ones((2, 3)))),
+    "curvature_empty": (ConfigError, lambda: QuadraticObjective(np.zeros((0, 0)))),
+}
+
+
+@pytest.mark.parametrize("error,call", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_raises_its_own_error_type(error, call):
+    with pytest.raises(ConfigError) as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def test_eval_loss_is_pure():
