@@ -1006,15 +1006,27 @@ def test_readme_layout_names_resolve():
             assert not named or hasattr(mod, name), f"flatmin.{module}.{name}"
 
 
-def test_readme_optimizer_table_names_every_field_with_its_default():
+def readme_table(heading):
+    """(key, default) of each row of the table under the README's ``### heading``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### optimizer block", 1)[1].split("\n### ", 1)[0]
+    section = readme.split(f"### {heading}\n", 1)[1].split("\n### ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, re.MULTILINE)
-    expected = [
+    return [(name, default.strip().strip("`")) for name, default in rows]
+
+
+def fields_with_defaults(cls):
+    return [
         (f.name, "required" if f.default is MISSING else json.dumps(f.default))
-        for f in fields(OptimizerConfig)
+        for f in fields(cls)
     ]
-    assert [(name, default.strip().strip("`")) for name, default in rows] == expected
+
+
+def test_readme_optimizer_table_names_every_field_with_its_default():
+    assert readme_table("optimizer block") == fields_with_defaults(OptimizerConfig)
+
+
+def test_readme_data_spec_table_names_every_field_with_its_default():
+    assert readme_table("data block") == fields_with_defaults(shiftbench.DomainSpec)
 
 
 def test_readme_config_examples_parse():
