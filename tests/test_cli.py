@@ -252,10 +252,6 @@ def test_repeated_config_key_exits_2_before_training(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
-def mlp_flatness_doc(objective, **overrides):
-    return {"objective": {"kind": "mlp", **objective}, "rho": 0.1, **overrides}
-
-
 # (command, config document, a piece of the error message) for each check
 BAD_CONFIGS = {
     "root_not_object": ("train", [train_doc()], "config root must be a JSON object"),
@@ -288,10 +284,14 @@ BAD_CONFIGS = {
     ),
     "dataset_without_layer_sizes": (
         "flatness",
-        mlp_flatness_doc({"dataset": "data.json"}),
+        {"objective": {"kind": "mlp", "dataset": "data.json"}, "rho": 0.1},
         "needs layer_sizes",
     ),
-    "mlp_without_rows": ("flatness", mlp_flatness_doc({}), "either a 'dataset' path or a 'data'"),
+    "mlp_without_rows": (
+        "flatness",
+        {"objective": {"kind": "mlp"}, "rho": 0.1},
+        "either a 'dataset' path or a 'data'",
+    ),
     "negative_seed": ("train", train_doc(seed=-1), "malformed config value"),
 }
 
@@ -599,10 +599,14 @@ BAD_DATASET_FILES = {
     "overflowing_input": dataset_text(inputs="[[0, 1], [1e999, 0], [1, 1]]"),
     "fractional_labels": dataset_text(labels="[0.9, 1.5, 2.2]"),
     "fractional_domain_ids": dataset_text(domain_ids="[0, 0.5, 1]"),
+    # a repeated key and a cut-off document are config errors too
+    "repeated_labels": dataset_text(labels='[0, 1, 2], "labels": [2, 1, 0]'),
+    "invalid_json": dataset_text()[:-1],
 }
 
 
-def assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
+@pytest.mark.parametrize("text", BAD_DATASET_FILES.values(), ids=BAD_DATASET_FILES.keys())
+def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
     calls = []
     monkeypatch.setattr(cli, "build_flatness_report", lambda *a, **kw: calls.append(a))
     path = tmp_path / "data.json"
@@ -613,24 +617,6 @@ def assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys,
     assert "dataset" in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "flatness.json").exists()
-
-
-@pytest.mark.parametrize("text", BAD_DATASET_FILES.values(), ids=BAD_DATASET_FILES.keys())
-def test_bad_number_in_a_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
-    assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text)
-
-
-MALFORMED_DATASET_FILES = {
-    "repeated_labels": dataset_text(labels='[0, 1, 2], "labels": [2, 1, 0]'),
-    "invalid_json": dataset_text()[:-1],
-}
-
-
-@pytest.mark.parametrize(
-    "text", MALFORMED_DATASET_FILES.values(), ids=MALFORMED_DATASET_FILES.keys()
-)
-def test_malformed_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text):
-    assert_dataset_file_exits_2_before_any_report(tmp_path, monkeypatch, capsys, text)
 
 
 # objective blocks as given and as embedded, every default filled in

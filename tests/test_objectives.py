@@ -278,8 +278,6 @@ BAD_INPUTS = {
     "negative_label": (ConfigError, lambda: MLPObjective((2, 3), labelled([-1, 1]))),
     "curvature_scalar": (DimensionError, lambda: QuadraticObjective(np.float64(2.0))),
     "curvature_3d": (DimensionError, lambda: QuadraticObjective(np.ones((2, 2, 2)))),
-    "curvature_not_square": (DimensionError, lambda: QuadraticObjective(np.ones((2, 3)))),
-    "curvature_empty": (ConfigError, lambda: QuadraticObjective(np.zeros((0, 0)))),
 }
 
 
