@@ -232,75 +232,65 @@ def test_malformed_value_exits_2(tmp_path):
     assert run_cli("train", "--config", cfg, "--out-dir", str(tmp_path)) == CONFIG_EXIT
 
 
-# config texts that repeat a key; json would keep the last value of each
-REPEATED_KEY_CONFIGS = {
-    "top_level": json.dumps(train_doc())[:-1] + ', "optimizer": {"method": "sgd", "eta0": 0.5}}',
-    "nested": json.dumps(train_doc()).replace('"eta0": 0.05', '"eta0": 0.05, "eta0": 0.5'),
-}
+def sweep_text(**overrides):
+    doc = {"data": data_block(), "iterations": 5, "optimizer": {"method": "sgd", "eta0": 0.1}}
+    return json.dumps({**doc, **overrides})
 
 
-@pytest.mark.parametrize("text", REPEATED_KEY_CONFIGS.values(), ids=REPEATED_KEY_CONFIGS.keys())
-def test_repeated_config_key_exits_2_before_training(tmp_path, monkeypatch, capsys, text):
-    calls = []
-    monkeypatch.setattr(cli, "run_training", lambda *a, **kw: calls.append(a))
-    path = tmp_path / "config.json"
-    path.write_text(text)
-    out = tmp_path / "out"
-    assert run_cli("train", "--config", str(path), "--out-dir", str(out)) == CONFIG_EXIT
-    assert "repeats the key" in capsys.readouterr().err
-    assert calls == []
-    assert not out.exists()
-
-
-# (command, config document, a piece of the error message) for each check
+# (command, config text, a piece of the error message) for each check
 BAD_CONFIGS = {
-    "root_not_object": ("train", [train_doc()], "config root must be a JSON object"),
+    "root_not_object": ("train", json.dumps([train_doc()]), "config root must be a JSON object"),
     "not_a_list": (
         "train",
-        train_doc(objective={"kind": "quadratic", "diag": 3}),
+        json.dumps(train_doc(objective={"kind": "quadratic", "diag": 3})),
         "objective.diag must be a list",
     ),
-    "block_not_object": ("train", train_doc(optimizer=3), "optimizer must be a JSON object"),
+    "block_not_object": (
+        "train",
+        json.dumps(train_doc(optimizer=3)),
+        "optimizer must be a JSON object",
+    ),
     "empty_grid": (
         "sweep",
-        {
-            "data": data_block(),
-            "iterations": 5,
-            "optimizer": {"method": "sgd", "eta0": 0.1},
-            "grid": {"param": "rho", "values": []},
-        },
+        sweep_text(grid={"param": "rho", "values": []}),
         "grid.values is empty",
     ),
     "test_domain_out_of_range": (
         "sweep",
-        {
-            "data": data_block(),
-            "iterations": 5,
-            "optimizer": {"method": "sgd", "eta0": 0.1},
-            "grid": {"param": "rho", "values": [0.1]},
-            "test_domain": 3,
-        },
+        sweep_text(grid={"param": "rho", "values": [0.1]}, test_domain=3),
         "test_domain 3 out of range",
     ),
     "dataset_without_layer_sizes": (
         "flatness",
-        {"objective": {"kind": "mlp", "dataset": "data.json"}, "rho": 0.1},
+        json.dumps({"objective": {"kind": "mlp", "dataset": "data.json"}, "rho": 0.1}),
         "needs layer_sizes",
     ),
     "mlp_without_rows": (
         "flatness",
-        {"objective": {"kind": "mlp"}, "rho": 0.1},
+        json.dumps({"objective": {"kind": "mlp"}, "rho": 0.1}),
         "either a 'dataset' path or a 'data'",
     ),
-    "negative_seed": ("train", train_doc(seed=-1), "malformed config value"),
+    "negative_seed": ("train", json.dumps(train_doc(seed=-1)), "malformed config value"),
+    # json alone would keep the last value of a repeated key
+    "repeated_key": (
+        "train",
+        json.dumps(train_doc())[:-1] + ', "optimizer": {"method": "sgd", "eta0": 0.5}}',
+        "repeats the key 'optimizer'",
+    ),
+    "repeated_nested_key": (
+        "train",
+        json.dumps(train_doc()).replace('"eta0": 0.05', '"eta0": 0.05, "eta0": 0.5'),
+        "repeats the key 'eta0'",
+    ),
 }
 
 
-@pytest.mark.parametrize("command,doc,message", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
-def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys, command, doc, message):
-    cfg = write_config(tmp_path, doc)
+@pytest.mark.parametrize("command,text,message", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_exits_2_and_writes_nothing(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
     out = tmp_path / "out"
-    assert run_cli(command, "--config", cfg, "--out-dir", str(out)) == CONFIG_EXIT
+    assert run_cli(command, "--config", str(path), "--out-dir", str(out)) == CONFIG_EXIT
     assert message in capsys.readouterr().err
     assert not out.exists()
 
