@@ -565,25 +565,31 @@ class MLPObjective(Objective):
         # np.mean's own arithmetic: the pairwise sum, then one division
         return float(np.add.reduce(np.log(expsum) - shifted.take(pick)) / pick.size)
 
-    def _backward(self, kept: _Pass) -> Vector:
+    @staticmethod
+    def _deltas(kept: _Pass) -> tuple[Matrix, list[Matrix]]:
+        """The softmax probabilities of ``kept`` and each layer's backward
+        ``delta``: the mean loss's gradient with respect to that layer's output,
+        ``[fan_out, rows]``, first layer first."""
         layers, acts, target = kept.layers, kept.acts, kept.rows[3]
-        delta = kept.expz / kept.expsum
-        # x - 0.0 is x, so this is the label entries' -= 1.0
-        delta -= target
+        prob = kept.expz / kept.expsum
+        # x - 0.0 is x, so this is prob with 1.0 taken from each label entry
+        delta = prob - target
         delta /= target.shape[1]
-        # each layer's weight-and-bias gradient is one product written in
-        # place, last layer first
+        deltas = [delta]
+        for li in range(len(layers) - 1, 0, -1):
+            a = acts[li][:-1]
+            dtanh = a * a
+            np.subtract(1.0, dtanh, out=dtanh)
+            delta = layers[li][:-1] @ delta
+            delta *= dtanh
+            deltas.append(delta)
+        return prob, deltas[::-1]
+
+    def _backward(self, kept: _Pass) -> Vector:
+        # each layer's weight-and-bias gradient is one product written in place
         grad = np.empty(self.dim)
-        for li in range(len(layers) - 1, -1, -1):
-            wb = layers[li]
-            start, end, _ = self._blocks[li]
-            np.matmul(acts[li], delta.T, out=grad[start:end].reshape(wb.shape))
-            if li > 0:
-                a = acts[li][:-1]
-                dtanh = a * a
-                np.subtract(1.0, dtanh, out=dtanh)
-                delta = wb[:-1] @ delta
-                delta *= dtanh
+        for (start, end, shape), a, delta in zip(self._blocks, kept.acts, self._deltas(kept)[1]):
+            np.matmul(a, delta.T, out=grad[start:end].reshape(shape))
         return grad
 
     def _loss(self, theta: Vector, batch: IntVector | None) -> float:
@@ -600,30 +606,26 @@ class MLPObjective(Objective):
         """Pearlmutter's R-op: the directional derivative of the gradient's
         forward and backward pass along each row of ``v``.
 
-        What the R-op reads of the point is computed once: the full-data pass,
-        the softmax probabilities, and per layer its backward ``delta``,
-        ``1 - a^2`` and ``-2a * (w @ delta)``. The directions then go through in
-        blocks of ``HVP_BLOCK`` as ``[block, width, rows]`` arrays. The softmax
-        step is ``q - p * sum_c q`` with ``q = p * r_z / n``: each row's Jacobian
-        ``(diag(p) - p p^T) / n`` applied without forming it.
+        What the R-op reads of the point is computed once. The full-data pass,
+        the softmax probabilities and each layer's backward ``delta`` are the
+        gradient's own, from ``_deltas``; this adds only the curvature terms of
+        each hidden layer, ``1 - a^2`` and ``-2a * (w @ delta)``, from them. The
+        directions then go through in blocks of ``HVP_BLOCK`` as
+        ``[block, width, rows]`` arrays. The softmax step is ``q - p * sum_c q``
+        with ``q = p * r_z / n``: each row's Jacobian ``(diag(p) - p p^T) / n``
+        applied without forming it.
         """
-        rows = self._all
-        kept = self._pass(theta, rows)
+        kept = self._pass(theta, self._all)
         layers, acts = kept.layers, kept.acts
-        n, depth = kept.shifted.shape[1], len(layers)
-        prob = kept.expz / kept.expsum
-        delta = prob - rows[3]
-        delta /= n
+        prob, deltas = self._deltas(kept)
+        n, depth = prob.shape[1], len(layers)
         prob_over_n = prob / n
-        deltas: list = [None] * (depth - 1) + [delta]
         slopes: list = [None] * depth
         curls: list = [None] * depth
-        for li in range(depth - 1, 0, -1):
+        for li in range(1, depth):
             a = acts[li][:-1]
-            back = layers[li][:-1] @ deltas[li]
             slopes[li] = 1.0 - a * a
-            curls[li] = -2.0 * a * back
-            deltas[li - 1] = back * slopes[li]
+            curls[li] = -2.0 * a * (layers[li][:-1] @ deltas[li])
         if self._work is None:
             # per hidden layer, [HVP_BLOCK, width, rows] for its input's R-op, its backward
             # R-op and a product; kept, as freed pages go back and would fault in again
@@ -650,7 +652,7 @@ class MLPObjective(Objective):
                     r_acts.append(r_z)
             q = r_z * prob_over_n
             r_delta = q - prob * np.add.reduce(q, axis=1, keepdims=True)
-            # backward, last layer first, as in ``_backward``
+            # backward, last layer first, as in ``_deltas``
             for li in range(depth - 1, -1, -1):
                 wb = layers[li]
                 fan_in, fan_out = wb.shape[0] - 1, wb.shape[1]
