@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -36,7 +35,7 @@ from .flatness import (
 )
 from .objectives import DoubleWellObjective, MLPObjective, Objective, QuadraticObjective
 from .objectives import RosenbrockObjective, eval_loss, load_dataset
-from .objectives import Vector, random_spd_matrix, unique_keys
+from .objectives import Vector, load_json, random_spd_matrix
 from .optimizers import (
     LOG_COLUMNS,
     METHODS,
@@ -325,10 +324,7 @@ def _build_objective(doc: dict, data: DataConfig | None) -> tuple[Objective, dic
             raise ConfigError("train_domains picks domains of a 'data' block, not of a dataset file")
         if data is not None:
             raise ConfigError("a 'data' block generates the mlp's rows; drop it next to a dataset file")
-        try:
-            return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
-        except OSError as err:
-            raise ConfigError(f"dataset file cannot be read: {err}") from err
+        return MLPObjective(spec.layer_sizes, load_dataset(spec.dataset)), asdict(spec)
     if data is None:
         raise ConfigError("mlp objective needs either a 'dataset' path or a 'data' block")
     n = data.spec.n_domains
@@ -492,30 +488,8 @@ _COMMANDS = {
 }
 
 
-def _reject_non_finite(text: str) -> float:
-    raise ConfigError(f"config holds the non-finite number {text}")
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        _reject_non_finite(text)
-    return value
-
-
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(
-                fh,
-                object_pairs_hook=unique_keys,
-                parse_float=_finite_float,
-                parse_constant=_reject_non_finite,
-            )
-    except OSError as err:
-        raise ConfigError(f"config file cannot be read: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from err
+    doc = load_json(path, "config file")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc

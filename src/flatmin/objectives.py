@@ -146,13 +146,35 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
+def _reject_non_finite(text: str) -> float:
+    raise ConfigError(f"non-finite number {text}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _reject_non_finite(text)
+    return value
+
+
+def load_json(path: str | Path, what: str) -> object:
+    """The JSON document in the file at ``path``. A file that cannot be opened,
+    is not valid JSON, repeats a key or holds a non-finite number (``NaN``,
+    ``Infinity``, ``1e999``) is a config error naming ``what`` and ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(
+                fh,
+                object_pairs_hook=unique_keys,
+                parse_float=_finite_float,
+                parse_constant=_reject_non_finite,
+            )
+    except (OSError, json.JSONDecodeError, ConfigError) as err:
+        raise ConfigError(f"cannot read {what} {path}: {err}") from err
+
+
 def load_dataset(path: str | Path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, object_pairs_hook=unique_keys)
-        except (json.JSONDecodeError, ConfigError) as err:
-            raise ConfigError(f"dataset file {path} is not valid: {err}") from err
-    return Dataset.from_dict(doc)
+    return Dataset.from_dict(load_json(path, "dataset file"))
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
