@@ -146,14 +146,12 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _reject_non_finite(text: str) -> float:
-    raise ConfigError(f"non-finite number {text}")
-
-
 def _finite_float(text: str) -> float:
+    """A JSON number, or one of the constants ``NaN``, ``Infinity`` and
+    ``-Infinity``, as a float; a non-finite one is a config error."""
     value = float(text)
     if not math.isfinite(value):
-        _reject_non_finite(text)
+        raise ConfigError(f"non-finite number {text}")
     return value
 
 
@@ -167,7 +165,7 @@ def load_json(path: str | Path, what: str) -> object:
                 fh,
                 object_pairs_hook=unique_keys,
                 parse_float=_finite_float,
-                parse_constant=_reject_non_finite,
+                parse_constant=_finite_float,
             )
     except (OSError, json.JSONDecodeError, ConfigError) as err:
         raise ConfigError(f"cannot read {what} {path}: {err}") from err
