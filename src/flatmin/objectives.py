@@ -299,6 +299,9 @@ class QuadraticObjective(Objective):
             raise DimensionError(f"curvature must be a vector or a square matrix, got {arr.shape}")
         if arr.size == 0:
             raise ConfigError("quadratic curvature is empty")
+        # inf - inf is NaN, which the symmetry check below would let through
+        if not all_finite(arr):
+            raise ConfigError("quadratic curvature holds a non-finite number")
         scale = max(1.0, float(np.abs(arr).max()))
         if float(np.abs(arr - arr.T).max()) > 1e-12 * scale:
             raise ConfigError("curvature matrix must be symmetric")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ProtocolError
 from .flatness import FlatnessBudget, FlatnessReport, ReportConfig, build_flatness_report
-from .objectives import Dataset, MLPObjective, Vector
+from .objectives import Dataset, MLPObjective, Vector, all_finite
 from .optimizers import OptimizerConfig, run_training
 
 TRANSFORMS = ("rotation", "translation", "identity")
@@ -108,6 +108,9 @@ def generate_domains(spec: DomainSpec, seed: int) -> MultiDomainDataset:
             inputs = canonical + offset
         else:
             inputs = canonical
+        # the spec is finite, but the rows it asks for may overflow float64
+        if not all_finite(inputs):
+            raise ConfigError(f"domain {d}'s rows are not finite: the data spec overflows float64")
         order = rng.permutation(spec.per_domain_n)
         domains.append(
             Dataset(

@@ -282,6 +282,38 @@ BAD_CONFIGS = {
         json.dumps(train_doc()).replace('"eta0": 0.05', '"eta0": 0.05, "eta0": 0.5'),
         "repeats the key 'eta0'",
     ),
+    # finite specs whose rows or curvature float64 cannot hold
+    "overflowing_rows": (
+        "flatness",
+        json.dumps({"objective": {"kind": "mlp"}, "data": {"spec": {"noise": 1e308}}, "rho": 0.1}),
+        "domain 0's rows are not finite",
+    ),
+    "overflowing_bench_rows": (
+        "bench",
+        json.dumps({"data": {"spec": {"noise": 1e308}}, "methods": ["sgd"]}),
+        "domain 0's rows are not finite",
+    ),
+    "overflowing_translation": (
+        "flatness",
+        json.dumps(
+            {
+                "objective": {"kind": "mlp"},
+                "data": {"spec": {"transform": "translation", "translation_step": 1e308}},
+                "rho": 0.1,
+            }
+        ),
+        "domain 2's rows are not finite",
+    ),
+    "overflowing_curvature": (
+        "flatness",
+        json.dumps(
+            {
+                "objective": {"kind": "quadratic", "random_spd": {"dim": 3, "min_top_gap": 1e308}},
+                "rho": 0.1,
+            }
+        ),
+        "quadratic curvature holds a non-finite number",
+    ),
 }
 
 

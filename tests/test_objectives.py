@@ -278,6 +278,13 @@ BAD_INPUTS = {
     "negative_label": (ConfigError, lambda: MLPObjective((2, 3), labelled([-1, 1]))),
     "curvature_scalar": (DimensionError, lambda: QuadraticObjective(np.float64(2.0))),
     "curvature_3d": (DimensionError, lambda: QuadraticObjective(np.ones((2, 2, 2)))),
+    # inf - inf is NaN, and NaN passes a symmetry check that compares with >
+    "curvature_inf_diagonal": (ConfigError, lambda: QuadraticObjective(np.array([np.inf, 1.0]))),
+    "curvature_nan_diagonal": (ConfigError, lambda: QuadraticObjective(np.array([np.nan, 1.0]))),
+    "curvature_nan_off_diagonal": (
+        ConfigError,
+        lambda: QuadraticObjective(np.array([[1.0, np.nan], [np.nan, 1.0]])),
+    ),
 }
 
 
