@@ -4,7 +4,8 @@ import of it would run here and fail only for a user without it.
 
 Inside flatmin the modules form layers: each imports only the modules below
 it, so the command line and the benchmark protocol never end up under the
-estimators they call.
+estimators they call. No module imports a name it never uses, apart from the
+package root, whose imports are its exports.
 """
 
 from __future__ import annotations
@@ -88,3 +89,31 @@ def test_the_layer_check_sees_every_form_of_import():
         "from .cli import main\nfrom . import shiftbench\nimport flatmin.flatness\nimport flatmin\n"
     )
     assert flatmin_imports(tree) == {"cli", "shiftbench", "flatness", "__init__"}
+
+
+def unused_imports(tree: ast.AST) -> set[str]:
+    """Each name an import binds that no expression of the module reads; ``import
+    a.b`` binds ``a``, and a ``__future__`` import binds nothing."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"], ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    unused = unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_the_unused_import_check_sees_an_unused_name():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport math\nimport os.path\n"
+        "import numpy as np\nfrom json import dumps, loads\n"
+        "x: np.ndarray = os.path.join(dumps(1))\n"
+    )
+    assert unused_imports(tree) == {"math", "loads"}

@@ -40,6 +40,7 @@ from flatmin.objectives import (
     save_dataset,
 )
 from flatmin.optimizers import OptimizerConfig, OptimizerState, step
+from flatmin.shiftbench import DomainSpec, generate_domains, pool_domains
 
 
 def central_diff_grad(obj, theta, batch=None, h=1e-5):
@@ -751,6 +752,27 @@ def test_pass_memo_is_invisible():
             obj = cold()
             first(obj, theta, other)
             check(theta, then)
+
+
+def test_exact_product_does_not_depend_on_earlier_calls():
+    # on the README task (2-16-3, 450 rows), a block of products after a
+    # gradient at the point, a loss elsewhere and a batch gradient has the
+    # bytes of a fresh objective's, and so has a later 3-row sub-block
+    md = generate_domains(DomainSpec(), 11)
+    data = pool_domains(md, tuple(range(md.n_domains)))
+
+    def fresh():
+        return MLPObjective((2, 16, 3), data)
+
+    obj = fresh()
+    rng = np.random.default_rng(8)
+    theta = obj.init_params(rng)
+    v = rng.standard_normal((10, obj.dim))
+    eval_grad(obj, theta)
+    eval_loss(obj, theta + 0.1 * v[0])
+    eval_grad(obj, theta, np.arange(0, 450, 7))
+    assert hvp(obj, theta, v).tobytes() == hvp(fresh(), theta, v).tobytes()
+    assert hvp(obj, theta, v[4:7]).tobytes() == hvp(fresh(), theta, v[4:7]).tobytes()
 
 
 def test_a_lanczos_solve_runs_one_forward_pass_at_its_point(monkeypatch):
