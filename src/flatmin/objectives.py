@@ -629,14 +629,13 @@ class MLPObjective(Objective):
         """Pearlmutter's R-op: the directional derivative of the gradient's
         forward and backward pass along each row of ``v``.
 
-        What the R-op reads of the point is computed once. The full-data pass,
-        the softmax probabilities and each layer's backward ``delta`` are the
-        gradient's own, from ``_deltas``; this adds only the curvature terms of
-        each hidden layer, ``1 - a^2`` and ``-2a * (w @ delta)``, from them. The
-        directions then go through in blocks of ``HVP_BLOCK`` as
-        ``[block, width, rows]`` arrays. The softmax step is ``q - p * sum_c q``
-        with ``q = p * r_z / n``: each row's Jacobian ``(diag(p) - p p^T) / n``
-        applied without forming it.
+        What the R-op reads of the point is computed once: the full-data pass,
+        the softmax probabilities and each layer's backward ``delta`` from
+        ``_deltas``, as the gradient reads them, and its own curvature terms
+        ``1 - a^2`` and ``-2a * (w @ delta)`` per hidden layer. The directions
+        then go through in blocks of ``HVP_BLOCK`` as ``[block, width, rows]``
+        arrays. The softmax step is ``q - p * sum_c q`` with ``q = p * r_z / n``:
+        each row's Jacobian ``(diag(p) - p p^T) / n`` applied without forming it.
         """
         kept = self._pass(theta, self._all)
         layers, acts = kept.layers, kept.acts
