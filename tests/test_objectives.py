@@ -270,6 +270,7 @@ BAD_INPUTS = {
         lambda: Dataset(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2)),
     ),
     "dataset_keys_missing": (ConfigError, lambda: Dataset.from_dict({"inputs": [[0.0, 1.0]]})),
+    "dataset_file_missing": (ConfigError, lambda: load_dataset("no/such/dataset.json")),
     "gradient_shape": (DimensionError, lambda: eval_grad(WrongShapes(), np.zeros(2))),
     "product_shape": (DimensionError, lambda: hvp(WrongShapes(), np.zeros(2), np.ones(2))),
     "three_basins": (ConfigError, lambda: DoubleWellObjective(centers=(-1.0, 0.0, 1.0))),
