@@ -115,8 +115,9 @@ def _parse(cls, doc, where: str):
 
     Keys that are not fields of ``cls`` and missing fields without a default
     raise ConfigError. Each value is checked against its field's type and
-    converted to it; fields typed as dataclasses are parsed the same way. The
-    dataclass's own ``__post_init__`` then checks the values' ranges.
+    converted to it; fields typed as dataclasses are parsed the same way. A
+    field named ``seed`` must be >= 0, at any depth. The dataclass's own
+    ``__post_init__`` then checks the values' ranges.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object")
@@ -128,6 +129,8 @@ def _parse(cls, doc, where: str):
     for f in fields(cls):
         if f.name in doc:
             kwargs[f.name] = _convert(doc[f.name], hints[f.name], f"{where}.{f.name}")
+            if f.name == "seed" and kwargs["seed"] < 0:
+                raise ConfigError(f"{where}.seed must be >= 0, got {kwargs['seed']}")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where} is missing required key '{f.name}'")
     return cls(**kwargs)
@@ -215,6 +218,8 @@ class TrainConfig:
     flatness: ReportConfig = field(default_factory=ReportConfig)
 
     def __post_init__(self) -> None:
+        if not (self.iterations >= 1):
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         # the outputs are <run_id>.csv and <run_id>_flatness.json in --out-dir
         if self.run_id in ("", ".", "..") or Path(self.run_id).name != self.run_id:
             raise ConfigError(f"run_id must name a file inside --out-dir, got {self.run_id!r}")
@@ -286,6 +291,8 @@ class SweepConfig:
     timing_repeats: int = 1
 
     def __post_init__(self) -> None:
+        if not (self.iterations >= 1):
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
         if not (self.timing_repeats >= 1):
             raise ConfigError(f"timing_repeats must be >= 1, got {self.timing_repeats}")
         if self.test_domain is not None and not 0 <= self.test_domain < self.data.spec.n_domains:
@@ -350,13 +357,27 @@ def _initial_point(obj: Objective, theta0: tuple[float, ...] | None, seed: int) 
     return np.zeros(obj.dim)
 
 
+def _check_batch_size(obj: Objective, optimizer: OptimizerConfig | None) -> None:
+    if optimizer is None or optimizer.batch_size is None:
+        return
+    if obj.dataset is None:
+        raise ConfigError(f"optimizer.batch_size needs data rows; a {obj.kind} objective has none")
+    if optimizer.batch_size > obj.dataset.n:
+        raise ConfigError(
+            f"optimizer.batch_size {optimizer.batch_size} exceeds the {obj.dataset.n} training rows"
+        )
+
+
 def _resolve(cfg, theta_key: str):
     """(``cfg`` with its objective and start point ``theta_key`` filled in, objective, start)."""
     obj, obj_doc = _build_objective(cfg.objective, cfg.data)
-    optimizer = getattr(cfg, "optimizer", None)
-    if obj.dataset is None and optimizer is not None and optimizer.batch_size is not None:
-        raise ConfigError(f"optimizer.batch_size needs data rows; a {obj.kind} objective has none")
-    theta = _initial_point(obj, getattr(cfg, theta_key), cfg.seed)
+    _check_batch_size(obj, getattr(cfg, "optimizer", None))
+    given = getattr(cfg, theta_key)
+    if given is not None and len(given) != obj.dim:
+        raise ConfigError(
+            f"{theta_key} has {len(given)} entries; the {obj.kind} objective has dim {obj.dim}"
+        )
+    theta = _initial_point(obj, given, cfg.seed)
     return replace(cfg, objective=obj_doc, **{theta_key: tuple(theta.tolist())}), obj, theta
 
 
@@ -443,6 +464,7 @@ def cmd_sweep(cfg: SweepConfig, out_dir: Path) -> None:
     train_domains = tuple(i for i in range(md.n_domains) if i != cfg.test_domain)
     train_ds = pool_domains(md, train_domains)
     obj = MLPObjective((md.feature_dim, cfg.hidden_units, md.num_classes), train_ds)
+    _check_batch_size(obj, cfg.optimizer)
     theta0 = _initial_point(obj, None, cfg.seed)
     points = cfg.grid_configs()
     rows = [{**dict.fromkeys(SWEEP_COLUMNS, float("nan")), "value": v} for v in cfg.grid.values]
@@ -495,6 +517,13 @@ def _load_config(path: str) -> dict:
     return doc
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    # checked before any work, but not created, so a config error leaves no directory
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out-dir {out_dir}: {existing} is not a directory")
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="flatmin",
@@ -513,7 +542,9 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.seed is not None:
             doc["seed"] = args.seed
         cls, handler = _COMMANDS[args.command]
-        handler(_parse(cls, doc, f"{args.command} config"), Path(args.out_dir))
+        cfg = _parse(cls, doc, f"{args.command} config")
+        _check_out_dir(Path(args.out_dir))
+        handler(cfg, Path(args.out_dir))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return CONFIG_EXIT
