@@ -40,6 +40,7 @@ from .objectives import (
     save_dataset,
 )
 from .optimizers import (
+    ConfigStack,
     ConvergenceReport,
     OptimizerConfig,
     OptimizerState,

@@ -6,11 +6,13 @@ and exact Hessian-vector products of its full-data loss. Analytic test
 functions (quadratic, rosenbrock, double_well) ignore batches; the mlp
 objective evaluates an empirical mean over the selected rows.
 
-A batch is a 1-D array of row indices, and ``None`` means the full data.
-Every result depends only on the bytes of the point and on the indices of the
-rows, never on which array holds them or on the calls made before: an
-``MLPObjective`` reuses what it computed for earlier calls, but one objective is
-not for concurrent use.
+A batch is a 1-D array of row indices, and ``None`` means the full data. An
+``MLPObjective``'s loss and gradient also take a ``[K, dim]`` stack of K
+points with a ``[K, rows]`` batch, one row of indices per point, and give each
+point's result bit for bit as its own call would. Every result depends only on
+the shapes and bytes of the point and of the rows' indices, never on which
+array holds them or on the calls made before: an ``MLPObjective`` reuses what it
+computed for earlier calls, but one objective is not for concurrent use.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,15 @@ FD_STEP = 1e-4
 # grew by 0.1, 0.6, 1.5 and 3.1 MB
 HVP_BLOCK = 4
 
+# an MLP's pass indexes its arrays from the end, so that one code path serves a
+# point, whose arrays are [units, rows], and a stack of K points, whose arrays
+# are [K, units, rows]; each index is built once, as building one per use
+# costs more than the indexing. _BODY is every row of a layer input but its row
+# of ones, or every row of a layer's block but its bias row; _ONES is that row
+_BODY = np.s_[..., :-1, :]
+_ONES = np.s_[..., -1, :]
+_ROW = np.s_[..., 0, :]  # the one row of an array that a reduction kept
+
 
 def norm(x: Vector) -> float:
     """Euclidean norm of a 1-D float64 vector, bit for bit what ``np.linalg.norm``
@@ -53,18 +65,26 @@ def norm(x: Vector) -> float:
     return math.sqrt(x.dot(x))
 
 
+def row_norms(x: Matrix) -> Matrix:
+    """The Euclidean norm of each row of a ``[K, d]`` array, as a ``[K, 1]``
+    column; each is bit for bit what ``norm`` gives for that row."""
+    return np.sqrt(np.vecdot(x, x, keepdims=True))
+
+
 def all_finite(x: NDArray) -> bool:
     """Whether every entry of ``x`` is finite: ``np.isfinite(x).all()`` without
     the overhead of a ufunc reduction."""
     return np.count_nonzero(np.isfinite(x)) == x.size
 
 
-def _as_param_vector(theta: object, dim: int) -> Vector:
+def _as_param_vector(theta: object, dim: int, stacks: bool = False) -> Vector | Matrix:
+    """``theta`` as one ``[dim]`` point, or, where ``stacks``, also as a
+    ``[K, dim]`` stack of points."""
     arr = np.asarray(theta, dtype=np.float64)
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not (stacks and arr.ndim == 2):
         raise DimensionError(f"parameter vector must be 1-D, got shape {arr.shape}")
-    if arr.size != dim:
-        raise DimensionError(f"parameter vector has size {arr.size}, objective needs {dim}")
+    if arr.shape[-1] != dim:
+        raise DimensionError(f"parameter vector has size {arr.shape[-1]}, objective needs {dim}")
     return arr
 
 
@@ -97,11 +117,12 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domain_ids", domains)
 
-    @property
+    # cached: every batch draw reads the row count
+    @cached_property
     def n(self) -> int:
         return int(self.inputs.shape[0])
 
-    @property
+    @cached_property
     def feature_dim(self) -> int:
         return int(self.inputs.shape[1])
 
@@ -197,6 +218,8 @@ class Objective:
     kind: str = "abstract"
     dim: int = 0
     dataset: Dataset | None = None
+    # whether the loss and gradient take a [K, dim] stack of points
+    stacks: bool = False
 
     def _loss(self, theta: Vector, batch: IntVector | None) -> float:
         """The loss over the rows ``batch`` indexes, or over the full data for None;
@@ -211,33 +234,43 @@ class Objective:
         raise NotImplementedError
 
 
-def _checked_loss(value: float) -> float:
+def _checked_loss(value: float | Vector) -> float | Vector:
+    if isinstance(value, np.ndarray):
+        if not all_finite(value):
+            raise NumericalError(f"loss is non-finite ({value[~np.isfinite(value)][0]})")
+        return value
     value = float(value)
     if not math.isfinite(value):
         raise NumericalError(f"loss is non-finite ({value})")
     return value
 
 
-def _checked_grad(obj: Objective, grad: Vector) -> Vector:
+def _checked_grad(grad: Vector | Matrix, shape: tuple) -> Vector | Matrix:
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != (obj.dim,):
-        raise DimensionError(f"gradient shape {grad.shape} != ({obj.dim},)")
+    if grad.shape != shape:
+        raise DimensionError(f"gradient shape {grad.shape} != {shape}")
     if not all_finite(grad):
         raise NumericalError("gradient contains non-finite values")
     return grad
 
 
-def eval_loss(obj: Objective, theta: Vector, batch: IntVector | None = None) -> float:
+def eval_loss(
+    obj: Objective, theta: Vector | Matrix, batch: IntVector | None = None
+) -> float | Vector:
     """Loss at ``theta`` over the rows ``batch`` indexes (or the full dataset /
-    analytic surface)."""
-    theta = _as_param_vector(theta, obj.dim)
+    analytic surface). A ``[K, dim]`` stack of points with its ``[K, rows]``
+    batch gives the ``[K]`` losses, one per point."""
+    theta = _as_param_vector(theta, obj.dim, obj.stacks)
     return _checked_loss(obj._loss(theta, batch))
 
 
-def eval_grad(obj: Objective, theta: Vector, batch: IntVector | None = None) -> Vector:
-    """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would use."""
-    theta = _as_param_vector(theta, obj.dim)
-    return _checked_grad(obj, obj._grad(theta, batch))
+def eval_grad(
+    obj: Objective, theta: Vector | Matrix, batch: IntVector | None = None
+) -> Vector | Matrix:
+    """Analytic gradient at ``theta`` over the same rows ``eval_loss`` would
+    use, one row per point for a stack of points."""
+    theta = _as_param_vector(theta, obj.dim, obj.stacks)
+    return _checked_grad(obj._grad(theta, batch), theta.shape)
 
 
 def hvp_fd(obj: Objective, theta: Vector, v: Vector) -> Vector:
@@ -424,16 +457,17 @@ class DoubleWellObjective(Objective):
 
 @dataclass(eq=False, slots=True)
 class _Pass:
-    """What one forward pass of an ``MLPObjective`` computed, under the bytes of
-    its point and its rows record, and the gradient there once one is asked for."""
+    """What one forward pass of an ``MLPObjective`` computed, under the shape and
+    bytes of its point and its rows record, and the gradient there once one is
+    asked for. Every array has the point's leading ``[K]`` axis if it has one."""
 
-    key: bytes
+    key: tuple[tuple[int, ...], bytes]
     rows: tuple
     layers: list[Matrix]
     acts: list[Matrix]
     shifted: Matrix
     expz: Matrix
-    expsum: Vector
+    expsum: Matrix  # [..., 1, rows], so that it divides expz as it is
     grad: Vector | None = None
 
 
@@ -452,15 +486,22 @@ class MLPObjective(Objective):
     reduction runs along the long rows axis; ``logits`` still returns
     ``[rows, classes]``.
 
-    Results depend only on the point's bytes and the rows' indices. Within
-    that rule the objective keeps the rows it gathered for the last batch,
-    under the bytes of its int64 indices, and its last two forward passes, the
-    least recently used one giving way to a new one; a loss, gradient or exact
-    product at a kept pass's point and rows takes that pass, and a gradient
-    there returns a copy of the one first computed from it.
+    The loss and gradient take a ``[K, dim]`` stack of points with a ``[K,
+    rows]`` batch as well: every array then gains a leading ``[K]`` axis, and
+    the same code, indexing from the end, runs all K points at once. numpy's
+    stacked products run each point's product as its own, so each point's
+    result is bit for bit its own call's.
+
+    Results depend only on the point's shape and bytes and the rows' indices.
+    Within that rule the objective keeps the rows it gathered for the last
+    batch, under the shape and bytes of its int64 indices, and its last two
+    forward passes, the least recently used one giving way to a new one; a
+    loss, gradient or exact product at a kept pass's point and rows takes that
+    pass, and a gradient there returns a copy of the one first computed from it.
     """
 
     kind = "mlp"
+    stacks = True
 
     def __init__(self, layer_sizes: tuple[int, ...], dataset: Dataset):
         sizes = tuple(int(s) for s in layer_sizes)
@@ -479,18 +520,21 @@ class MLPObjective(Objective):
         shapes = [(fi + 1, fo) for fi, fo in zip(sizes[:-1], sizes[1:])]
         ends = np.cumsum([0] + [a * b for a, b in shapes]).tolist()
         self._blocks = list(zip(ends[:-1], ends[1:], shapes))  # each layer's (start, end, shape)
+        # each layer's block of a point or of every point of a stack, and its shape
+        self._views = [(np.s_[..., start:end], shape) for start, end, shape in self._blocks]
         self.dim = ends[-1]
-        # a call's rows record: the bytes of its batch's int64 indices (None
-        # for full data), the rows' inputs as a C-order [features + 1, rows]
-        # array whose last row is ones, the flat index ``label * rows +
-        # position`` of each row's label logit in the [classes, rows] logits,
-        # and the one-hot [classes, rows] labels; this one is full data, and a
+        # a call's rows record: the shape and bytes of its batch's int64
+        # indices (None for full data), the rows' inputs as a C-order [features
+        # + 1, rows] array whose last row is ones, the flat index ``label * rows
+        # + position`` of each row's label logit in the [classes, rows] logits,
+        # the one-hot [classes, rows] labels, each with a leading [K] axis for a
+        # [K, rows] batch, and that leading shape; this one is full data, and a
         # batch gathers its inputs, ones included, and its one-hot labels from it
         pick = dataset.labels * dataset.n + np.arange(dataset.n)
         target = np.zeros((sizes[-1], dataset.n))
         target.reshape(-1)[pick] = 1.0
         pick.flags.writeable = target.flags.writeable = False
-        self._all = (None, self._with_ones(dataset.inputs.T), pick, target)
+        self._all = (None, self._with_ones(dataset.inputs.T), pick, target, ())
         # the last batch's record, kept while indices of the same bytes come
         # back; it starts as the full data's, whose key no batch's bytes equal
         self._batch = self._all
@@ -508,9 +552,10 @@ class MLPObjective(Objective):
             chunks.append(np.zeros(fo))
         return np.concatenate(chunks)
 
-    def _unpack(self, theta: Vector) -> list[Matrix]:
-        """Each layer's ``[fan_in + 1, fan_out]`` block of ``theta``."""
-        return [theta[start:end].reshape(shape) for start, end, shape in self._blocks]
+    def _unpack(self, theta: Vector | Matrix) -> list[Matrix]:
+        """Each layer's ``[fan_in + 1, fan_out]`` block of ``theta``, a view."""
+        lead = theta.shape[:-1]
+        return [theta[view].reshape(lead + shape) for view, shape in self._views]
 
     @staticmethod
     def _with_ones(inputs: Matrix) -> Matrix:
@@ -524,13 +569,14 @@ class MLPObjective(Objective):
         """The input of each layer, each with its row of ones, then the logits,
         all ``[units, rows]``."""
         acts = [inputs]
+        lead, n = inputs.shape[:-2], inputs.shape[-1]
         for wb in layers[:-1]:
-            a = np.empty((wb.shape[1] + 1, inputs.shape[1]))
-            z = np.matmul(wb.T, acts[-1], out=a[:-1])
+            a = np.empty(lead + (wb.shape[-1] + 1, n))
+            z = np.matmul(wb.mT, acts[-1], out=a[_BODY])
             np.tanh(z, out=z)
-            a[-1] = 1.0
+            a[_ONES] = 1.0
             acts.append(a)
-        return acts, layers[-1].T @ acts[-1]
+        return acts, layers[-1].mT @ acts[-1]
 
     def logits(self, theta: Vector, inputs: Matrix) -> Matrix:
         """The ``[rows, classes]`` logits of ``[rows, features]`` inputs."""
@@ -538,55 +584,71 @@ class MLPObjective(Objective):
         inputs = self._with_ones(np.asarray(inputs, dtype=np.float64).T)
         return self._layer_outputs(self._unpack(theta), inputs)[1].T
 
-    def _rows(self, batch: IntVector | None) -> tuple[bytes | None, Matrix, IntVector, Matrix]:
+    def _rows(self, batch: IntVector | None) -> tuple:
         """The rows record of ``batch``'s indices, or of the full data for None."""
         if batch is None:
             return self._all
         idx = np.asarray(batch, dtype=np.int64)
-        if idx.ndim != 1:
-            raise DimensionError(f"batch indices must be 1-D, got shape {idx.shape}")
-        key = idx.tobytes()
+        # a [2, 32] batch has the bytes of a 64-row one, so the key holds the shape
+        key = (idx.shape, idx.tobytes())
         if key != self._batch[0]:
+            if idx.ndim not in (1, 2):
+                raise DimensionError(
+                    f"batch indices must be 1-D, or [K, rows] for K points, got shape {idx.shape}"
+                )
             if idx.size == 0:
                 raise BatchSizeError("batch is empty")
             data = self.dataset
             # a negative index reads as one above any row count
-            if np.maximum.reduce(idx.view(np.uint64)) >= data.n:
+            if np.maximum.reduce(idx.view(np.uint64), None) >= data.n:
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
-            pick = data.labels[idx] * idx.size + np.arange(idx.size)
-            _, inputs, _, target = self._all
-            self._batch = (key, inputs.take(idx, axis=1), pick, target.take(idx, axis=1))
+            size = idx.shape[-1]
+            pick = data.labels[idx] * size + np.arange(size)
+            inputs, target = self._all[1].take(idx, axis=1), self._all[3].take(idx, axis=1)
+            if idx.ndim == 2:
+                # point k's [classes, rows] logits start k * classes * rows into the
+                # stack's, and its rows are a C-order [features + 1, rows] block
+                pick += np.arange(0, pick.size * target.shape[0], size * target.shape[0])[:, None]
+                inputs = np.ascontiguousarray(inputs.swapaxes(0, 1))
+                target = np.ascontiguousarray(target.swapaxes(0, 1))
+            self._batch = (key, inputs, pick, target, idx.shape[:-1])
         return self._batch
 
     def _forward(self, theta: Vector, rows: tuple) -> tuple[list[Matrix], list[Matrix], Matrix]:
         """Layers, activations, and the logits shifted by each row's maximum."""
         layers = self._unpack(theta)
         acts, logits = self._layer_outputs(layers, rows[1])
-        logits -= np.maximum.reduce(logits, axis=0)
+        logits -= np.maximum.reduce(logits, -2, keepdims=True)
         return layers, acts, logits
 
-    def _pass(self, theta: Vector, rows: tuple) -> _Pass:
-        """The kept pass at ``theta``'s bytes and ``rows``, else a new one."""
-        key = theta.tobytes()
+    def _pass(self, theta: Vector | Matrix, rows: tuple) -> _Pass:
+        """The kept pass at ``theta``'s shape and bytes and ``rows``, else a new one."""
+        key = (theta.shape, theta.tobytes())
         for kept in self._passes:
             if kept.rows is rows and kept.key == key:
                 self._passes.remove(kept)
                 break
         else:
-            # the layers view the key's own bytes, not theta, which a caller
-            # may write in place
-            layers, acts, shifted = self._forward(np.frombuffer(key), rows)
+            if rows[4] != theta.shape[:-1]:
+                raise DimensionError(
+                    f"points of shape {theta.shape} need a batch of one row of indices "
+                    f"per point, got indices of leading shape {rows[4]}"
+                )
+            # the layers view a copy, not theta, which a caller may write in place
+            layers, acts, shifted = self._forward(theta.copy(), rows)
             expz = np.exp(shifted)
-            kept = _Pass(key, rows, layers, acts, shifted, expz, np.add.reduce(expz, axis=0))
+            kept = _Pass(
+                key, rows, layers, acts, shifted, expz, np.add.reduce(expz, -2, keepdims=True)
+            )
             del self._passes[:-1]  # the most recently used one stays beside it
         self._passes.append(kept)
         return kept
 
     @staticmethod
-    def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float:
+    def _mean_nll(shifted: Matrix, expsum: Vector, pick: IntVector) -> float | Vector:
         # np.mean's own arithmetic: the pairwise sum, then one division
-        return float(np.add.reduce(np.log(expsum) - shifted.take(pick)) / pick.size)
+        return np.add.reduce(np.log(expsum[_ROW]) - shifted.take(pick), -1) / pick.shape[-1]
 
     @staticmethod
     def _deltas(kept: _Pass) -> tuple[Matrix, list[Matrix]]:
@@ -597,29 +659,30 @@ class MLPObjective(Objective):
         prob = kept.expz / kept.expsum
         # x - 0.0 is x, so this is prob with 1.0 taken from each label entry
         delta = prob - target
-        delta /= target.shape[1]
+        delta /= target.shape[-1]
         deltas = [delta]
         for li in range(len(layers) - 1, 0, -1):
-            a = acts[li][:-1]
+            a = acts[li][_BODY]
             dtanh = a * a
             np.subtract(1.0, dtanh, out=dtanh)
-            delta = layers[li][:-1] @ delta
+            delta = layers[li][_BODY] @ delta
             delta *= dtanh
             deltas.append(delta)
         return prob, deltas[::-1]
 
-    def _backward(self, kept: _Pass) -> Vector:
+    def _backward(self, kept: _Pass) -> Vector | Matrix:
         # each layer's weight-and-bias gradient is one product written in place
-        grad = np.empty(self.dim)
-        for (start, end, shape), a, delta in zip(self._blocks, kept.acts, self._deltas(kept)[1]):
-            np.matmul(a, delta.T, out=grad[start:end].reshape(shape))
+        grad = np.empty(kept.key[0])
+        lead = grad.shape[:-1]
+        for (view, shape), a, delta in zip(self._views, kept.acts, self._deltas(kept)[1]):
+            np.matmul(a, delta.mT, out=grad[view].reshape(lead + shape))
         return grad
 
-    def _loss(self, theta: Vector, batch: IntVector | None) -> float:
+    def _loss(self, theta: Vector | Matrix, batch: IntVector | None) -> float | Vector:
         kept = self._pass(theta, self._rows(batch))
         return self._mean_nll(kept.shifted, kept.expsum, kept.rows[2])
 
-    def _grad(self, theta: Vector, batch: IntVector | None) -> Vector:
+    def _grad(self, theta: Vector | Matrix, batch: IntVector | None) -> Vector | Matrix:
         kept = self._pass(theta, self._rows(batch))
         if kept.grad is None:
             kept.grad = self._backward(kept)

@@ -10,19 +10,25 @@ gradient change along a second probe started from the h0 direction. ``sam``
 keeps only the ascent-point gradient, ``gam`` only the h1 correction; both are
 exact reductions of the fad step. All gradients within one step are evaluated
 on the same minibatch.
+
+``step`` and ``run_training`` also train K runs in lockstep: theta is then a
+``[K, dim]`` stack, each run draws its own batch and coins from its own
+streams, each per-run coefficient is a ``[K, 1]`` column, and every run's
+numbers are bit for bit those it gets when it trains alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, NumericalError
-from .objectives import IntVector, Objective, Vector, all_finite, eval_grad, eval_loss, norm
-from .objectives import sample_batch
+from .objectives import IntVector, Matrix, Objective, Vector, all_finite, eval_grad, eval_loss
+from .objectives import norm, row_norms, sample_batch
 
 METHODS = ("sgd", "momentum_sgd", "adam", "adamw", "sam", "gam", "fad")
 SCHEDULES = ("constant", "inverse_sqrt")
@@ -88,34 +94,75 @@ class OptimizerConfig:
         if self.batch_size is not None and not (self.batch_size >= 1):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
+    @cached_property
+    def decays(self) -> bool:
+        """Whether each gradient a step takes adds ``weight_decay * theta``;
+        ``adamw`` shrinks theta outside its moments instead."""
+        return self.method != "adamw" and self.weight_decay != 0.0
+
+
+# the fields of runs in lockstep that may differ from run to run
+COLUMN_FIELDS = ("eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum", "weight_decay")
+
+
+class ConfigStack:
+    """The configs of K runs that train in lockstep, read by ``step`` as it
+    reads one ``OptimizerConfig``. The runs share method, schedule and batch
+    size; each field of ``COLUMN_FIELDS`` is a ``[K, 1]`` column, one row per
+    run, and ``decays`` is a ``[K, 1]`` mask when only some runs decay.
+    """
+
+    def __init__(self, configs: Sequence[OptimizerConfig]):
+        self.configs = tuple(configs)
+        if not self.configs:
+            raise ConfigError("a lockstep group needs at least one run")
+        first = self.configs[0]
+        for name in ("method", "schedule", "batch_size"):
+            if any(getattr(c, name) != getattr(first, name) for c in self.configs):
+                raise ConfigError(f"runs that train in lockstep must share their {name}")
+        if first.batch_size is None:
+            raise ConfigError("runs that train in lockstep need a batch_size")
+        self.method, self.schedule, self.batch_size = first.method, first.schedule, first.batch_size
+        for name in COLUMN_FIELDS:
+            setattr(self, name, np.array([[getattr(c, name)] for c in self.configs]))
+        decays = np.array([[c.decays] for c in self.configs])
+        self.decays: bool | Matrix = bool(decays.all()) or (decays if decays.any() else False)
+
+    def take(self, rows: IntVector) -> "ConfigStack":
+        """The stack of the runs ``rows`` indexes."""
+        return ConfigStack([self.configs[i] for i in rows])
+
 
 @dataclass
 class OptimizerState:
-    """Mutable per-run state: step counter, moment buffers, RNG streams.
+    """Mutable state of one run, or of K runs in lockstep: step counter,
+    moment buffers, and each run's RNG streams.
 
-    ``rng`` drives batch sampling; ``ratio_rng`` is a separate stream for the
-    per-step fad_ratio coin flips so that turning the ratio up or down never
-    changes which batches a run sees.
+    ``rngs`` drive batch sampling; ``ratio_rngs`` are separate streams for
+    the per-step fad_ratio coin flips so that turning the ratio up or down
+    never changes which batches a run sees.
     """
 
     t: int
-    rng: np.random.Generator
-    ratio_rng: np.random.Generator
+    rngs: list[np.random.Generator]
+    ratio_rngs: list[np.random.Generator]
     momentum_buf: Vector | None = None
     adam_m: Vector | None = None
     adam_v: Vector | None = None
 
     @classmethod
-    def fresh(cls, seed: int) -> "OptimizerState":
+    def fresh(cls, seed: int | Sequence[int]) -> "OptimizerState":
+        """The state of a run at step 0, or of K runs from K seeds."""
+        seeds = [int(s) for s in seed] if isinstance(seed, Sequence) else [int(seed)]
         return cls(
             t=0,
-            rng=np.random.default_rng(int(seed)),
-            ratio_rng=np.random.default_rng([int(seed), 1]),
+            rngs=[np.random.default_rng(s) for s in seeds],
+            ratio_rngs=[np.random.default_rng([s, 1]) for s in seeds],
         )
 
 
-def schedule_value(base: float, schedule: str, t: int) -> float:
-    """Value of a scheduled coefficient at 1-indexed step t."""
+def schedule_value(base: float | Matrix, schedule: str, t: int) -> float | Matrix:
+    """Value of a scheduled coefficient, or of a column of them, at 1-indexed step t."""
     if t < 1:
         raise ConfigError(f"step index must be >= 1, got {t}")
     if schedule == "constant":
@@ -125,12 +172,28 @@ def schedule_value(base: float, schedule: str, t: int) -> float:
     raise ConfigError(f"unknown schedule '{schedule}'")
 
 
-def _grad(obj: Objective, theta: Vector, batch: IntVector | None, wd: float) -> Vector:
-    # coupled L2: the regularized objective's gradient at the evaluation point
+def _grad(
+    obj: Objective,
+    theta: Vector | Matrix,
+    batch: IntVector | None,
+    wd: float | Matrix,
+    decays: bool | Matrix,
+) -> Vector | Matrix:
+    # coupled L2: the regularized objective's gradient at the evaluation point;
+    # adding 0.0 * theta would turn a -0.0 into 0.0, so runs without decay skip it
     g = eval_grad(obj, theta, batch)
-    if wd != 0.0:
-        g = g + wd * theta
+    if decays is True:
+        g += wd * theta
+    elif decays is not False:
+        np.add(g, wd * theta, out=g, where=decays)
     return g
+
+
+def _coin(config: OptimizerConfig, rng: np.random.Generator) -> bool:
+    """Whether a gam or fad step of ``config`` corrects: its coin, from its own
+    stream, so that fad_ratio never changes the batches; with beta 0 it draws
+    none and takes sgd's path."""
+    return config.beta > 0.0 and bool(rng.uniform() < config.fad_ratio)
 
 
 def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
@@ -149,12 +212,42 @@ def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
     return np.divide(m / (1.0 - b1**t), denom, out=denom)
 
 
+def _corrected(
+    obj: Objective,
+    theta: Vector | Matrix,
+    batch: IntVector | None,
+    g0: Vector | Matrix,
+    norm_g0: float | Matrix,
+    rho: float | Matrix,
+    config: OptimizerConfig | ConfigStack,
+    size: Callable,
+) -> tuple[Vector | Matrix, float | Matrix, float | Matrix]:
+    """The direction of a step whose correction fires, with its ``|h0|`` and
+    ``|h1|``: the ascent-point gradient for ``sam``, else the fad mix. ``size``
+    is ``norm``, or ``row_norms`` for a stack."""
+    method, xi, wd, decays = config.method, config.xi, config.weight_decay, config.decays
+    g1 = _grad(obj, theta + rho * g0 / (norm_g0 + xi), batch, wd, decays)
+    h0 = g1 - g0
+    norm_h0 = size(h0)
+    if method == "sam":
+        return g1, norm_h0, 0.0
+    alpha = 0.0 if method == "gam" else config.alpha
+    ascent2 = theta + rho * h0 / (norm_h0 + xi)
+    g2 = _grad(obj, ascent2, batch, wd, decays)
+    g3 = _grad(obj, ascent2 + rho * g2 / (size(g2) + xi), batch, wd, decays)
+    h1 = g3 - g2
+    return g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1), norm_h0, size(h1)
+
+
 StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, dict]]
 
 
 def step(
-    obj: Objective, theta: Vector, state: OptimizerState, config: OptimizerConfig
-) -> tuple[Vector, dict]:
+    obj: Objective,
+    theta: Vector | Matrix,
+    state: OptimizerState,
+    config: OptimizerConfig | ConfigStack,
+) -> tuple[Vector | Matrix, dict]:
     """One step of ``config.method``; see the module docstring for the fad update.
 
     Returns the next theta and the step's columns of its log row, ``t``
@@ -163,18 +256,30 @@ def step(
     fad step with alpha pinned to 0; ``adamw`` shrinks theta by (1 - eta_t*wd)
     outside the Adam moments, where every other method adds the decay to each
     gradient it evaluates.
+
+    With a ``[K, dim]`` theta, a ``ConfigStack`` and the state of K runs, it
+    steps every run at once: ``loss`` is then a ``[K]`` vector,
+    ``fad_applied`` a list, and each other column but ``t`` a ``[K, 1]``
+    column, or 0.0 for every run. Only the runs whose correction fires take
+    its gradients, as each run alone would.
     """
     method = config.method
+    stacked = theta.ndim == 2
+    size = row_norms if stacked else norm
     t = state.t + 1
     eta = schedule_value(config.eta0, config.schedule, t)
     rho = schedule_value(config.rho0, config.schedule, t)
-    wd = 0.0 if method == "adamw" else config.weight_decay
     batch = None
     if obj.dataset is not None and config.batch_size is not None:
-        batch = sample_batch(obj.dataset, config.batch_size, state.rng)
+        if stacked:
+            batch = np.empty((theta.shape[0], config.batch_size), dtype=np.int64)
+            for k, rng in enumerate(state.rngs):
+                batch[k] = sample_batch(obj.dataset, config.batch_size, rng)
+        else:
+            batch = sample_batch(obj.dataset, config.batch_size, state.rngs[0])
     loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, wd)
-    norm_g0 = norm(g0)
+    g0 = _grad(obj, theta, batch, config.weight_decay, config.decays)
+    norm_g0 = size(g0)
     # h0 and h1 log as 0 on a step that does not evaluate them
     norm_h0 = norm_h1 = 0.0
     delta = g0
@@ -185,27 +290,20 @@ def step(
         delta = state.momentum_buf
     elif method in ("adam", "adamw"):
         delta = _adam_direction(g0, state, t)
-    # sam draws no coin; gam and fad draw theirs from a stream of their own, so
-    # fad_ratio never changes the batches, and with beta 0 they take sgd's path
-    applied = method == "sam" or (
-        method in ("gam", "fad")
-        and config.beta > 0.0
-        and bool(state.ratio_rng.uniform() < config.fad_ratio)
-    )
-    xi = config.xi
+    # sam draws no coin; gam and fad draw one per run (see ``_coin``)
+    applied, coins = method == "sam", None
+    if method in ("gam", "fad"):
+        coins = list(map(_coin, config.configs if stacked else (config,), state.ratio_rngs))
+        applied = all(coins)
     if applied:
-        g1 = _grad(obj, theta + rho * g0 / (norm_g0 + xi), batch, wd)
-        h0 = g1 - g0
-        norm_h0 = norm(h0)
-        delta = g1
-    if applied and method != "sam":
-        alpha = 0.0 if method == "gam" else config.alpha
-        ascent2 = theta + rho * h0 / (norm_h0 + xi)
-        g2 = _grad(obj, ascent2, batch, wd)
-        g3 = _grad(obj, ascent2 + rho * g2 / (norm(g2) + xi), batch, wd)
-        h1 = g3 - g2
-        norm_h1 = norm(h1)
-        delta = g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1)
+        delta, norm_h0, norm_h1 = _corrected(obj, theta, batch, g0, norm_g0, rho, config, size)
+    elif coins and any(coins):
+        # some runs of a stack: only theirs take the correction's gradients
+        rows = np.flatnonzero(coins)
+        picked = (theta[rows], batch[rows], g0[rows], norm_g0[rows], rho[rows])
+        fired = _corrected(obj, *picked, config.take(rows), size)
+        delta, norm_h0, norm_h1 = g0.copy(), np.zeros_like(norm_g0), np.zeros_like(norm_g0)
+        delta[rows], norm_h0[rows], norm_h1[rows] = fired
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t
@@ -221,28 +319,101 @@ def step(
         "norm_h0": norm_h0,
         "norm_h1": norm_h1,
         # delta is g0 itself for sgd and a skipped gam or fad step
-        "norm_delta": norm_g0 if delta is g0 else norm(delta),
-        "fad_applied": int(applied),
+        "norm_delta": norm_g0 if delta is g0 else size(delta),
+        "fad_applied": (coins or [applied] * len(theta)) if stacked else int(applied),
     }
 
 
 # run_training looks the step up per method, so a caller can wrap one method's steps
 STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
 
+# the log columns that hold one value per run of a lockstep step
+_RUN_COLUMNS = ("eta_t", "rho_t", "loss", "norm_g0", "norm_h0", "norm_h1", "norm_delta")
 
-@dataclass
+
+def _log_rows(steps: list[dict], head: list[tuple], stacked: bool) -> list[dict]:
+    """The log rows of ``steps``, the columns of each step with its ``wall_ms``,
+    in step order and within a step in run order; ``head`` holds each run's
+    (run_id, method, seed). A lockstep step's per-run columns are read off
+    every step at once, as one list each."""
+    if not stacked:
+        [(run_id, method, seed)] = head
+        return [{"run_id": run_id, "method": method, "seed": seed, **columns} for columns in steps]
+    k = len(head)
+    zeros = np.zeros((k, 1))  # for the 0.0 a step logs as every run's |h0| or |h1|
+    per_run = zip(
+        *(
+            np.concatenate([s[name] if isinstance(s[name], np.ndarray) else zeros for s in steps])
+            .ravel()
+            .tolist()
+            for name in _RUN_COLUMNS
+        )
+    )
+    shared = [(s["t"], s["wall_ms"]) for s in steps for _ in range(k)]
+    applied = [int(a) for s in steps for a in s["fad_applied"]]
+    return [
+        {
+            "run_id": run_id,
+            "method": method,
+            "seed": seed,
+            "t": t,
+            "eta_t": e,
+            "rho_t": r,
+            "loss": f,
+            "norm_g0": n0,
+            "norm_h0": h0,
+            "norm_h1": h1,
+            "norm_delta": nd,
+            "fad_applied": a,
+            "wall_ms": wall_ms,
+        }
+        for (run_id, method, seed), (t, wall_ms), a, (e, r, f, n0, h0, h1, nd) in zip(
+            head * len(steps), shared, applied, per_run
+        )
+    ]
+
+
 class RunRecord:
-    theta_final: Vector
-    rows: list[dict]
+    """The final point of a run, or the ``[K, dim]`` final points of K runs in
+    lockstep, and the log rows of every step.
+
+    A run without a log sink keeps its steps' columns and makes its rows from
+    them when they are first read, so that a caller that reads only the final
+    point, as the bench does, pays nothing for them.
+    """
+
+    def __init__(
+        self,
+        theta_final: Vector | Matrix,
+        steps: list[dict],
+        head: list[tuple],
+        rows: list[dict] | None = None,
+    ):
+        self.theta_final = theta_final
+        self._steps, self._head, self._rows = steps, head, rows
+
+    @property
+    def rows(self) -> list[dict]:
+        if self._rows is None:
+            self._rows = _log_rows(self._steps, self._head, self.theta_final.ndim == 2)
+        return self._rows
+
+
+def _per_run(value: object, k: int, name: str) -> list:
+    """``value`` for each of k runs: its entries when it is a list or a tuple."""
+    values = list(value) if isinstance(value, (list, tuple)) else [value] * k
+    if len(values) != k:
+        raise ConfigError(f"{name} has {len(values)} entries for {k} runs")
+    return values
 
 
 def run_training(
     obj: Objective,
-    theta0: Vector,
-    config: OptimizerConfig,
+    theta0: Vector | Matrix,
+    config: OptimizerConfig | Sequence[OptimizerConfig],
     iterations: int,
-    seed: int = 0,
-    run_id: str = "run",
+    seed: int | Sequence[int] = 0,
+    run_id: str | Sequence[str] = "run",
     log_sink: Callable[[dict], None] | None = None,
 ) -> RunRecord:
     """Run ``iterations`` optimizer steps from theta0, streaming one log row each.
@@ -251,24 +422,41 @@ def run_training(
     the only nondeterministic row entries. A non-finite loss or update raises
     NumericalError after the rows produced so far have been flushed to
     ``log_sink``.
+
+    A ``[K, dim]`` theta0 trains K runs in lockstep, one ``step`` call for
+    all of them per step. ``config``, ``seed`` and ``run_id`` are then each one
+    value for every run, or a list of K; the configs must share method,
+    schedule and batch size. Each step logs K rows in run order, which share
+    the step's ``wall_ms``, and ``theta_final`` is ``[K, dim]``. Each run's rows
+    and final point are bit for bit those it gets when trained alone, but a
+    non-finite value in any run stops them all.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    seed = int(seed)
+    stacked = theta.ndim == 2
+    if stacked:
+        k = theta.shape[0]
+        config = ConfigStack(_per_run(config, k, "config"))
+        seed = [int(s) for s in _per_run(seed, k, "seed")]
+        head = list(zip(_per_run(run_id, k, "run_id"), [config.method] * k, seed))
+    else:
+        seed = int(seed)
+        head = [(run_id, config.method, seed)]
     state = OptimizerState.fresh(seed)
-    method = config.method
-    step_fn = STEP_FUNCTIONS[method]
-    rows: list[dict] = []
+    step_fn = STEP_FUNCTIONS[config.method]
+    steps: list[dict] = []
+    rows: list[dict] | None = None if log_sink is None else []
     for _ in range(iterations):
         t0 = time.perf_counter()
         theta, columns = step_fn(obj, theta, state, config)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        row = {"run_id": run_id, "method": method, "seed": seed, **columns, "wall_ms": wall_ms}
-        rows.append(row)
-        if log_sink is not None:
-            log_sink(row)
-    return RunRecord(theta, rows)
+        columns["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+        steps.append(columns)
+        if rows is not None:
+            for row in _log_rows([columns], head, stacked):
+                rows.append(row)
+                log_sink(row)
+    return RunRecord(theta, steps, head, rows)
 
 
 @dataclass(frozen=True)

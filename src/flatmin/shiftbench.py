@@ -330,10 +330,17 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.default_rng(list(parts)).integers(2**31))
 
 
-def _train(
-    obj: MLPObjective, method: str, hp: dict, iterations: int, seed: int, tags: tuple, run: tuple
-) -> Vector:
-    """Final point of one run of ``hp``, its batch size capped at the training rows.
+@dataclass(frozen=True)
+class _Run:
+    """One training run of the protocol: its config, initial point and batch seed."""
+
+    config: OptimizerConfig
+    theta0: Vector
+    seed: int
+
+
+def _run(obj: MLPObjective, method: str, hp: dict, seed: int, tags: tuple, run: tuple) -> _Run:
+    """The run of ``hp``, its batch size capped at the training rows.
 
     ``run`` is (held-out domain, method index, trial or retrain index); the
     initial point is drawn from [seed, tags[0], *run] and the batch seed is
@@ -342,8 +349,47 @@ def _train(
     batch_size = min(hp["batch_size"], obj.dataset.n)
     cfg = OptimizerConfig(method=method, **{**hp, "batch_size": batch_size})
     theta0 = obj.init_params(np.random.default_rng([seed, tags[0], *run]))
-    record = run_training(obj, theta0, cfg, iterations, seed=_derived_seed(seed, tags[1], *run))
-    return record.theta_final
+    return _Run(cfg, theta0, _derived_seed(seed, tags[1], *run))
+
+
+def _train(
+    obj: MLPObjective, runs: "list[_Run]", iterations: int
+) -> "list[Vector | NumericalError]":
+    """Each run's final point, or the NumericalError that stopped it.
+
+    Runs that share a batch size train in lockstep, one ``run_training`` call
+    per group, with the bits each gets alone. A group in which any run fails
+    trains its runs again one at a time, so each ends with its own result.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, run in enumerate(runs):
+        groups.setdefault(run.config.batch_size, []).append(i)
+    results: list = [None] * len(runs)
+    for members in groups.values():
+        group = [runs[i] for i in members]
+        if len(group) == 1:
+            finals = [_train_alone(obj, group[0], iterations)]
+        else:
+            try:
+                finals = run_training(
+                    obj,
+                    np.stack([run.theta0 for run in group]),
+                    [run.config for run in group],
+                    iterations,
+                    seed=[run.seed for run in group],
+                ).theta_final
+            except NumericalError:
+                finals = [_train_alone(obj, run, iterations) for run in group]
+        for i, final in zip(members, finals):
+            results[i] = final
+    return results
+
+
+def _train_alone(obj: MLPObjective, run: _Run, iterations: int) -> "Vector | NumericalError":
+    try:
+        return run_training(obj, run.theta0, run.config, iterations, seed=run.seed).theta_final
+    except NumericalError as err:
+        return err
 
 
 def run_protocol(
@@ -378,28 +424,35 @@ def run_protocol(
         train_ds, val_ds = pool.subset(tr_idx), pool.subset(va_idx)
         train_obj = MLPObjective(layer_sizes, train_ds)
         for mi, method in enumerate(methods):
+            hps = [
+                sample_hparams(method, np.random.default_rng([seed, 11, d, mi, k]), protocol.search)
+                for k in range(protocol.n_hparam_trials)
+            ]
+            trials = [
+                _run(train_obj, method, hp, seed, (13, 19), (d, mi, k)) for k, hp in enumerate(hps)
+            ]
             outcomes: list[TrialOutcome] = []
-            for k in range(protocol.n_hparam_trials):
-                hp_rng = np.random.default_rng([seed, 11, d, mi, k])
-                hp = sample_hparams(method, hp_rng, protocol.search)
-                try:
-                    theta = _train(
-                        train_obj, method, hp, protocol.iterations, seed, (13, 19), (d, mi, k)
-                    )
+            finals = _train(train_obj, trials, protocol.iterations)
+            for k, (hp, theta) in enumerate(zip(hps, finals)):
+                if isinstance(theta, NumericalError):
+                    outcomes.append(TrialOutcome(hp, None, error=str(theta)))
+                else:
                     acc = classification_accuracy(train_obj, theta, val_ds)
                     outcomes.append(TrialOutcome(hp, acc))
-                except NumericalError as err:
-                    outcomes.append(TrialOutcome(hp, None, error=str(err)))
                 log("trial_scored", method, d, k)
             chosen = select_trial([o.val_accuracy for o in outcomes])
             log("selected", method, d, chosen)
             hp = outcomes[chosen].hparams
+            retrains = [
+                _run(train_obj, method, hp, seed, (23, 29), (d, mi, s))
+                for s in range(protocol.seeds_per_trial)
+            ]
+            finals = _train(train_obj, retrains, protocol.iterations)
             accs: list[float] = []
             reports: list[FlatnessReport] = []
-            for s in range(protocol.seeds_per_trial):
-                theta = _train(
-                    train_obj, method, hp, protocol.iterations, seed, (23, 29), (d, mi, s)
-                )
+            for s, theta in enumerate(finals):
+                if isinstance(theta, NumericalError):
+                    raise theta
                 accs.append(classification_accuracy(train_obj, theta, md.domains[d]))
                 log("test_eval", method, d, s)
                 report = build_flatness_report(

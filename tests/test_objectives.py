@@ -36,6 +36,7 @@ from flatmin.objectives import (
     load_dataset,
     norm,
     random_spd_matrix,
+    row_norms,
     sample_batch,
     save_dataset,
 )
@@ -263,8 +264,35 @@ def labelled(labels):
     return Dataset(np.zeros((len(labels), 2)), np.array(labels), np.zeros(len(labels)))
 
 
+def two_row_mlp():
+    # a 2-3 softmax layer of dim 9 on two rows
+    return MLPObjective((2, 3), labelled([0, 1]))
+
+
 BAD_INPUTS = {
     "theta_not_1d": (DimensionError, lambda: eval_loss(RosenbrockObjective(2), np.ones((1, 2)))),
+    # an MLP takes a [K, dim] stack with a [K, rows] batch, one row of indices per point
+    "stack_of_the_wrong_width": (
+        DimensionError,
+        lambda: eval_grad(two_row_mlp(), np.zeros((2, 8)), [[0], [1]]),
+    ),
+    "stack_on_full_data": (DimensionError, lambda: eval_loss(two_row_mlp(), np.zeros((2, 9)))),
+    "stack_with_a_flat_batch": (
+        DimensionError,
+        lambda: eval_loss(two_row_mlp(), np.zeros((2, 9)), [0, 1]),
+    ),
+    "stack_of_three_with_two_index_rows": (
+        DimensionError,
+        lambda: eval_grad(two_row_mlp(), np.zeros((3, 9)), [[0], [1]]),
+    ),
+    "stack_of_one_with_two_index_rows": (
+        DimensionError,
+        lambda: eval_grad(two_row_mlp(), np.zeros((1, 9)), [[0], [1]]),
+    ),
+    "indices_of_three_axes": (
+        DimensionError,
+        lambda: eval_grad(two_row_mlp(), np.zeros((1, 9)), [[[0]]]),
+    ),
     "labels_not_1d": (
         DimensionError,
         lambda: Dataset(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros(2)),
@@ -816,6 +844,56 @@ def test_a_step_runs_one_forward_and_one_backward_pass_per_gradient_point(
     _, columns = step(obj, theta, OptimizerState.fresh(0), config)
     assert columns["fad_applied"] == (points > 1)
     assert len(passes) == len(backwards) == points
+
+
+# ------------------------------------------------------- stacks of points
+
+
+def test_a_stack_of_points_gives_each_points_own_bits():
+    data = tiny_dataset(n=40, seed=5)
+    rng = np.random.default_rng(6)
+    obj = MLPObjective((2, 5, 3), data)
+    thetas = np.stack([obj.init_params(rng) for _ in range(3)])
+    batch = np.stack([sample_batch(data, 8, rng) for _ in range(3)])
+    losses, grads = eval_loss(obj, thetas, batch), eval_grad(obj, thetas, batch)
+    assert losses.shape == (3,) and grads.shape == thetas.shape
+    for theta, rows, loss, grad in zip(thetas, batch, losses, grads):
+        alone = MLPObjective((2, 5, 3), data)
+        assert eval_loss(alone, theta, rows) == loss
+        assert eval_grad(alone, theta, rows).tobytes() == grad.tobytes()
+
+
+def test_a_stacked_batch_and_a_flat_one_of_the_same_bytes_share_nothing():
+    data = tiny_dataset(n=40, seed=5)
+    rng = np.random.default_rng(7)
+    obj = MLPObjective((2, 5, 3), data)
+    theta = obj.init_params(rng)
+    rows = sample_batch(data, 32, rng)
+    # a [1, 32] batch at a [1, dim] stack has the bytes of the 32-row batch at
+    # theta, and a [2, 16] batch those of the 32 rows in one
+    want = eval_loss(obj, theta, rows), eval_grad(obj, theta, rows).tobytes()
+    stacked = eval_loss(obj, theta[None], rows[None]), eval_grad(obj, theta[None], rows[None])
+    assert stacked[0].shape == (1,) and stacked[1].shape == (1, obj.dim)
+    assert (stacked[0][0], stacked[1][0].tobytes()) == want
+    assert obj._rows(rows[None]) is not obj._rows(rows)
+    assert obj._rows(rows.reshape(2, 16))[1].shape[:-2] == (2,)
+    assert obj._rows(rows)[1].shape[:-2] == ()
+    # the kept pass at theta and the 32 rows is not the one at the stack
+    assert eval_grad(obj, theta, rows).tobytes() == want[1]
+    assert eval_loss(obj, theta, rows) == want[0]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_row_norms_are_each_rows_norm_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    for scale in 10.0 ** np.arange(-8, 4):
+        x = rng.standard_normal((k, 99)) * scale
+        got = row_norms(x)
+        assert got.shape == (k, 1)
+        assert got.ravel().tolist() == [norm(row) for row in x], (
+            "np.vecdot no longer sums a row as ndarray.dot does on this numpy and BLAS, "
+            "so lockstep runs would lose their bit identity with runs alone"
+        )
 
 
 # ------------------------------------------------------------------- norm

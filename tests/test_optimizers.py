@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin import optimizers
-from flatmin.errors import ConfigError, InsufficientDataError, NumericalError
+from flatmin.errors import ConfigError, DimensionError, InsufficientDataError, NumericalError
 from flatmin.objectives import (
     Dataset,
     MLPObjective,
@@ -601,3 +601,139 @@ def test_convergence_check_on_a_decaying_run():
     assert report.last_decile_min < report.first_decile_min
     assert 0.0 <= report.r_squared <= 1.0
     assert asdict(report)["n_steps"] == 200
+
+
+# ------------------------------------------------------------------ lockstep
+
+# the three runs of a lockstep group: (eta0, rho0, alpha, beta, momentum,
+# weight_decay), each different from run to run, one of them without decay
+LOCKSTEP_RUNS = [
+    (0.05, 0.05, 0.2, 0.1, 0.0, 0.0),
+    (0.1, 0.1, 0.5, 0.5, 0.5, 1e-3),
+    (0.2, 0.2, 0.9, 1.0, 0.9, 1e-2),
+]
+
+
+def lockstep_configs(method, schedule):
+    # at fad_ratio 0.5 the runs' coins differ, so a step corrects only some runs
+    ratio = 0.5 if method in ("gam", "fad") else 1.0
+    return [
+        OptimizerConfig(
+            method,
+            eta0=eta0,
+            rho0=rho0,
+            alpha=alpha,
+            beta=beta,
+            momentum=momentum,
+            weight_decay=wd,
+            fad_ratio=ratio,
+            schedule=schedule,
+            batch_size=8,
+        )
+        for eta0, rho0, alpha, beta, momentum, wd in LOCKSTEP_RUNS
+    ]
+
+
+def without_wall(rows):
+    return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("method", METHODS)
+def test_lockstep_runs_are_bit_identical_to_runs_alone(method, schedule):
+    configs = lockstep_configs(method, schedule)
+    seeds, run_ids = [11, 12, 13], ["a", "b", "c"]
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in seeds])
+    group = run_training(obj, theta0, configs, 30, seed=seeds, run_id=run_ids)
+    assert group.theta_final.shape == theta0.shape
+    assert len(group.rows) == 3 * 30
+    for k, (cfg, seed, run_id) in enumerate(zip(configs, seeds, run_ids)):
+        alone = run_training(tiny_mlp(seed=3, n=40), theta0[k], cfg, 30, seed=seed, run_id=run_id)
+        assert group.theta_final[k].tobytes() == alone.theta_final.tobytes()
+        # a step logs one row per run, in run order
+        assert without_wall(group.rows[k::3]) == without_wall(alone.rows)
+    if method in ("gam", "fad"):
+        coins = [{row["fad_applied"] for row in group.rows[i : i + 3]} for i in range(0, 90, 3)]
+        assert {0, 1} in coins
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_group_of_one_is_run_training(method):
+    cfg = lockstep_configs(method, "inverse_sqrt")[1]
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = obj.init_params(np.random.default_rng(4))
+    group = run_training(obj, theta0[None], [cfg], 30, seed=[5], run_id=["x"])
+    alone = run_training(tiny_mlp(seed=3, n=40), theta0, cfg, 30, seed=5, run_id="x")
+    assert group.theta_final.shape == (1, obj.dim)
+    assert group.theta_final[0].tobytes() == alone.theta_final.tobytes()
+    assert without_wall(group.rows) == without_wall(alone.rows)
+    assert [tuple(row) for row in group.rows] == [LOG_COLUMNS] * 30
+    assert all(type(row["fad_applied"]) is int for row in group.rows)
+
+
+def test_a_group_streams_its_rows_to_the_sink():
+    configs = lockstep_configs("fad", "constant")
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2, 3)])
+    sink: list[dict] = []
+    rec = run_training(obj, theta0, configs, 10, seed=[1, 2, 3], log_sink=sink.append)
+    assert sink == rec.rows
+    assert without_wall(rec.rows) == without_wall(
+        run_training(obj, theta0, configs, 10, seed=[1, 2, 3]).rows
+    )
+
+
+def test_one_config_and_seed_serve_every_run_of_a_group():
+    cfg = fad_config(batch_size=8)
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2)])
+    rec = run_training(obj, theta0, cfg, 5, seed=7, run_id="same")
+    alone = run_training(obj, theta0[1], cfg, 5, seed=7)
+    assert rec.theta_final[1].tobytes() == alone.theta_final.tobytes()
+    assert {row["run_id"] for row in rec.rows} == {"same"}
+
+
+# (configs, runs) that cannot step together: K configs must share method,
+# schedule and a batch size, and there must be one config per run
+LOCKSTEP_MISMATCHES = {
+    "method": ([fad_config(batch_size=8), fad_config(method="gam", batch_size=8)], 2),
+    "schedule": ([fad_config(batch_size=8), fad_config(schedule="inverse_sqrt", batch_size=8)], 2),
+    "batch_size": ([fad_config(batch_size=8), fad_config(batch_size=4)], 2),
+    "full_data": ([fad_config(), fad_config()], 2),
+    "a_config_short": ([fad_config(batch_size=8)] * 2, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "configs,runs", LOCKSTEP_MISMATCHES.values(), ids=LOCKSTEP_MISMATCHES.keys()
+)
+def test_a_group_needs_configs_that_step_together(configs, runs):
+    obj = tiny_mlp()
+    with pytest.raises(ConfigError):
+        run_training(obj, np.zeros((runs, obj.dim)), configs, 3, seed=list(range(runs)))
+
+
+def test_an_analytic_objective_trains_no_group():
+    obj = QuadraticObjective(np.array([2.0, 8.0]))
+    with pytest.raises(DimensionError):
+        run_training(obj, np.ones((2, 2)), fad_config(batch_size=1), 3, seed=[1, 2])
+
+
+def test_a_group_stops_on_its_first_non_finite_value():
+    # the second run's decay overflows its parameters; the first run alone is fine
+    configs = [
+        OptimizerConfig("sgd", eta0=0.1, batch_size=8),
+        OptimizerConfig("sgd", eta0=0.1, weight_decay=1e300, batch_size=8),
+    ]
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2)])
+    sink: list[dict] = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as group_error:
+            run_training(obj, theta0, configs, 20, seed=[1, 2], log_sink=sink.append)
+        with pytest.raises(NumericalError) as alone_error:
+            run_training(obj, theta0[1], configs[1], 20, seed=2)
+    assert str(group_error.value) == str(alone_error.value)
+    assert len(sink) % 2 == 0 and 0 < len(sink) < 40
+    run_training(obj, theta0[0], configs[0], 20, seed=1)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from flatmin import shiftbench
-from flatmin.errors import BudgetError, ConfigError, ProtocolError
+from flatmin.errors import BudgetError, ConfigError, NumericalError, ProtocolError
 from flatmin.objectives import MLPObjective
 from flatmin.shiftbench import (
     DomainSpec,
@@ -318,10 +318,12 @@ def test_run_protocol_event_ordering(tiny_protocol_result):
 
 def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
     md = generate_domains(small_spec(), seed=9)
+    # one batch size, so that each cell's trials train as one group
     protocol = ProtocolConfig(
         n_hparam_trials=2,
         seeds_per_trial=1,
         iterations=5,
+        search=SearchSpace(log2_batch=(4.0, 4.0)),
         report_probes=2,
         report_k_eigs=1,
         report_restarts=1,
@@ -331,9 +333,11 @@ def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
     trained_on = []
     run_training = shiftbench.run_training
 
-    def recorded(obj, *args, **kwargs):
-        trained_on.append(set(np.unique(obj.dataset.domain_ids).tolist()))
-        return run_training(obj, *args, **kwargs)
+    def recorded(obj, theta0, *args, **kwargs):
+        # one call trains a group of runs in lockstep, one per row of theta0
+        runs = 1 if np.ndim(theta0) == 1 else len(theta0)
+        trained_on.extend([set(np.unique(obj.dataset.domain_ids).tolist())] * runs)
+        return run_training(obj, theta0, *args, **kwargs)
 
     monkeypatch.setattr(shiftbench, "run_training", recorded)
     run_protocol(md, methods, protocol, seed=0)
@@ -358,3 +362,60 @@ def test_run_protocol_raises_when_every_trial_diverges():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ProtocolError):
             run_protocol(md, ["sgd"], protocol, seed=0)
+
+
+def alone(obj, run, iterations):
+    """A protocol run's final point when it trains by itself, or its error."""
+    try:
+        return shiftbench.run_training(
+            obj, run.theta0, run.config, iterations, seed=run.seed
+        ).theta_final
+    except NumericalError as err:
+        return err
+
+
+def test_one_diverging_run_in_a_group_ends_as_it_does_alone():
+    md = generate_domains(small_spec(), seed=8)
+    obj = MLPObjective((2, 16, 3), pool_domains(md, (0, 1)))
+    # one batch size, so one group; the middle run's weight decay overflows
+    hps = [{"batch_size": 16, "eta0": 1e-3, "weight_decay": wd} for wd in (1e-4, 1e300, 1e-5)]
+    runs = [shiftbench._run(obj, "sgd", hp, 0, (13, 19), (0, 0, k)) for k, hp in enumerate(hps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        finals = shiftbench._train(obj, runs, 10)
+        want = [alone(obj, run, 10) for run in runs]
+    assert isinstance(want[1], NumericalError)
+    assert type(finals[1]) is type(want[1]) and str(finals[1]) == str(want[1])
+    for k in (0, 2):
+        assert finals[k].tobytes() == want[k].tobytes()
+
+
+def test_a_cell_with_a_diverging_trial_equals_its_runs_trained_alone(monkeypatch):
+    md = generate_domains(small_spec(), seed=8)
+    # one batch size, and weight decays from 1e-6 to 1e60, of which those above
+    # about 1e35 overflow within 10 steps: at seed 14, trial 1 of held-out domain
+    # 0 overflows and trials 0 and 2 do not; the other cells fail in other ways
+    protocol = ProtocolConfig(
+        n_hparam_trials=3,
+        seeds_per_trial=2,
+        iterations=10,
+        search=SearchSpace(log2_batch=(4.0, 4.0), log10_weight_decay=(-6.0, 60.0)),
+        report_probes=2,
+        report_k_eigs=1,
+        report_restarts=1,
+        report_ascent_steps=1,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grouped = run_protocol(md, ["sgd"], protocol, seed=14)
+        run_training = shiftbench.run_training
+
+        def one_at_a_time(obj, theta0, *args, **kwargs):
+            if np.ndim(theta0) == 2:  # a group fails, so its runs train alone
+                raise NumericalError("trained alone")
+            return run_training(obj, theta0, *args, **kwargs)
+
+        monkeypatch.setattr(shiftbench, "run_training", one_at_a_time)
+        reference = run_protocol(md, ["sgd"], protocol, seed=14)
+    first = grouped.cells[0].trial_val_accuracies
+    assert first[1] is None and first[0] is not None and first[2] is not None
+    assert grouped.cells == reference.cells
+    assert grouped.events == reference.events
