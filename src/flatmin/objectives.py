@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +116,11 @@ class Dataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "domain_ids", domains)
 
-    # cached: every batch draw reads the row count
-    @cached_property
+    @property
     def n(self) -> int:
         return int(self.inputs.shape[0])
 
-    @cached_property
+    @property
     def feature_dim(self) -> int:
         return int(self.inputs.shape[1])
 
@@ -205,7 +203,7 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
 def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> IntVector:
     """The 1-D int64 indices of ``batch_size`` distinct rows drawn uniformly
     (without replacement)."""
-    n = dataset.n
+    n = len(dataset.labels)  # the row count, without a property call per draw
     if batch_size < 1 or batch_size > n:
         raise BatchSizeError(f"batch size {batch_size} outside [1, {n}]")
     return rng.choice(n, size=batch_size, replace=False)
@@ -457,11 +455,11 @@ class DoubleWellObjective(Objective):
 
 @dataclass(eq=False, slots=True)
 class _Pass:
-    """What one forward pass of an ``MLPObjective`` computed, under the shape and
-    bytes of its point and its rows record, and the gradient there once one is
-    asked for. Every array has the point's leading ``[K]`` axis if it has one."""
+    """What one forward pass of an ``MLPObjective`` computed, under the bytes of
+    its point and its rows record, and the gradient there once one is asked
+    for. Every array has the point's leading ``[K]`` axis if it has one."""
 
-    key: tuple[tuple[int, ...], bytes]
+    key: bytes
     rows: tuple
     layers: list[Matrix]
     acts: list[Matrix]
@@ -494,10 +492,11 @@ class MLPObjective(Objective):
 
     Results depend only on the point's shape and bytes and the rows' indices.
     Within that rule the objective keeps the rows it gathered for the last
-    batch, under the shape and bytes of its int64 indices, and its last two
-    forward passes, the least recently used one giving way to a new one; a
-    loss, gradient or exact product at a kept pass's point and rows takes that
-    pass, and a gradient there returns a copy of the one first computed from it.
+    batch, under the bytes of its int64 indices (with their shape for a
+    ``[K, rows]`` batch), and its last two forward passes, the least recently
+    used one giving way to a new one; a loss, gradient or exact product at a
+    kept pass's point and rows takes that pass, and a gradient there returns a
+    copy of the one first computed from it.
     """
 
     kind = "mlp"
@@ -520,23 +519,30 @@ class MLPObjective(Objective):
         shapes = [(fi + 1, fo) for fi, fo in zip(sizes[:-1], sizes[1:])]
         ends = np.cumsum([0] + [a * b for a, b in shapes]).tolist()
         self._blocks = list(zip(ends[:-1], ends[1:], shapes))  # each layer's (start, end, shape)
-        # each layer's block of a point or of every point of a stack, and its shape
-        self._views = [(np.s_[..., start:end], shape) for start, end, shape in self._blocks]
+        # by theta's number of axes, 1 for a point and 2 for a stack of points:
+        # each layer's index of its block and the shape of the block's view
+        self._views = [
+            None,
+            [(slice(start, end), shape) for start, end, shape in self._blocks],
+            [(np.s_[:, start:end], (-1, *shape)) for start, end, shape in self._blocks],
+        ]
         self.dim = ends[-1]
-        # a call's rows record: the shape and bytes of its batch's int64
-        # indices (None for full data), the rows' inputs as a C-order [features
-        # + 1, rows] array whose last row is ones, the flat index ``label * rows
-        # + position`` of each row's label logit in the [classes, rows] logits,
-        # the one-hot [classes, rows] labels, each with a leading [K] axis for a
-        # [K, rows] batch, and that leading shape; this one is full data, and a
-        # batch gathers its inputs, ones included, and its one-hot labels from it
+        # a call's rows record: the bytes of its batch's int64 indices, with
+        # their shape for a [K, rows] batch (None for full data), the rows'
+        # inputs as a C-order [features + 1, rows] array whose last row is ones,
+        # the flat index ``label * rows + position`` of each row's label logit
+        # in the [classes, rows] logits, the one-hot [classes, rows] labels,
+        # each with a leading [K] axis for a [K, rows] batch, and the shape of
+        # the point or stack of points the record serves; this one is full
+        # data, and a batch gathers its inputs, ones included, and its one-hot
+        # labels from it
         pick = dataset.labels * dataset.n + np.arange(dataset.n)
         target = np.zeros((sizes[-1], dataset.n))
         target.reshape(-1)[pick] = 1.0
         pick.flags.writeable = target.flags.writeable = False
-        self._all = (None, self._with_ones(dataset.inputs.T), pick, target, ())
-        # the last batch's record, kept while indices of the same bytes come
-        # back; it starts as the full data's, whose key no batch's bytes equal
+        self._all = (None, self._with_ones(dataset.inputs.T), pick, target, (self.dim,))
+        # the last batch's record, kept while indices of the same key come
+        # back; it starts as the full data's, whose key no batch's equals
         self._batch = self._all
         # the last two passes, the least recently used first
         self._passes: list[_Pass] = []
@@ -554,8 +560,7 @@ class MLPObjective(Objective):
 
     def _unpack(self, theta: Vector | Matrix) -> list[Matrix]:
         """Each layer's ``[fan_in + 1, fan_out]`` block of ``theta``, a view."""
-        lead = theta.shape[:-1]
-        return [theta[view].reshape(lead + shape) for view, shape in self._views]
+        return [theta[view].reshape(shape) for view, shape in self._views[theta.ndim]]
 
     @staticmethod
     def _with_ones(inputs: Matrix) -> Matrix:
@@ -569,9 +574,8 @@ class MLPObjective(Objective):
         """The input of each layer, each with its row of ones, then the logits,
         all ``[units, rows]``."""
         acts = [inputs]
-        lead, n = inputs.shape[:-2], inputs.shape[-1]
         for wb in layers[:-1]:
-            a = np.empty(lead + (wb.shape[-1] + 1, n))
+            a = np.empty(inputs.shape[:-2] + (wb.shape[-1] + 1, inputs.shape[-1]))
             z = np.matmul(wb.mT, acts[-1], out=a[_BODY])
             np.tanh(z, out=z)
             a[_ONES] = 1.0
@@ -589,30 +593,34 @@ class MLPObjective(Objective):
         if batch is None:
             return self._all
         idx = np.asarray(batch, dtype=np.int64)
-        # a [2, 32] batch has the bytes of a 64-row one, so the key holds the shape
-        key = (idx.shape, idx.tobytes())
-        if key != self._batch[0]:
-            if idx.ndim not in (1, 2):
+        key = idx.tobytes()
+        if idx.ndim != 1:
+            if idx.ndim != 2:
                 raise DimensionError(
                     f"batch indices must be 1-D, or [K, rows] for K points, got shape {idx.shape}"
                 )
+            # a [2, 32] batch has the bytes of a 64-row one, so its key holds the shape
+            key = (idx.shape, key)
+        if key != self._batch[0]:
             if idx.size == 0:
                 raise BatchSizeError("batch is empty")
             data = self.dataset
             # a negative index reads as one above any row count
-            if np.maximum.reduce(idx.view(np.uint64), None) >= data.n:
+            if np.maximum.reduce(idx.view(np.uint64), None) >= len(data.labels):
                 raise DimensionError("batch indices outside dataset")
             # a batch may repeat rows, so its pick index counts batch positions
             size = idx.shape[-1]
             pick = data.labels[idx] * size + np.arange(size)
-            inputs, target = self._all[1].take(idx, axis=1), self._all[3].take(idx, axis=1)
+            _, inputs, _, target, points = self._all
+            inputs, target = inputs.take(idx, axis=1), target.take(idx, axis=1)
             if idx.ndim == 2:
+                points = (len(idx), self.dim)
                 # point k's [classes, rows] logits start k * classes * rows into the
                 # stack's, and its rows are a C-order [features + 1, rows] block
                 pick += np.arange(0, pick.size * target.shape[0], size * target.shape[0])[:, None]
                 inputs = np.ascontiguousarray(inputs.swapaxes(0, 1))
                 target = np.ascontiguousarray(target.swapaxes(0, 1))
-            self._batch = (key, inputs, pick, target, idx.shape[:-1])
+            self._batch = (key, inputs, pick, target, points)
         return self._batch
 
     def _forward(self, theta: Vector, rows: tuple) -> tuple[list[Matrix], list[Matrix], Matrix]:
@@ -623,18 +631,19 @@ class MLPObjective(Objective):
         return layers, acts, logits
 
     def _pass(self, theta: Vector | Matrix, rows: tuple) -> _Pass:
-        """The kept pass at ``theta``'s shape and bytes and ``rows``, else a new one."""
-        key = (theta.shape, theta.tobytes())
+        """The kept pass at ``theta``'s bytes and ``rows``, else a new one."""
+        if theta.shape != rows[4]:
+            raise DimensionError(
+                f"points of shape {theta.shape} need a batch of one row of indices "
+                f"per point, got indices for points of shape {rows[4]}"
+            )
+        # a [1, dim] stack has a point's bytes, but never a point's rows record
+        key = theta.tobytes()
         for kept in self._passes:
             if kept.rows is rows and kept.key == key:
                 self._passes.remove(kept)
                 break
         else:
-            if rows[4] != theta.shape[:-1]:
-                raise DimensionError(
-                    f"points of shape {theta.shape} need a batch of one row of indices "
-                    f"per point, got indices of leading shape {rows[4]}"
-                )
             # the layers view a copy, not theta, which a caller may write in place
             layers, acts, shifted = self._forward(theta.copy(), rows)
             expz = np.exp(shifted)
@@ -672,10 +681,10 @@ class MLPObjective(Objective):
 
     def _backward(self, kept: _Pass) -> Vector | Matrix:
         # each layer's weight-and-bias gradient is one product written in place
-        grad = np.empty(kept.key[0])
-        lead = grad.shape[:-1]
-        for (view, shape), a, delta in zip(self._views, kept.acts, self._deltas(kept)[1]):
-            np.matmul(a, delta.mT, out=grad[view].reshape(lead + shape))
+        grad = np.empty(kept.rows[4])
+        views = self._views[grad.ndim]
+        for (view, block), a, delta in zip(views, kept.acts, self._deltas(kept)[1]):
+            np.matmul(a, delta.mT, out=grad[view].reshape(block))
         return grad
 
     def _loss(self, theta: Vector | Matrix, batch: IntVector | None) -> float | Vector:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,7 +93,7 @@ class OptimizerConfig:
         if self.batch_size is not None and not (self.batch_size >= 1):
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    @cached_property
+    @property
     def decays(self) -> bool:
         """Whether each gradient a step takes adds ``weight_decay * theta``;
         ``adamw`` shrinks theta outside its moments instead."""
@@ -122,7 +121,8 @@ class ConfigStack:
                 raise ConfigError(f"runs that train in lockstep must share their {name}")
         if first.batch_size is None:
             raise ConfigError("runs that train in lockstep need a batch_size")
-        self.method, self.schedule, self.batch_size = first.method, first.schedule, first.batch_size
+        self.method, self.schedule = first.method, first.schedule
+        self.batch_size = first.batch_size
         for name in COLUMN_FIELDS:
             setattr(self, name, np.array([[getattr(c, name)] for c in self.configs]))
         decays = np.array([[c.decays] for c in self.configs])
@@ -153,7 +153,7 @@ class OptimizerState:
     @classmethod
     def fresh(cls, seed: int | Sequence[int]) -> "OptimizerState":
         """The state of a run at step 0, or of K runs from K seeds."""
-        seeds = [int(s) for s in seed] if isinstance(seed, Sequence) else [int(seed)]
+        seeds = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
         return cls(
             t=0,
             rngs=[np.random.default_rng(s) for s in seeds],
@@ -182,18 +182,19 @@ def _grad(
     # coupled L2: the regularized objective's gradient at the evaluation point;
     # adding 0.0 * theta would turn a -0.0 into 0.0, so runs without decay skip it
     g = eval_grad(obj, theta, batch)
-    if decays is True:
-        g += wd * theta
-    elif decays is not False:
-        np.add(g, wd * theta, out=g, where=decays)
+    if decays is not False:
+        if decays is True:
+            g += wd * theta
+        else:
+            np.add(g, wd * theta, out=g, where=decays)
     return g
 
 
-def _coin(config: OptimizerConfig, rng: np.random.Generator) -> bool:
-    """Whether a gam or fad step of ``config`` corrects: its coin, from its own
-    stream, so that fad_ratio never changes the batches; with beta 0 it draws
-    none and takes sgd's path."""
-    return config.beta > 0.0 and bool(rng.uniform() < config.fad_ratio)
+def _coin(config: OptimizerConfig, rng: np.random.Generator) -> int:
+    """1 where a gam or fad step of ``config`` corrects, else 0: its coin, from
+    its own stream, so that fad_ratio never changes the batches; with beta 0 it
+    draws none and takes sgd's path."""
+    return int(config.beta > 0.0 and rng.uniform() < config.fad_ratio)
 
 
 def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
@@ -220,12 +221,13 @@ def _corrected(
     norm_g0: float | Matrix,
     rho: float | Matrix,
     config: OptimizerConfig | ConfigStack,
+    decays: bool | Matrix,
     size: Callable,
 ) -> tuple[Vector | Matrix, float | Matrix, float | Matrix]:
     """The direction of a step whose correction fires, with its ``|h0|`` and
     ``|h1|``: the ascent-point gradient for ``sam``, else the fad mix. ``size``
     is ``norm``, or ``row_norms`` for a stack."""
-    method, xi, wd, decays = config.method, config.xi, config.weight_decay, config.decays
+    method, xi, wd = config.method, config.xi, config.weight_decay
     g1 = _grad(obj, theta + rho * g0 / (norm_g0 + xi), batch, wd, decays)
     h0 = g1 - g0
     norm_h0 = size(h0)
@@ -278,7 +280,8 @@ def step(
         else:
             batch = sample_batch(obj.dataset, config.batch_size, state.rngs[0])
     loss0 = eval_loss(obj, theta, batch)
-    g0 = _grad(obj, theta, batch, config.weight_decay, config.decays)
+    decays = config.decays
+    g0 = _grad(obj, theta, batch, config.weight_decay, decays)
     norm_g0 = size(g0)
     # h0 and h1 log as 0 on a step that does not evaluate them
     norm_h0 = norm_h1 = 0.0
@@ -296,14 +299,18 @@ def step(
         coins = list(map(_coin, config.configs if stacked else (config,), state.ratio_rngs))
         applied = all(coins)
     if applied:
-        delta, norm_h0, norm_h1 = _corrected(obj, theta, batch, g0, norm_g0, rho, config, size)
+        delta, norm_h0, norm_h1 = _corrected(
+            obj, theta, batch, g0, norm_g0, rho, config, decays, size
+        )
     elif coins and any(coins):
         # some runs of a stack: only theirs take the correction's gradients
         rows = np.flatnonzero(coins)
         picked = (theta[rows], batch[rows], g0[rows], norm_g0[rows], rho[rows])
-        fired = _corrected(obj, *picked, config.take(rows), size)
+        fired = config.take(rows)
         delta, norm_h0, norm_h1 = g0.copy(), np.zeros_like(norm_g0), np.zeros_like(norm_g0)
-        delta[rows], norm_h0[rows], norm_h1[rows] = fired
+        delta[rows], norm_h0[rows], norm_h1[rows] = _corrected(
+            obj, *picked, fired, fired.decays, size
+        )
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t
@@ -320,91 +327,51 @@ def step(
         "norm_h1": norm_h1,
         # delta is g0 itself for sgd and a skipped gam or fad step
         "norm_delta": norm_g0 if delta is g0 else size(delta),
-        "fad_applied": (coins or [applied] * len(theta)) if stacked else int(applied),
+        "fad_applied": (coins or [int(applied)] * len(theta)) if stacked else int(applied),
     }
 
 
 # run_training looks the step up per method, so a caller can wrap one method's steps
 STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
 
-# the log columns that hold one value per run of a lockstep step
-_RUN_COLUMNS = ("eta_t", "rho_t", "loss", "norm_g0", "norm_h0", "norm_h1", "norm_delta")
+def _log_rows(steps: list[dict], heads: list[dict]) -> list[dict]:
+    """The log rows of ``steps``, each step's columns with its ``wall_ms``, in
+    step order and within a step in run order; each run's rows begin with its
+    head columns. A column of a step of K runs is a ``[K, 1]`` column, the
+    ``[K]`` losses, a list of K flags, or one value for every run."""
+    k = len(heads)
+    rows = []
+    for columns in steps:
+        values = [
+            v.ravel().tolist() if isinstance(v, np.ndarray) else v if type(v) is list else [v] * k
+            for v in columns.values()
+        ]
+        rows += [{**head, **dict(zip(columns, run))} for head, run in zip(heads, zip(*values))]
+    return rows
 
 
-def _log_rows(steps: list[dict], head: list[tuple], stacked: bool) -> list[dict]:
-    """The log rows of ``steps``, the columns of each step with its ``wall_ms``,
-    in step order and within a step in run order; ``head`` holds each run's
-    (run_id, method, seed). A lockstep step's per-run columns are read off
-    every step at once, as one list each."""
-    if not stacked:
-        [(run_id, method, seed)] = head
-        return [{"run_id": run_id, "method": method, "seed": seed, **columns} for columns in steps]
-    k = len(head)
-    zeros = np.zeros((k, 1))  # for the 0.0 a step logs as every run's |h0| or |h1|
-    per_run = zip(
-        *(
-            np.concatenate([s[name] if isinstance(s[name], np.ndarray) else zeros for s in steps])
-            .ravel()
-            .tolist()
-            for name in _RUN_COLUMNS
-        )
-    )
-    shared = [(s["t"], s["wall_ms"]) for s in steps for _ in range(k)]
-    applied = [int(a) for s in steps for a in s["fad_applied"]]
-    return [
-        {
-            "run_id": run_id,
-            "method": method,
-            "seed": seed,
-            "t": t,
-            "eta_t": e,
-            "rho_t": r,
-            "loss": f,
-            "norm_g0": n0,
-            "norm_h0": h0,
-            "norm_h1": h1,
-            "norm_delta": nd,
-            "fad_applied": a,
-            "wall_ms": wall_ms,
-        }
-        for (run_id, method, seed), (t, wall_ms), a, (e, r, f, n0, h0, h1, nd) in zip(
-            head * len(steps), shared, applied, per_run
-        )
-    ]
-
-
+@dataclass
 class RunRecord:
     """The final point of a run, or the ``[K, dim]`` final points of K runs in
-    lockstep, and the log rows of every step.
+    lockstep, with each step's columns and each run's head columns (``run_id``,
+    ``method``, ``seed``), from which ``rows`` makes the log rows."""
 
-    A run without a log sink keeps its steps' columns and makes its rows from
-    them when they are first read, so that a caller that reads only the final
-    point, as the bench does, pays nothing for them.
-    """
-
-    def __init__(
-        self,
-        theta_final: Vector | Matrix,
-        steps: list[dict],
-        head: list[tuple],
-        rows: list[dict] | None = None,
-    ):
-        self.theta_final = theta_final
-        self._steps, self._head, self._rows = steps, head, rows
+    theta_final: Vector | Matrix
+    steps: list[dict]
+    heads: list[dict]
 
     @property
     def rows(self) -> list[dict]:
-        if self._rows is None:
-            self._rows = _log_rows(self._steps, self._head, self.theta_final.ndim == 2)
-        return self._rows
+        """The log rows, made on each read: a caller that reads only the final
+        point, as the bench does, never pays for them."""
+        return _log_rows(self.steps, self.heads)
 
 
-def _per_run(value: object, k: int, name: str) -> list:
-    """``value`` for each of k runs: its entries when it is a list or a tuple."""
-    values = list(value) if isinstance(value, (list, tuple)) else [value] * k
-    if len(values) != k:
-        raise ConfigError(f"{name} has {len(values)} entries for {k} runs")
-    return values
+def _one_per_run(values: object, k: int, name: str) -> list:
+    """``values`` as a list, when it is a list or tuple of one entry per run."""
+    if not isinstance(values, (list, tuple)) or len(values) != k:
+        raise ConfigError(f"{k} runs in lockstep need a list of {k} {name}s")
+    return list(values)
 
 
 def run_training(
@@ -424,39 +391,39 @@ def run_training(
     ``log_sink``.
 
     A ``[K, dim]`` theta0 trains K runs in lockstep, one ``step`` call for
-    all of them per step. ``config``, ``seed`` and ``run_id`` are then each one
-    value for every run, or a list of K; the configs must share method,
-    schedule and batch size. Each step logs K rows in run order, which share
-    the step's ``wall_ms``, and ``theta_final`` is ``[K, dim]``. Each run's rows
-    and final point are bit for bit those it gets when trained alone, but a
-    non-finite value in any run stops them all.
+    all of them per step. ``config`` and ``seed`` are then lists of K, one per
+    run, and ``run_id`` one for every run or a list of K; the configs must
+    share method, schedule and batch size. Each step logs K rows in run order,
+    which share the step's ``wall_ms``, and ``theta_final`` is ``[K, dim]``.
+    Each run's rows and final point are bit for bit those it gets when trained
+    alone, but a non-finite value in any run stops them all.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
     theta = np.array(theta0, dtype=np.float64, copy=True)
-    stacked = theta.ndim == 2
-    if stacked:
-        k = theta.shape[0]
-        config = ConfigStack(_per_run(config, k, "config"))
-        seed = [int(s) for s in _per_run(seed, k, "seed")]
-        head = list(zip(_per_run(run_id, k, "run_id"), [config.method] * k, seed))
+    if theta.ndim == 2:
+        k = len(theta)
+        config = ConfigStack(_one_per_run(config, k, "config"))
+        seed = [int(s) for s in _one_per_run(seed, k, "seed")]
+        run_ids = _one_per_run([run_id] * k if isinstance(run_id, str) else run_id, k, "run_id")
+        runs = zip(run_ids, [config.method] * k, seed)
     else:
         seed = int(seed)
-        head = [(run_id, config.method, seed)]
+        runs = [(run_id, config.method, seed)]
+    # each run's head columns, which begin each of its rows
+    heads = [{"run_id": r, "method": m, "seed": s} for r, m, s in runs]
     state = OptimizerState.fresh(seed)
     step_fn = STEP_FUNCTIONS[config.method]
     steps: list[dict] = []
-    rows: list[dict] | None = None if log_sink is None else []
     for _ in range(iterations):
         t0 = time.perf_counter()
         theta, columns = step_fn(obj, theta, state, config)
         columns["wall_ms"] = (time.perf_counter() - t0) * 1000.0
         steps.append(columns)
-        if rows is not None:
-            for row in _log_rows([columns], head, stacked):
-                rows.append(row)
+        if log_sink is not None:
+            for row in _log_rows([columns], heads):
                 log_sink(row)
-    return RunRecord(theta, steps, head, rows)
+    return RunRecord(theta, steps, heads)
 
 
 @dataclass(frozen=True)

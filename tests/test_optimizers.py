@@ -684,40 +684,54 @@ def test_a_group_streams_its_rows_to_the_sink():
     )
 
 
-def test_one_config_and_seed_serve_every_run_of_a_group():
-    cfg = fad_config(batch_size=8)
-    obj = tiny_mlp(seed=3, n=40)
-    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2)])
-    rec = run_training(obj, theta0, cfg, 5, seed=7, run_id="same")
-    alone = run_training(obj, theta0[1], cfg, 5, seed=7)
-    assert rec.theta_final[1].tobytes() == alone.theta_final.tobytes()
-    assert {row["run_id"] for row in rec.rows} == {"same"}
-
-
-# (configs, runs) that cannot step together: K configs must share method,
-# schedule and a batch size, and there must be one config per run
+# (configs, runs, seeds) that cannot step together: K configs must share
+# method, schedule and a batch size, and there must be one config and one seed
+# per run
 LOCKSTEP_MISMATCHES = {
-    "method": ([fad_config(batch_size=8), fad_config(method="gam", batch_size=8)], 2),
-    "schedule": ([fad_config(batch_size=8), fad_config(schedule="inverse_sqrt", batch_size=8)], 2),
-    "batch_size": ([fad_config(batch_size=8), fad_config(batch_size=4)], 2),
-    "full_data": ([fad_config(), fad_config()], 2),
-    "a_config_short": ([fad_config(batch_size=8)] * 2, 3),
+    "method": ([fad_config(batch_size=8), fad_config(method="gam", batch_size=8)], 2, [0, 1]),
+    "schedule": (
+        [fad_config(batch_size=8), fad_config(schedule="inverse_sqrt", batch_size=8)],
+        2,
+        [0, 1],
+    ),
+    "batch_size": ([fad_config(batch_size=8), fad_config(batch_size=4)], 2, [0, 1]),
+    "full_data": ([fad_config(), fad_config()], 2, [0, 1]),
+    "a_config_short": ([fad_config(batch_size=8)] * 2, 3, [0, 1, 2]),
+    "one_config_for_every_run": (fad_config(batch_size=8), 2, [0, 1]),
+    "one_seed_for_every_run": ([fad_config(batch_size=8)] * 2, 2, 7),
+    "a_seed_short": ([fad_config(batch_size=8)] * 2, 2, [0]),
 }
 
 
 @pytest.mark.parametrize(
-    "configs,runs", LOCKSTEP_MISMATCHES.values(), ids=LOCKSTEP_MISMATCHES.keys()
+    "configs,runs,seeds", LOCKSTEP_MISMATCHES.values(), ids=LOCKSTEP_MISMATCHES.keys()
 )
-def test_a_group_needs_configs_that_step_together(configs, runs):
+def test_a_group_needs_configs_that_step_together(configs, runs, seeds):
     obj = tiny_mlp()
     with pytest.raises(ConfigError):
-        run_training(obj, np.zeros((runs, obj.dim)), configs, 3, seed=list(range(runs)))
+        run_training(obj, np.zeros((runs, obj.dim)), configs, 3, seed=seeds)
+
+
+def test_one_run_id_serves_every_run_of_a_group():
+    configs = lockstep_configs("sgd", "constant")[:2]
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2)])
+    rec = run_training(obj, theta0, configs, 5, seed=[1, 2], run_id="same")
+    assert [row["run_id"] for row in rec.rows] == ["same"] * 10
+    assert [row["seed"] for row in rec.rows] == [1, 2] * 5
+
+
+def test_a_stepped_config_still_rebuilds_from_its_fields():
+    cfg = fad_config(batch_size=8, weight_decay=1e-3)
+    run_training(tiny_mlp(), tiny_mlp().init_params(np.random.default_rng(0)), cfg, 2)
+    assert cfg.decays
+    assert OptimizerConfig(**cfg.__dict__) == cfg
 
 
 def test_an_analytic_objective_trains_no_group():
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     with pytest.raises(DimensionError):
-        run_training(obj, np.ones((2, 2)), fad_config(batch_size=1), 3, seed=[1, 2])
+        run_training(obj, np.ones((2, 2)), [fad_config(batch_size=1)] * 2, 3, seed=[1, 2])
 
 
 def test_a_group_stops_on_its_first_non_finite_value():
