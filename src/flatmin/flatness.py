@@ -30,12 +30,13 @@ products for the trace.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, NumericalError
 from .objectives import (
     FD_STEP,
     Matrix,
@@ -277,6 +278,8 @@ def power_iteration_lambda_max(
         q = basis[: j + 1]
         w = _orthogonalise(q, w)
         beta = norm(w)
+        if not math.isfinite(beta):  # else the next basis vector, w / beta, is all zeros
+            raise NumericalError("Hessian-vector products overflow float64")
         ritz, vecs = np.linalg.eigh(tri[: j + 1, : j + 1])
         residuals = beta * np.abs(vecs[-1])
         if j + 1 >= k and (residuals[-k:] < LANCZOS_TOL).all():

@@ -291,7 +291,10 @@ def hvp_fd(obj: Objective, theta: Vector, v: Vector) -> Vector:
     unit = v / v_norm
     g1 = eval_grad(obj, theta + FD_STEP * unit)
     g0 = eval_grad(obj, theta)
-    return (g1 - g0) * (v_norm / FD_STEP)
+    out = (g1 - g0) * (v_norm / FD_STEP)
+    if not all_finite(out):
+        raise NumericalError("Hessian-vector product contains non-finite values")
+    return out
 
 
 def hvp(obj: Objective, theta: Vector, v: Vector | Matrix) -> Vector | Matrix:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,10 +129,6 @@ class ConfigStack:
         decays = np.array([[c.decays] for c in self.configs])
         self.decays: bool | Matrix = bool(decays.all()) or (decays if decays.any() else False)
 
-    def take(self, rows: IntVector) -> "ConfigStack":
-        """The stack of the runs ``rows`` indexes."""
-        return ConfigStack([self.configs[i] for i in rows])
-
 
 @dataclass
 class OptimizerState:
@@ -190,13 +187,6 @@ def _grad(
     return g
 
 
-def _coin(config: OptimizerConfig, rng: np.random.Generator) -> int:
-    """1 where a gam or fad step of ``config`` corrects, else 0: its coin, from
-    its own stream, so that fad_ratio never changes the batches; with beta 0 it
-    draws none and takes sgd's path."""
-    return int(config.beta > 0.0 and rng.uniform() < config.fad_ratio)
-
-
 def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
     if state.adam_m is None:
         state.adam_m = np.zeros_like(g0)
@@ -211,37 +201,6 @@ def _adam_direction(g0: Vector, state: OptimizerState, t: int) -> Vector:
     denom = np.sqrt(v / (1.0 - b2**t))
     denom += ADAM_EPS
     return np.divide(m / (1.0 - b1**t), denom, out=denom)
-
-
-def _corrected(
-    obj: Objective,
-    theta: Vector | Matrix,
-    batch: IntVector | None,
-    g0: Vector | Matrix,
-    norm_g0: float | Matrix,
-    rho: float | Matrix,
-    config: OptimizerConfig | ConfigStack,
-    decays: bool | Matrix,
-    size: Callable,
-) -> tuple[Vector | Matrix, float | Matrix, float | Matrix]:
-    """The direction of a step whose correction fires, with its ``|h0|`` and
-    ``|h1|``: the ascent-point gradient for ``sam``, else the fad mix. ``size``
-    is ``norm``, or ``row_norms`` for a stack."""
-    method, xi, wd = config.method, config.xi, config.weight_decay
-    g1 = _grad(obj, theta + rho * g0 / (norm_g0 + xi), batch, wd, decays)
-    h0 = g1 - g0
-    norm_h0 = size(h0)
-    if method == "sam":
-        return g1, norm_h0, 0.0
-    alpha = 0.0 if method == "gam" else config.alpha
-    ascent2 = theta + rho * h0 / (norm_h0 + xi)
-    g2 = _grad(obj, ascent2, batch, wd, decays)
-    g3 = _grad(obj, ascent2 + rho * g2 / (size(g2) + xi), batch, wd, decays)
-    h1 = g3 - g2
-    return g0 + config.beta * (alpha * h0 + (1.0 - alpha) * h1), norm_h0, size(h1)
-
-
-StepFn = Callable[[Objective, Vector, OptimizerState, OptimizerConfig], tuple[Vector, dict]]
 
 
 def step(
@@ -293,24 +252,40 @@ def step(
         delta = state.momentum_buf
     elif method in ("adam", "adamw"):
         delta = _adam_direction(g0, state, t)
-    # sam draws no coin; gam and fad draw one per run (see ``_coin``)
-    applied, coins = method == "sam", None
+    # the runs whose correction fires: every run for sam; for gam and fad each
+    # run's coin, from its own stream so that fad_ratio never changes the
+    # batches, and with beta 0 it draws none and takes sgd's path
     if method in ("gam", "fad"):
-        coins = list(map(_coin, config.configs if stacked else (config,), state.ratio_rngs))
-        applied = all(coins)
-    if applied:
-        delta, norm_h0, norm_h1 = _corrected(
-            obj, theta, batch, g0, norm_g0, rho, config, decays, size
-        )
-    elif coins and any(coins):
-        # some runs of a stack: only theirs take the correction's gradients
-        rows = np.flatnonzero(coins)
-        picked = (theta[rows], batch[rows], g0[rows], norm_g0[rows], rho[rows])
-        fired = config.take(rows)
-        delta, norm_h0, norm_h1 = g0.copy(), np.zeros_like(norm_g0), np.zeros_like(norm_g0)
-        delta[rows], norm_h0[rows], norm_h1[rows] = _corrected(
-            obj, *picked, fired, fired.decays, size
-        )
+        fired = [
+            int(c.beta > 0.0 and rng.uniform() < c.fad_ratio)
+            for c, rng in zip(config.configs if stacked else (config,), state.ratio_rngs)
+        ]
+    else:
+        fired = [int(method == "sam")] * len(state.ratio_rngs)
+    if 1 in fired:
+        at, on, g, n_g0, r, c = theta, batch, g0, norm_g0, rho, config
+        if 0 in fired:
+            # some runs of a stack: only their rows take the correction's gradients
+            rows = np.flatnonzero(fired)
+            at, on, g, n_g0, r = theta[rows], batch[rows], g0[rows], norm_g0[rows], rho[rows]
+            c = ConfigStack(compress(config.configs, fired))
+            decays = c.decays
+        xi, wd = c.xi, c.weight_decay
+        g1 = _grad(obj, at + r * g / (n_g0 + xi), on, wd, decays)
+        h0 = g1 - g
+        delta, norm_h0 = g1, size(h0)
+        if method != "sam":
+            alpha = 0.0 if method == "gam" else c.alpha
+            ascent2 = at + r * h0 / (norm_h0 + xi)
+            g2 = _grad(obj, ascent2, on, wd, decays)
+            g3 = _grad(obj, ascent2 + r * g2 / (size(g2) + xi), on, wd, decays)
+            h1 = g3 - g2
+            delta, norm_h1 = g + c.beta * (alpha * h0 + (1.0 - alpha) * h1), size(h1)
+        if c is not config:
+            # scatter those rows back; every other run keeps g0 and logs 0
+            fired_rows = delta, norm_h0, norm_h1
+            delta, norm_h0, norm_h1 = g0.copy(), np.zeros_like(norm_g0), np.zeros_like(norm_g0)
+            delta[rows], norm_h0[rows], norm_h1[rows] = fired_rows
     if method == "adamw":
         theta = theta * (1.0 - eta * config.weight_decay)
     state.t = t
@@ -327,12 +302,12 @@ def step(
         "norm_h1": norm_h1,
         # delta is g0 itself for sgd and a skipped gam or fad step
         "norm_delta": norm_g0 if delta is g0 else size(delta),
-        "fad_applied": (coins or [int(applied)] * len(theta)) if stacked else int(applied),
+        "fad_applied": fired if stacked else fired[0],
     }
 
 
 # run_training looks the step up per method, so a caller can wrap one method's steps
-STEP_FUNCTIONS: dict[str, StepFn] = dict.fromkeys(METHODS, step)
+STEP_FUNCTIONS: dict[str, Callable] = dict.fromkeys(METHODS, step)
 
 def _log_rows(steps: list[dict], heads: list[dict]) -> list[dict]:
     """The log rows of ``steps``, each step's columns with its ``wall_ms``, in

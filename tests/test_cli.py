@@ -201,6 +201,16 @@ def test_diverging_training_exits_3_and_keeps_partial_log(tmp_path):
     assert 2 < len(lines) < 502  # config line + header + partial rows
 
 
+def test_overflowing_hessian_products_exit_3_and_say_so(tmp_path, capsys):
+    # each product is finite, about 7e199 per entry, but its norm overflows
+    doc = {"objective": {"kind": "quadratic", "diag": [1e200, 1.0]}, "rho": 0.1}
+    cfg = write_config(tmp_path, doc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("flatness", "--config", cfg, "--out-dir", str(tmp_path / "out"))
+    assert code == NUMERIC_EXIT
+    assert "Hessian-vector products overflow float64" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- exit codes
 
 

@@ -5,7 +5,8 @@ import of it would run here and fail only for a user without it.
 Inside flatmin the modules form layers: each imports only the modules below
 it, so the command line and the benchmark protocol never end up under the
 estimators they call. No module imports a name it never uses, apart from the
-package root, whose imports are its exports.
+package root, whose imports are its exports, and no private module-level name
+goes unread, so a helper folded into its caller does not linger.
 """
 
 from __future__ import annotations
@@ -117,3 +118,65 @@ def test_the_unused_import_check_sees_an_unused_name():
         "x: np.ndarray = os.path.join(dumps(1))\n"
     )
     assert unused_imports(tree) == {"math", "loads"}
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each ``_``-prefixed function, class or constant a module defines at its
+    top level, with the statement that defines it; dunder names such as
+    ``__all__`` are not private."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, ast.Assign):
+            names.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names[node.target.id] = node
+    return {n: node for n, node in names.items() if n.startswith("_") and not n.startswith("__")}
+
+
+def reads(tree: ast.AST, name: str, module: str | None = None) -> bool:
+    """Whether ``tree`` reads ``name``: as a bare name, or, given the ``module``
+    that defines it, as an import from that module or an attribute of it."""
+    for node in ast.walk(tree):
+        if module is None:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == name:
+                return True
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            if any(alias.name == name for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            if isinstance(node.value, ast.Name) and node.value.id == module:
+                return True
+    return False
+
+
+def unread_private_names(sources: dict[str, str]) -> set[str]:
+    """``module.name`` for each private module-level name that nothing outside
+    its own definition reads, in its module or in any other of ``sources``
+    (module name to source)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    unread = set()
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree).items():
+            rest = [node for node in tree.body if node is not definition]
+            if not any(reads(node, name) for node in rest) and not any(
+                reads(other, name, module) for m, other in trees.items() if m != module
+            ):
+                unread.add(f"{module}.{name}")
+    return unread
+
+
+def test_every_private_name_is_read():
+    unread = unread_private_names({path.stem: path.read_text() for path in MODULES})
+    assert not unread, f"private names that nothing in flatmin reads: {sorted(unread)}"
+
+
+def test_the_private_name_check_sees_an_unread_helper():
+    sources = {
+        # _unread calls itself, which is no read from outside its definition
+        "a": "_LIMIT: int = 3\ndef _used():\n    return 1\ndef _unread():\n    return _unread()\n"
+        "class _Kept: ...\n__all__ = []\nx = _used()\n",
+        "b": "from .a import _LIMIT\nfrom . import a\ny = _LIMIT + a._Kept.z\n",
+    }
+    assert unread_private_names(sources) == {"a._unread"}

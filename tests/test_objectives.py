@@ -121,6 +121,13 @@ def test_hvp_rejects_zero_direction():
         hvp_fd(obj, np.zeros(2), np.zeros(2))
 
 
+def test_hvp_fd_rejects_a_product_that_overflows():
+    # both gradients are finite; the difference rescaled by |v| / FD_STEP is not
+    obj = QuadraticObjective(np.array([1e300, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        hvp_fd(obj, np.zeros(2), np.array([1e10, 0.0]))
+
+
 # ----------------------------------------------------- analytic vs numeric
 
 

@@ -658,6 +658,37 @@ def test_lockstep_runs_are_bit_identical_to_runs_alone(method, schedule):
         assert {0, 1} in coins
 
 
+def the_first_steps_are_the_shorter_run(obj, theta0, config, seed):
+    """Rows 0-4 of a 12-step run are the 5-step run's, and 12 ``step`` calls
+    from a fresh state pass through its final point on the way to the 12-step one."""
+    short = run_training(obj, theta0, config, 5, seed=seed)
+    long = run_training(obj, theta0, config, 12, seed=seed)
+    assert without_wall(long.rows[: len(short.rows)]) == without_wall(short.rows)
+    stacked = optimizers.ConfigStack(config) if isinstance(config, list) else config
+    theta, state, points = theta0, OptimizerState.fresh(seed), []
+    for _ in range(12):
+        theta, _ = step(obj, theta, state, stacked)
+        points.append(theta.tobytes())
+    assert points[4] == short.theta_final.tobytes()
+    assert points[11] == long.theta_final.tobytes()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("method", METHODS)
+def test_a_runs_first_steps_are_the_shorter_run(method, schedule):
+    # gam and fad at fad_ratio 0.5, so the coins land both ways
+    cfg = lockstep_configs(method, schedule)[1]
+    obj = tiny_mlp(seed=3, n=40)
+    the_first_steps_are_the_shorter_run(obj, obj.init_params(np.random.default_rng(4)), cfg, 5)
+
+
+def test_a_groups_first_steps_are_the_shorter_group():
+    configs = lockstep_configs("fad", "inverse_sqrt")
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2, 3)])
+    the_first_steps_are_the_shorter_run(obj, theta0, configs, [1, 2, 3])
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_a_group_of_one_is_run_training(method):
     cfg = lockstep_configs(method, "inverse_sqrt")[1]

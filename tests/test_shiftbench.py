@@ -389,6 +389,20 @@ def test_one_diverging_run_in_a_group_ends_as_it_does_alone():
         assert finals[k].tobytes() == want[k].tobytes()
 
 
+def run_protocol_one_at_a_time(monkeypatch, md, methods, protocol, seed):
+    """``run_protocol`` with every run trained alone: each group fails, so
+    ``_train`` trains its runs one at a time."""
+    run_training = shiftbench.run_training
+
+    def one_at_a_time(obj, theta0, *args, **kwargs):
+        if np.ndim(theta0) == 2:
+            raise NumericalError("trained alone")
+        return run_training(obj, theta0, *args, **kwargs)
+
+    monkeypatch.setattr(shiftbench, "run_training", one_at_a_time)
+    return run_protocol(md, methods, protocol, seed=seed)
+
+
 def test_a_cell_with_a_diverging_trial_equals_its_runs_trained_alone(monkeypatch):
     md = generate_domains(small_spec(), seed=8)
     # one batch size, and weight decays from 1e-6 to 1e60, of which those above
@@ -406,16 +420,38 @@ def test_a_cell_with_a_diverging_trial_equals_its_runs_trained_alone(monkeypatch
     )
     with np.errstate(over="ignore", invalid="ignore"):
         grouped = run_protocol(md, ["sgd"], protocol, seed=14)
-        run_training = shiftbench.run_training
-
-        def one_at_a_time(obj, theta0, *args, **kwargs):
-            if np.ndim(theta0) == 2:  # a group fails, so its runs train alone
-                raise NumericalError("trained alone")
-            return run_training(obj, theta0, *args, **kwargs)
-
-        monkeypatch.setattr(shiftbench, "run_training", one_at_a_time)
-        reference = run_protocol(md, ["sgd"], protocol, seed=14)
+        reference = run_protocol_one_at_a_time(monkeypatch, md, ["sgd"], protocol, 14)
     first = grouped.cells[0].trial_val_accuracies
     assert first[1] is None and first[0] is not None and first[2] is not None
+    assert grouped.cells == reference.cells
+    assert grouped.events == reference.events
+
+
+def test_a_cell_whose_group_mixes_zero_and_unit_beta_equals_its_runs_trained_alone(monkeypatch):
+    md = generate_domains(DomainSpec(n_domains=3, per_domain_n=30), 8)
+    # one batch size, so each cell's trials train as one group; a run with beta
+    # 0 never fires, so a group that mixes beta 0 and 1 corrects only some runs
+    protocol = ProtocolConfig(
+        n_hparam_trials=4,
+        seeds_per_trial=1,
+        iterations=10,
+        search=SearchSpace(log2_batch=(4.0, 4.0), fad_beta=(0.0, 1.0)),
+        report_probes=2,
+        report_k_eigs=1,
+        report_restarts=1,
+        report_ascent_steps=1,
+    )
+    run_training = shiftbench.run_training
+    betas = []
+
+    def recorded(obj, theta0, config, *args, **kwargs):
+        if np.ndim(theta0) == 2:
+            betas.append({c.beta for c in config})
+        return run_training(obj, theta0, config, *args, **kwargs)
+
+    monkeypatch.setattr(shiftbench, "run_training", recorded)
+    grouped = run_protocol(md, ["gam", "fad"], protocol, seed=3)
+    assert {0.0, 1.0} in betas
+    reference = run_protocol_one_at_a_time(monkeypatch, md, ["gam", "fad"], protocol, 3)
     assert grouped.cells == reference.cells
     assert grouped.events == reference.events
