@@ -200,9 +200,19 @@ def save_dataset(dataset: Dataset, path: str | Path) -> None:
         fh.write("\n")
 
 
-def sample_batch(dataset: Dataset, batch_size: int, rng: np.random.Generator) -> IntVector:
+def sample_batch(
+    dataset: Dataset, batch_size: int, rng: np.random.Generator, rows: IntVector | None = None
+) -> IntVector:
     """The 1-D int64 indices of ``batch_size`` distinct rows drawn uniformly
-    (without replacement)."""
+    (without replacement).
+
+    With ``rows``, a 1-D int64 array of the dataset's row indices that the
+    caller has checked, it draws among those rows only: the same draw from
+    ``rng`` as on ``dataset.subset(rows)``, mapped back to the dataset's
+    indices, so the batch gathers the same rows in the same order.
+    """
+    if rows is not None:
+        return rows[rng.choice(len(rows), size=batch_size, replace=False)]
     n = len(dataset.labels)  # the row count, without a property call per draw
     if batch_size < 1 or batch_size > n:
         raise BatchSizeError(f"batch size {batch_size} outside [1, {n}]")

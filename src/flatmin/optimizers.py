@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, NumericalError
+from .errors import BatchSizeError, ConfigError, DimensionError, InsufficientDataError
+from .errors import NumericalError
 from .objectives import IntVector, Matrix, Objective, Vector, all_finite, eval_grad, eval_loss
 from .objectives import norm, row_norms, sample_batch
 
@@ -137,24 +138,30 @@ class OptimizerState:
 
     ``rngs`` drive batch sampling; ``ratio_rngs`` are separate streams for
     the per-step fad_ratio coin flips so that turning the ratio up or down
-    never changes which batches a run sees.
+    never changes which batches a run sees. ``rows``, when set, holds each
+    run's checked row indices of the objective's dataset, the only rows its
+    batches are drawn from.
     """
 
     t: int
     rngs: list[np.random.Generator]
     ratio_rngs: list[np.random.Generator]
+    rows: list[IntVector] | None = None
     momentum_buf: Vector | None = None
     adam_m: Vector | None = None
     adam_v: Vector | None = None
 
     @classmethod
-    def fresh(cls, seed: int | Sequence[int]) -> "OptimizerState":
+    def fresh(
+        cls, seed: int | Sequence[int], rows: list[IntVector] | None = None
+    ) -> "OptimizerState":
         """The state of a run at step 0, or of K runs from K seeds."""
         seeds = [int(s) for s in seed] if isinstance(seed, (list, tuple)) else [int(seed)]
         return cls(
             t=0,
             rngs=[np.random.default_rng(s) for s in seeds],
             ratio_rngs=[np.random.default_rng([s, 1]) for s in seeds],
+            rows=rows,
         )
 
 
@@ -232,12 +239,13 @@ def step(
     rho = schedule_value(config.rho0, config.schedule, t)
     batch = None
     if obj.dataset is not None and config.batch_size is not None:
+        rows = state.rows
         if stacked:
             batch = np.empty((theta.shape[0], config.batch_size), dtype=np.int64)
             for k, rng in enumerate(state.rngs):
-                batch[k] = sample_batch(obj.dataset, config.batch_size, rng)
+                batch[k] = sample_batch(obj.dataset, config.batch_size, rng, rows and rows[k])
         else:
-            batch = sample_batch(obj.dataset, config.batch_size, state.rngs[0])
+            batch = sample_batch(obj.dataset, config.batch_size, state.rngs[0], rows and rows[0])
     loss0 = eval_loss(obj, theta, batch)
     decays = config.decays
     g0 = _grad(obj, theta, batch, config.weight_decay, decays)
@@ -349,6 +357,27 @@ def _one_per_run(values: object, k: int, name: str) -> list:
     return list(values)
 
 
+def _checked_rows(obj: Objective, rows: list, batch_size: int | None) -> list[IntVector]:
+    """Each run's ``rows`` as an int64 copy, once each is known to be a 1-D
+    array of at least ``batch_size`` row indices of the objective's dataset."""
+    if obj.dataset is None or batch_size is None:
+        raise ConfigError("training on rows of a dataset needs a dataset and a batch_size")
+    n = obj.dataset.n
+    checked = []
+    for r in rows:
+        idx = np.asarray(r)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise DimensionError(
+                f"rows must be a 1-D array of integer indices, got {idx.dtype} of shape {idx.shape}"
+            )
+        if idx.size < batch_size:
+            raise BatchSizeError(f"batch size {batch_size} outside [1, {idx.size}] of the rows")
+        if idx.min() < 0 or idx.max() >= n:
+            raise DimensionError(f"rows outside the dataset's {n}")
+        checked.append(idx.astype(np.int64))
+    return checked
+
+
 def run_training(
     obj: Objective,
     theta0: Vector | Matrix,
@@ -357,6 +386,7 @@ def run_training(
     seed: int | Sequence[int] = 0,
     run_id: str | Sequence[str] = "run",
     log_sink: Callable[[dict], None] | None = None,
+    rows: IntVector | Sequence[IntVector] | None = None,
 ) -> RunRecord:
     """Run ``iterations`` optimizer steps from theta0, streaming one log row each.
 
@@ -372,6 +402,12 @@ def run_training(
     which share the step's ``wall_ms``, and ``theta_final`` is ``[K, dim]``.
     Each run's rows and final point are bit for bit those it gets when trained
     alone, but a non-finite value in any run stops them all.
+
+    ``rows``, a 1-D array of row indices of the objective's dataset for a
+    point or a list of K for a stack, makes each run draw its batches from its
+    own rows only: the same bits as training on ``obj.dataset.subset(rows)``,
+    so runs on different subsets of one dataset can train in lockstep. The
+    rows are checked once, before the first step.
     """
     if iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {iterations}")
@@ -385,9 +421,12 @@ def run_training(
     else:
         seed = int(seed)
         runs = [(run_id, config.method, seed)]
+    if rows is not None:
+        per_run = _one_per_run(rows, len(theta), "row set") if theta.ndim == 2 else [rows]
+        rows = _checked_rows(obj, per_run, config.batch_size)
     # each run's head columns, which begin each of its rows
     heads = [{"run_id": r, "method": m, "seed": s} for r, m, s in runs]
-    state = OptimizerState.fresh(seed)
+    state = OptimizerState.fresh(seed, rows)
     step_fn = STEP_FUNCTIONS[config.method]
     steps: list[dict] = []
     for _ in range(iterations):

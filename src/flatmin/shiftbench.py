@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, ProtocolError
 from .flatness import FlatnessBudget, FlatnessReport, ReportConfig, build_flatness_report
-from .objectives import Dataset, MLPObjective, Vector, all_finite
+from .objectives import Dataset, IntVector, MLPObjective, Vector, all_finite
 from .optimizers import OptimizerConfig, run_training
 
 TRANSFORMS = ("rotation", "translation", "identity")
@@ -332,24 +332,35 @@ def _derived_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class _Run:
-    """One training run of the protocol: its config, initial point and batch seed."""
+    """One training run of the protocol: its config, initial point, batch seed
+    and, for a run on only some rows of the objective's dataset, those rows."""
 
     config: OptimizerConfig
     theta0: Vector
     seed: int
+    rows: IntVector | None = None
 
 
-def _run(obj: MLPObjective, method: str, hp: dict, seed: int, tags: tuple, run: tuple) -> _Run:
-    """The run of ``hp``, its batch size capped at the training rows.
+def _run(
+    obj: MLPObjective,
+    method: str,
+    hp: dict,
+    seed: int,
+    tags: tuple,
+    run: tuple,
+    rows: IntVector | None = None,
+) -> _Run:
+    """The run of ``hp`` on ``rows`` of the objective's dataset, or on all of
+    them for None, its batch size capped at those rows.
 
     ``run`` is (held-out domain, method index, trial or retrain index); the
     initial point is drawn from [seed, tags[0], *run] and the batch seed is
     derived from [seed, tags[1], *run].
     """
-    batch_size = min(hp["batch_size"], obj.dataset.n)
+    batch_size = min(hp["batch_size"], obj.dataset.n if rows is None else len(rows))
     cfg = OptimizerConfig(method=method, **{**hp, "batch_size": batch_size})
     theta0 = obj.init_params(np.random.default_rng([seed, tags[0], *run]))
-    return _Run(cfg, theta0, _derived_seed(seed, tags[1], *run))
+    return _Run(cfg, theta0, _derived_seed(seed, tags[1], *run), rows)
 
 
 def _train(
@@ -358,8 +369,10 @@ def _train(
     """Each run's final point, or the NumericalError that stopped it.
 
     Runs that share a batch size train in lockstep, one ``run_training`` call
-    per group, with the bits each gets alone. A group in which any run fails
-    trains its runs again one at a time, so each ends with its own result.
+    per group, with the bits each gets alone; each draws its batches from its
+    own rows, so runs on different rows of one dataset share a group. A group
+    in which any run fails trains its runs again one at a time, so each ends
+    with its own result.
     """
     groups: dict[int, list[int]] = {}
     for i, run in enumerate(runs):
@@ -377,6 +390,7 @@ def _train(
                     [run.config for run in group],
                     iterations,
                     seed=[run.seed for run in group],
+                    rows=None if group[0].rows is None else [run.rows for run in group],
                 ).theta_final
             except NumericalError:
                 finals = [_train_alone(obj, run, iterations) for run in group]
@@ -387,9 +401,22 @@ def _train(
 
 def _train_alone(obj: MLPObjective, run: _Run, iterations: int) -> "Vector | NumericalError":
     try:
-        return run_training(obj, run.theta0, run.config, iterations, seed=run.seed).theta_final
+        return run_training(
+            obj, run.theta0, run.config, iterations, seed=run.seed, rows=run.rows
+        ).theta_final
     except NumericalError as err:
         return err
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """One held-out domain's data: the training split's objective, which
+    scores validation accuracy and takes the flatness reports, the validation
+    split, and the training split's rows of the objective over every domain."""
+
+    train_obj: MLPObjective
+    val_ds: Dataset
+    rows: IntVector
 
 
 def run_protocol(
@@ -406,57 +433,95 @@ def run_protocol(
     seeds_per_trial fresh seeds and report mean/std accuracy on the held-out
     domain plus a flatness report at each final point. Trials that fail
     numerically are excluded; a cell where every trial fails raises
-    ProtocolError. An event's clock is its 1-based position in ``events``.
+    ProtocolError, and a retrain that fails its NumericalError, each naming
+    the cell. An event's clock is its 1-based position in ``events``.
+
+    One objective over every domain trains every run, each run drawing its
+    batches from its cell's training rows only, so that a method's trials of
+    every held-out domain train as lockstep groups, and then its retrains.
+    The held-out domain is read, the events are logged and the cells are
+    built afterwards, cell by cell in (held-out domain, method) order.
     """
     seed = int(seed)
     result = BenchResult(cells=[])
     layer_sizes = (md.feature_dim, protocol.hidden_units, md.num_classes)
     settings = protocol.report
+    domains = range(md.n_domains)
+    n_trials, n_seeds = protocol.n_hparam_trials, protocol.seeds_per_trial
 
     def log(*event) -> None:
         result.events.append((len(result.events) + 1, *event))
 
-    for d in range(md.n_domains):
-        pool = pool_domains(md, tuple(i for i in range(md.n_domains) if i != d))
+    obj = MLPObjective(layer_sizes, pool_domains(md, tuple(domains)))
+    starts = np.cumsum([0] + [ds.n for ds in md.domains])
+    folds: list[_Fold] = []
+    for d in domains:
+        others = tuple(i for i in domains if i != d)
+        pool = pool_domains(md, others)
         split_rng = np.random.default_rng([seed, 7, d])
         tr_idx, va_idx = stratified_split(pool, protocol.val_fraction, split_rng)
         result.splits[d] = (tr_idx, va_idx)
-        train_ds, val_ds = pool.subset(tr_idx), pool.subset(va_idx)
-        train_obj = MLPObjective(layer_sizes, train_ds)
+        # the pool's rows are its domains' rows of the objective, in order
+        positions = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in others])
+        train_obj = MLPObjective(layer_sizes, pool.subset(tr_idx))
+        folds.append(_Fold(train_obj, pool.subset(va_idx), positions[tr_idx]))
+
+    # by (held-out domain, method index): each trial's outcome and the selected
+    # trial, and then each retrain's final point
+    selected: dict[tuple[int, int], tuple[list[TrialOutcome], int]] = {}
+    retrained: dict[tuple[int, int], list[Vector]] = {}
+    for mi, method in enumerate(methods):
+        cells = [(d, k) for d in domains for k in range(n_trials)]
+        hps = [
+            sample_hparams(method, np.random.default_rng([seed, 11, d, mi, k]), protocol.search)
+            for d, k in cells
+        ]
+        trials = [
+            _run(obj, method, hp, seed, (13, 19), (d, mi, k), folds[d].rows)
+            for (d, k), hp in zip(cells, hps)
+        ]
+        finals = _train(obj, trials, protocol.iterations)
+        winners = []
+        for d, fold in zip(domains, folds):
+            cell = slice(d * n_trials, (d + 1) * n_trials)
+            outcomes = [
+                TrialOutcome(hp, None, error=str(theta))
+                if isinstance(theta, NumericalError)
+                else TrialOutcome(hp, classification_accuracy(fold.train_obj, theta, fold.val_ds))
+                for hp, theta in zip(hps[cell], finals[cell])
+            ]
+            try:
+                chosen = select_trial([o.val_accuracy for o in outcomes])
+            except ProtocolError as err:
+                raise ProtocolError(f"{method} with domain {d} held out: {err}") from None
+            selected[d, mi] = outcomes, chosen
+            winners.append(outcomes[chosen].hparams)
+        retrains = [
+            _run(obj, method, winners[d], seed, (23, 29), (d, mi, s), folds[d].rows)
+            for d in domains
+            for s in range(n_seeds)
+        ]
+        finals = _train(obj, retrains, protocol.iterations)
+        for i, theta in enumerate(finals):
+            if isinstance(theta, NumericalError):
+                d, s = divmod(i, n_seeds)
+                raise type(theta)(f"{method} with domain {d} held out, retrain {s}: {theta}")
+        for d in domains:
+            retrained[d, mi] = finals[d * n_seeds : (d + 1) * n_seeds]
+
+    for d, fold in zip(domains, folds):
         for mi, method in enumerate(methods):
-            hps = [
-                sample_hparams(method, np.random.default_rng([seed, 11, d, mi, k]), protocol.search)
-                for k in range(protocol.n_hparam_trials)
-            ]
-            trials = [
-                _run(train_obj, method, hp, seed, (13, 19), (d, mi, k)) for k, hp in enumerate(hps)
-            ]
-            outcomes: list[TrialOutcome] = []
-            finals = _train(train_obj, trials, protocol.iterations)
-            for k, (hp, theta) in enumerate(zip(hps, finals)):
-                if isinstance(theta, NumericalError):
-                    outcomes.append(TrialOutcome(hp, None, error=str(theta)))
-                else:
-                    acc = classification_accuracy(train_obj, theta, val_ds)
-                    outcomes.append(TrialOutcome(hp, acc))
+            outcomes, chosen = selected[d, mi]
+            for k in range(n_trials):
                 log("trial_scored", method, d, k)
-            chosen = select_trial([o.val_accuracy for o in outcomes])
             log("selected", method, d, chosen)
-            hp = outcomes[chosen].hparams
-            retrains = [
-                _run(train_obj, method, hp, seed, (23, 29), (d, mi, s))
-                for s in range(protocol.seeds_per_trial)
-            ]
-            finals = _train(train_obj, retrains, protocol.iterations)
             accs: list[float] = []
             reports: list[FlatnessReport] = []
-            for s, theta in enumerate(finals):
-                if isinstance(theta, NumericalError):
-                    raise theta
-                accs.append(classification_accuracy(train_obj, theta, md.domains[d]))
+            for s, theta in enumerate(retrained[d, mi]):
+                accs.append(classification_accuracy(fold.train_obj, theta, md.domains[d]))
                 log("test_eval", method, d, s)
                 report = build_flatness_report(
-                    train_obj,
+                    fold.train_obj,
                     theta,
                     rho=settings.rho,
                     alpha=settings.alpha,
@@ -476,7 +541,7 @@ def run_protocol(
                     std_accuracy=std,
                     seed_accuracies=tuple(accs),
                     selected_trial=chosen,
-                    selected_hparams=hp,
+                    selected_hparams=outcomes[chosen].hparams,
                     trial_val_accuracies=tuple(o.val_accuracy for o in outcomes),
                     lambda_maxes=tuple(r.lambda_max for r in reports),
                     flatness=tuple(r.to_dict() for r in reports),

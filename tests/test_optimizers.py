@@ -17,7 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatmin import optimizers
-from flatmin.errors import ConfigError, DimensionError, InsufficientDataError, NumericalError
+from flatmin.errors import (
+    BatchSizeError,
+    ConfigError,
+    DimensionError,
+    InsufficientDataError,
+    NumericalError,
+)
 from flatmin.objectives import (
     Dataset,
     MLPObjective,
@@ -782,3 +788,68 @@ def test_a_group_stops_on_its_first_non_finite_value():
     assert str(group_error.value) == str(alone_error.value)
     assert len(sink) % 2 == 0 and 0 < len(sink) < 40
     run_training(obj, theta0[0], configs[0], 20, seed=1)
+
+
+# the row sets of three runs on one 40-row dataset: unsorted, with a gap, and
+# the dataset's last rows
+ROW_SETS = [
+    np.array([39, 3, 17, 0, 8, 22, 31, 5, 12, 26]),
+    np.arange(0, 40, 3),
+    np.arange(28, 40),
+]
+
+
+@pytest.mark.parametrize("method", ["sgd", "adam", "fad"])
+def test_training_on_rows_is_training_on_their_subset(method):
+    configs = lockstep_configs(method, "inverse_sqrt")
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2, 3)])
+    group = run_training(obj, theta0, configs, 20, seed=[1, 2, 3], rows=ROW_SETS)
+    for k, (cfg, rows) in enumerate(zip(configs, ROW_SETS)):
+        on_subset = MLPObjective(obj.layer_sizes, obj.dataset.subset(rows))
+        alone = run_training(on_subset, theta0[k], cfg, 20, seed=k + 1)
+        one = run_training(obj, theta0[k], cfg, 20, seed=k + 1, rows=rows)
+        assert one.theta_final.tobytes() == alone.theta_final.tobytes()
+        assert without_wall(one.rows) == without_wall(alone.rows)
+        assert group.theta_final[k].tobytes() == alone.theta_final.tobytes()
+        assert without_wall(group.rows[k::3]) == without_wall(alone.rows)
+
+
+# rows that no run may train on: (rows, the error); the batch size is 8
+BAD_ROWS = {
+    "past_the_end": (np.arange(33, 41), DimensionError),
+    "negative": (np.arange(-1, 9), DimensionError),
+    "two_dimensional": (np.arange(16).reshape(2, 8), DimensionError),
+    "not_integers": (np.arange(10.0), DimensionError),
+    "fewer_than_a_batch": (np.arange(7), BatchSizeError),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["point", "group"])
+@pytest.mark.parametrize("rows,error", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_bad_rows_fail_before_any_step(rows, error, stacked, monkeypatch):
+    steps = []
+    monkeypatch.setitem(optimizers.STEP_FUNCTIONS, "sgd", lambda *args: steps.append(args))
+    obj = tiny_mlp(seed=3, n=40)
+    cfg = OptimizerConfig("sgd", eta0=0.1, batch_size=8)
+    theta0 = obj.init_params(np.random.default_rng(0))
+    with pytest.raises(error):
+        if stacked:
+            run_training(
+                obj, np.stack([theta0] * 2), [cfg] * 2, 3, seed=[0, 1], rows=[np.arange(8), rows]
+            )
+        else:
+            run_training(obj, theta0, cfg, 3, rows=rows)
+    assert steps == []
+
+
+def test_rows_need_a_dataset_a_batch_size_and_one_set_per_run():
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = obj.init_params(np.random.default_rng(0))
+    cfg = OptimizerConfig("sgd", eta0=0.1, batch_size=8)
+    with pytest.raises(ConfigError):
+        run_training(obj, theta0, OptimizerConfig("sgd", eta0=0.1), 3, rows=np.arange(8))
+    with pytest.raises(ConfigError):
+        run_training(QuadraticObjective(np.array([2.0, 8.0])), np.ones(2), cfg, 3, rows=[0])
+    with pytest.raises(ConfigError):
+        run_training(obj, np.stack([theta0] * 2), [cfg] * 2, 3, seed=[0, 1], rows=[np.arange(8)])

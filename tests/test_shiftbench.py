@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from flatmin import shiftbench
+from flatmin import optimizers, shiftbench
 from flatmin.errors import BudgetError, ConfigError, NumericalError, ProtocolError
 from flatmin.objectives import MLPObjective
 from flatmin.shiftbench import (
@@ -318,7 +318,7 @@ def test_run_protocol_event_ordering(tiny_protocol_result):
 
 def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
     md = generate_domains(small_spec(), seed=9)
-    # one batch size, so that each cell's trials train as one group
+    # one batch size, so that each method's trials train as one group
     protocol = ProtocolConfig(
         n_hparam_trials=2,
         seeds_per_trial=1,
@@ -330,23 +330,39 @@ def test_run_protocol_trains_on_every_domain_but_the_held_out_one(monkeypatch):
         report_ascent_steps=1,
     )
     methods = ["sgd", "adam"]
-    trained_on = []
-    run_training = shiftbench.run_training
+    # a run's batch seed -> each batch it drew, as each row's (domain, input bytes)
+    drawn: dict[int, list[set]] = {}
+    sample_batch = optimizers.sample_batch
 
-    def recorded(obj, theta0, *args, **kwargs):
-        # one call trains a group of runs in lockstep, one per row of theta0
-        runs = 1 if np.ndim(theta0) == 1 else len(theta0)
-        trained_on.extend([set(np.unique(obj.dataset.domain_ids).tolist())] * runs)
-        return run_training(obj, theta0, *args, **kwargs)
+    def recorded(dataset, batch_size, rng, *rows):
+        batch = sample_batch(dataset, batch_size, rng, *rows)
+        rows_drawn = {(int(dataset.domain_ids[i]), dataset.inputs[i].tobytes()) for i in batch}
+        drawn.setdefault(rng.bit_generator.seed_seq.entropy, []).append(rows_drawn)
+        return batch
 
-    monkeypatch.setattr(shiftbench, "run_training", recorded)
-    run_protocol(md, methods, protocol, seed=0)
-    excluded = []
-    for domains in trained_on:
-        assert len(domains) == 2 and domains < {0, 1, 2}
-        excluded.extend({0, 1, 2} - domains)
-    block = (protocol.n_hparam_trials + protocol.seeds_per_trial) * len(methods)
-    assert excluded == [0] * block + [1] * block + [2] * block
+    monkeypatch.setattr(optimizers, "sample_batch", recorded)
+    result = run_protocol(md, methods, protocol, seed=0)
+    n_trials, n_seeds = protocol.n_hparam_trials, protocol.seeds_per_trial
+    runs = 0
+    for d in range(3):
+        pool = pool_domains(md, tuple(i for i in range(3) if i != d))
+        train, val = (
+            {(int(pool.domain_ids[i]), pool.inputs[i].tobytes()) for i in indices}
+            for indices in result.splits[d]
+        )
+        for mi in range(len(methods)):
+            # the batch seeds of the cell's trials, then of its retrains
+            seeds = {shiftbench._derived_seed(0, 19, d, mi, k) for k in range(n_trials)}
+            seeds |= {shiftbench._derived_seed(0, 29, d, mi, s) for s in range(n_seeds)}
+            assert len(seeds) == n_trials + n_seeds
+            for seed in seeds:
+                assert len(drawn[seed]) == protocol.iterations
+                for batch in drawn[seed]:
+                    assert batch <= train and not batch & val
+                    assert d not in {domain for domain, _ in batch}
+            runs += len(seeds)
+    # no other run drew a batch
+    assert len(drawn) == runs
 
 
 def test_run_protocol_raises_when_every_trial_diverges():
@@ -360,8 +376,39 @@ def test_run_protocol_raises_when_every_trial_diverges():
         search=SearchSpace(log10_weight_decay=(300.0, 301.0)),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(
+            ProtocolError, match=r"^sgd with domain 0 held out: every hyperparameter trial failed$"
+        ):
             run_protocol(md, ["sgd"], protocol, seed=0)
+
+
+def test_a_failing_retrain_names_its_cell(monkeypatch):
+    md = generate_domains(small_spec(), seed=8)
+    protocol = ProtocolConfig(
+        n_hparam_trials=2,
+        seeds_per_trial=2,
+        iterations=5,
+        report_probes=2,
+        report_k_eigs=1,
+        report_restarts=1,
+        report_ascent_steps=1,
+    )
+    # the batch seed of fad's (the second method's) retrain 1 with domain 1 held out
+    failing = shiftbench._derived_seed(0, 29, 1, 1, 1)
+    run_training = shiftbench.run_training
+
+    def fails(obj, theta0, config, iterations, seed, **kwargs):
+        if failing in np.atleast_1d(seed):
+            raise NumericalError("gradient contains non-finite values")
+        return run_training(obj, theta0, config, iterations, seed, **kwargs)
+
+    monkeypatch.setattr(shiftbench, "run_training", fails)
+    with pytest.raises(NumericalError) as err:
+        run_protocol(md, ["sgd", "fad"], protocol, seed=0)
+    assert type(err.value) is NumericalError
+    assert str(err.value) == (
+        "fad with domain 1 held out, retrain 1: gradient contains non-finite values"
+    )
 
 
 def alone(obj, run, iterations):
@@ -403,21 +450,24 @@ def run_protocol_one_at_a_time(monkeypatch, md, methods, protocol, seed):
     return run_protocol(md, methods, protocol, seed=seed)
 
 
+# one batch size, and weight decays from 1e-6 to 1e60, of which those above
+# about 1e35 overflow within 10 steps: at seed 14, trial 1 of held-out domain
+# 0 overflows and trials 0 and 2 do not; the other cells fail in other ways
+DIVERGING_SGD = ProtocolConfig(
+    n_hparam_trials=3,
+    seeds_per_trial=2,
+    iterations=10,
+    search=SearchSpace(log2_batch=(4.0, 4.0), log10_weight_decay=(-6.0, 60.0)),
+    report_probes=2,
+    report_k_eigs=1,
+    report_restarts=1,
+    report_ascent_steps=1,
+)
+
+
 def test_a_cell_with_a_diverging_trial_equals_its_runs_trained_alone(monkeypatch):
     md = generate_domains(small_spec(), seed=8)
-    # one batch size, and weight decays from 1e-6 to 1e60, of which those above
-    # about 1e35 overflow within 10 steps: at seed 14, trial 1 of held-out domain
-    # 0 overflows and trials 0 and 2 do not; the other cells fail in other ways
-    protocol = ProtocolConfig(
-        n_hparam_trials=3,
-        seeds_per_trial=2,
-        iterations=10,
-        search=SearchSpace(log2_batch=(4.0, 4.0), log10_weight_decay=(-6.0, 60.0)),
-        report_probes=2,
-        report_k_eigs=1,
-        report_restarts=1,
-        report_ascent_steps=1,
-    )
+    protocol = DIVERGING_SGD
     with np.errstate(over="ignore", invalid="ignore"):
         grouped = run_protocol(md, ["sgd"], protocol, seed=14)
         reference = run_protocol_one_at_a_time(monkeypatch, md, ["sgd"], protocol, 14)
@@ -455,3 +505,62 @@ def test_a_cell_whose_group_mixes_zero_and_unit_beta_equals_its_runs_trained_alo
     reference = run_protocol_one_at_a_time(monkeypatch, md, ["gam", "fad"], protocol, 3)
     assert grouped.cells == reference.cells
     assert grouped.events == reference.events
+
+
+def test_a_group_spanning_held_out_domains_equals_its_runs_trained_alone(monkeypatch):
+    md = generate_domains(small_spec(), seed=8)
+    run_training = shiftbench.run_training
+    # each grouped call: the held-out domains of its runs, and whether it trained
+    groups = []
+
+    def recorded(obj, theta0, *args, rows=None, **kwargs):
+        if np.ndim(theta0) != 2:
+            return run_training(obj, theta0, *args, rows=rows, **kwargs)
+        # a run's held-out domain is the one its rows never come from
+        held_out = [set(range(3)) - set(obj.dataset.domain_ids[r].tolist()) for r in rows]
+        assert all(len(domains) == 1 for domains in held_out)
+        domains = set().union(*held_out)
+        try:
+            record = run_training(obj, theta0, *args, rows=rows, **kwargs)
+        except NumericalError:
+            groups.append((domains, False))
+            raise
+        groups.append((domains, True))
+        return record
+
+    monkeypatch.setattr(shiftbench, "run_training", recorded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grouped = run_protocol(md, ["sgd"], DIVERGING_SGD, seed=14)
+        reference = run_protocol_one_at_a_time(monkeypatch, md, ["sgd"], DIVERGING_SGD, 14)
+    # the trials of every held-out domain fail as one group, and the retrains
+    # of every held-out domain train as one
+    assert groups == [({0, 1, 2}, False), ({0, 1, 2}, True)]
+    assert grouped.cells == reference.cells
+    assert grouped.events == reference.events
+
+
+def test_a_method_trains_its_trials_and_its_retrains_as_one_group_each(monkeypatch):
+    md = generate_domains(small_spec(noise=0.4), seed=0)
+    # the protocol's shape of perfbench's bench-cli: 4 trials and 1 retrain per
+    # cell, all at batch 32, 3 held-out domains and 3 methods
+    protocol = ProtocolConfig(
+        n_hparam_trials=4,
+        seeds_per_trial=1,
+        iterations=3,
+        search=SearchSpace(log2_batch=(5.0, 5.0)),
+        report_probes=2,
+        report_k_eigs=1,
+        report_restarts=1,
+        report_ascent_steps=1,
+    )
+    run_training = shiftbench.run_training
+    runs_per_call = []
+
+    def recorded(obj, theta0, *args, **kwargs):
+        runs_per_call.append(1 if np.ndim(theta0) == 1 else len(theta0))
+        return run_training(obj, theta0, *args, **kwargs)
+
+    monkeypatch.setattr(shiftbench, "run_training", recorded)
+    run_protocol(md, ["adam", "sam", "fad"], protocol, seed=0)
+    # per method, one group of its 12 trials, then one of its 3 retrains
+    assert runs_per_call == [12, 3] * 3
