@@ -398,22 +398,15 @@ def _report_doc(obj: Objective, theta: np.ndarray, flat: ReportConfig, seed: int
 def cmd_train(cfg: TrainConfig, out_dir: Path) -> None:
     cfg, obj, theta0 = _resolve(cfg, "theta0")
     embedded = asdict(cfg)
-    rows: list[dict] = []
     csv_path = out_dir / f"{cfg.run_id}.csv"
     try:
         record = run_training(
-            obj,
-            theta0,
-            cfg.optimizer,
-            cfg.iterations,
-            seed=cfg.seed,
-            run_id=cfg.run_id,
-            log_sink=rows.append,
+            obj, theta0, cfg.optimizer, cfg.iterations, seed=cfg.seed, run_id=cfg.run_id
         )
-    except NumericalError:
-        _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
+    except NumericalError as err:
+        _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, err.record.rows))
         raise
-    _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, rows))
+    _atomic_write_text(csv_path, _csv_text(embedded, LOG_COLUMNS, record.rows))
     out = _report_doc(obj, record.theta_final, cfg.flatness, cfg.seed)
     out["final_loss"] = eval_loss(obj, record.theta_final)
     out["config"] = embedded

@@ -15,13 +15,15 @@ on the same minibatch.
 ``[K, dim]`` stack, each run draws its own batch and coins from its own
 streams, each per-run coefficient is a ``[K, 1]`` column, and every run's
 numbers are bit for bit those it gets when it trains alone.
+
+A run's one output is its ``RunRecord``; a NumericalError from a step carries
+``record``, the ``RunRecord`` of the steps every run finished.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -103,7 +105,7 @@ class OptimizerConfig:
 
 
 # the fields of runs in lockstep that may differ from run to run
-COLUMN_FIELDS = ("eta0", "rho0", "alpha", "beta", "xi", "fad_ratio", "momentum", "weight_decay")
+COLUMN_FIELDS = ("eta0", "rho0", "alpha", "beta", "xi", "momentum", "weight_decay")
 
 
 class ConfigStack:
@@ -229,7 +231,7 @@ def step(
     steps every run at once: ``loss`` is then a ``[K]`` vector,
     ``fad_applied`` a list, and each other column but ``t`` a ``[K, 1]``
     column, or 0.0 for every run. Only the runs whose correction fires take
-    its gradients, as each run alone would.
+    its gradients, on their rows of theta, the batch and each column.
     """
     method = config.method
     stacked = theta.ndim == 2
@@ -271,25 +273,25 @@ def step(
     else:
         fired = [int(method == "sam")] * len(state.ratio_rngs)
     if 1 in fired:
-        at, on, g, n_g0, r, c = theta, batch, g0, norm_g0, rho, config
+        at, on, g, n_g0, r = theta, batch, g0, norm_g0, rho
+        xi, wd, alpha, beta = config.xi, config.weight_decay, config.alpha, config.beta
         if 0 in fired:
             # some runs of a stack: only their rows take the correction's gradients
             rows = np.flatnonzero(fired)
             at, on, g, n_g0, r = theta[rows], batch[rows], g0[rows], norm_g0[rows], rho[rows]
-            c = ConfigStack(compress(config.configs, fired))
-            decays = c.decays
-        xi, wd = c.xi, c.weight_decay
+            xi, wd, alpha, beta = xi[rows], wd[rows], alpha[rows], beta[rows]
+            decays = decays if type(decays) is bool else decays[rows]
         g1 = _grad(obj, at + r * g / (n_g0 + xi), on, wd, decays)
         h0 = g1 - g
         delta, norm_h0 = g1, size(h0)
         if method != "sam":
-            alpha = 0.0 if method == "gam" else c.alpha
+            alpha = 0.0 if method == "gam" else alpha
             ascent2 = at + r * h0 / (norm_h0 + xi)
             g2 = _grad(obj, ascent2, on, wd, decays)
             g3 = _grad(obj, ascent2 + r * g2 / (size(g2) + xi), on, wd, decays)
             h1 = g3 - g2
-            delta, norm_h1 = g + c.beta * (alpha * h0 + (1.0 - alpha) * h1), size(h1)
-        if c is not config:
+            delta, norm_h1 = g + beta * (alpha * h0 + (1.0 - alpha) * h1), size(h1)
+        if 0 in fired:
             # scatter those rows back; every other run keeps g0 and logs 0
             fired_rows = delta, norm_h0, norm_h1
             delta, norm_h0, norm_h1 = g0.copy(), np.zeros_like(norm_g0), np.zeros_like(norm_g0)
@@ -317,21 +319,6 @@ def step(
 # run_training looks the step up per method, so a caller can wrap one method's steps
 STEP_FUNCTIONS: dict[str, Callable] = dict.fromkeys(METHODS, step)
 
-def _log_rows(steps: list[dict], heads: list[dict]) -> list[dict]:
-    """The log rows of ``steps``, each step's columns with its ``wall_ms``, in
-    step order and within a step in run order; each run's rows begin with its
-    head columns. A column of a step of K runs is a ``[K, 1]`` column, the
-    ``[K]`` losses, a list of K flags, or one value for every run."""
-    k = len(heads)
-    rows = []
-    for columns in steps:
-        values = [
-            v.ravel().tolist() if isinstance(v, np.ndarray) else v if type(v) is list else [v] * k
-            for v in columns.values()
-        ]
-        rows += [{**head, **dict(zip(columns, run))} for head, run in zip(heads, zip(*values))]
-    return rows
-
 
 @dataclass
 class RunRecord:
@@ -345,9 +332,20 @@ class RunRecord:
 
     @property
     def rows(self) -> list[dict]:
-        """The log rows, made on each read: a caller that reads only the final
-        point, as the bench does, never pays for them."""
-        return _log_rows(self.steps, self.heads)
+        """The log rows, made on each read, so a caller that reads only the final
+        point, as the bench does, never pays for them: each step's columns with
+        its ``wall_ms``, in step order and within a step in run order, each
+        run's rows after its head columns. A step's column is one value for
+        every run, a ``[K, 1]`` column, the ``[K]`` losses or a list of flags."""
+        heads, k = self.heads, len(self.heads)
+        rows = []
+        for columns in self.steps:
+            values = [
+                v.ravel().tolist() if isinstance(v, np.ndarray) else v if type(v) is list else [v] * k
+                for v in columns.values()
+            ]
+            rows += [{**head, **dict(zip(columns, run))} for head, run in zip(heads, zip(*values))]
+        return rows
 
 
 def _one_per_run(values: object, k: int, name: str) -> list:
@@ -385,15 +383,14 @@ def run_training(
     iterations: int,
     seed: int | Sequence[int] = 0,
     run_id: str | Sequence[str] = "run",
-    log_sink: Callable[[dict], None] | None = None,
     rows: IntVector | Sequence[IntVector] | None = None,
 ) -> RunRecord:
-    """Run ``iterations`` optimizer steps from theta0, streaming one log row each.
+    """Run ``iterations`` optimizer steps from theta0; the record holds one log row each.
 
     Deterministic given (objective, theta0, config, seed); wall_ms values are
     the only nondeterministic row entries. A non-finite loss or update raises
-    NumericalError after the rows produced so far have been flushed to
-    ``log_sink``.
+    NumericalError whose ``record`` is the ``RunRecord`` of the steps that
+    finished: their columns and the last finite theta.
 
     A ``[K, dim]`` theta0 trains K runs in lockstep, one ``step`` call for
     all of them per step. ``config`` and ``seed`` are then lists of K, one per
@@ -431,12 +428,13 @@ def run_training(
     steps: list[dict] = []
     for _ in range(iterations):
         t0 = time.perf_counter()
-        theta, columns = step_fn(obj, theta, state, config)
+        try:
+            theta, columns = step_fn(obj, theta, state, config)
+        except NumericalError as err:
+            err.record = RunRecord(theta, steps, heads)
+            raise
         columns["wall_ms"] = (time.perf_counter() - t0) * 1000.0
         steps.append(columns)
-        if log_sink is not None:
-            for row in _log_rows([columns], heads):
-                log_sink(row)
     return RunRecord(theta, steps, heads)
 
 

@@ -453,18 +453,16 @@ def run_protocol(
         result.events.append((len(result.events) + 1, *event))
 
     obj = MLPObjective(layer_sizes, pool_domains(md, tuple(domains)))
-    starts = np.cumsum([0] + [ds.n for ds in md.domains])
     folds: list[_Fold] = []
     for d in domains:
-        others = tuple(i for i in domains if i != d)
-        pool = pool_domains(md, others)
+        # the held-in domains' rows of the objective, in order, are the fold's pool
+        held_in = np.flatnonzero(obj.dataset.domain_ids != d)
+        pool = obj.dataset.subset(held_in)
         split_rng = np.random.default_rng([seed, 7, d])
         tr_idx, va_idx = stratified_split(pool, protocol.val_fraction, split_rng)
         result.splits[d] = (tr_idx, va_idx)
-        # the pool's rows are its domains' rows of the objective, in order
-        positions = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in others])
         train_obj = MLPObjective(layer_sizes, pool.subset(tr_idx))
-        folds.append(_Fold(train_obj, pool.subset(va_idx), positions[tr_idx]))
+        folds.append(_Fold(train_obj, pool.subset(va_idx), held_in[tr_idx]))
 
     # by (held-out domain, method index): each trial's outcome and the selected
     # trial, and then each retrain's final point

@@ -29,6 +29,7 @@ from flatmin.objectives import (
     MLPObjective,
     QuadraticObjective,
     RosenbrockObjective,
+    all_finite,
     eval_grad,
     eval_loss,
     random_spd_matrix,
@@ -248,16 +249,16 @@ def test_reduction_identity_holds_over_whole_runs(label, make_a, make_b):
 
 
 def logged_run(obj, theta, batch_size, cfg, seed):
-    """Log rows of 50 steps of ``cfg`` without their echoed or timed columns,
-    and the type and message of the error that ended the run, or None."""
-    rows = []
+    """Log rows of 50 steps of ``cfg``, or of the steps before the error that
+    ended the run, without their echoed or timed columns, and the type and
+    message of that error, or None."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             cfg = replace(cfg, batch_size=batch_size)
-            run_training(obj, theta, cfg, 50, seed=seed, log_sink=rows.append)
+            rows = run_training(obj, theta, cfg, 50, seed=seed).rows
         err = None
     except NumericalError as exc:
-        err = (type(exc), str(exc))
+        rows, err = exc.record.rows, (type(exc), str(exc))
     skip = {"method", "rho_t", "wall_ms"}
     return [{k: v for k, v in row.items() if k not in skip} for row in rows], err
 
@@ -512,20 +513,13 @@ def test_run_training_flushes_rows_before_raising():
     # eta0 = 1 diverges on curvature 8 (|1 - eta*lambda| = 7 per step)
     obj = QuadraticObjective(np.array([2.0, 8.0]))
     cfg = OptimizerConfig(method="sgd", eta0=1.0)
-    sink: list[dict] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError):
-            run_training(obj, np.array([1.0, 1.0]), cfg, 500, log_sink=sink.append)
-    assert 0 < len(sink) < 500
-
-
-def test_log_sink_and_rows_agree():
-    obj = QuadraticObjective(np.array([2.0, 8.0]))
-    sink: list[dict] = []
-    rec = run_training(
-        obj, np.array([1.0, 1.0]), fad_config(), 5, log_sink=sink.append
-    )
-    assert sink == rec.rows
+        with pytest.raises(NumericalError) as failed:
+            run_training(obj, np.array([1.0, 1.0]), cfg, 500)
+    rows = failed.value.record.rows
+    assert 0 < len(rows) < 500
+    assert [row["t"] for row in rows] == list(range(1, len(rows) + 1))
+    assert all_finite(failed.value.record.theta_final)
 
 
 class RecordingObjective(MLPObjective):
@@ -709,16 +703,40 @@ def test_a_group_of_one_is_run_training(method):
     assert all(type(row["fad_applied"]) is int for row in group.rows)
 
 
-def test_a_group_streams_its_rows_to_the_sink():
+def test_a_group_builds_one_config_stack(monkeypatch):
+    built = []
+
+    class CountedStack(optimizers.ConfigStack):
+        def __init__(self, configs):
+            built.append(configs)
+            super().__init__(configs)
+
+    monkeypatch.setattr(optimizers, "ConfigStack", CountedStack)
+    # at fad_ratio 0.5 the coins mix, so some steps correct only some runs
     configs = lockstep_configs("fad", "constant")
     obj = tiny_mlp(seed=3, n=40)
     theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2, 3)])
-    sink: list[dict] = []
-    rec = run_training(obj, theta0, configs, 10, seed=[1, 2, 3], log_sink=sink.append)
-    assert sink == rec.rows
-    assert without_wall(rec.rows) == without_wall(
-        run_training(obj, theta0, configs, 10, seed=[1, 2, 3]).rows
-    )
+    rec = run_training(obj, theta0, configs, 30, seed=[1, 2, 3])
+    assert {0, 1} in [{row["fad_applied"] for row in rec.rows[i : i + 3]} for i in range(0, 90, 3)]
+    assert len(built) == 1
+
+
+def test_step_reads_every_column_of_its_stack():
+    read = set()
+
+    class ReadStack(optimizers.ConfigStack):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2, 3)])
+    for method in METHODS:
+        theta, state = theta0, OptimizerState.fresh([1, 2, 3])
+        stack = ReadStack(lockstep_configs(method, "constant"))
+        for _ in range(5):
+            theta, _ = step(obj, theta, state, stack)
+    assert set(optimizers.COLUMN_FIELDS) <= read, set(optimizers.COLUMN_FIELDS) - read
 
 
 # (configs, runs, seeds) that cannot step together: K configs must share
@@ -779,15 +797,37 @@ def test_a_group_stops_on_its_first_non_finite_value():
     ]
     obj = tiny_mlp(seed=3, n=40)
     theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in (1, 2)])
-    sink: list[dict] = []
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError) as group_error:
-            run_training(obj, theta0, configs, 20, seed=[1, 2], log_sink=sink.append)
+            run_training(obj, theta0, configs, 20, seed=[1, 2])
         with pytest.raises(NumericalError) as alone_error:
             run_training(obj, theta0[1], configs[1], 20, seed=2)
     assert str(group_error.value) == str(alone_error.value)
-    assert len(sink) % 2 == 0 and 0 < len(sink) < 40
+    rows = group_error.value.record.rows
+    assert len(rows) % 2 == 0 and 0 < len(rows) < 40
     run_training(obj, theta0[0], configs[0], 20, seed=1)
+
+
+def test_a_failed_group_records_the_steps_every_run_finished():
+    # the second run's decay overflows it at step 35; each run alone is fine
+    # for 34 steps, and at fad_ratio 0.5 some steps correct only some runs
+    configs = lockstep_configs("fad", "constant")[:2]
+    configs[1] = replace(configs[1], weight_decay=1e10)
+    seeds, run_ids = [1, 2], ["a", "b"]
+    obj = tiny_mlp(seed=3, n=40)
+    theta0 = np.stack([obj.init_params(np.random.default_rng(s)) for s in seeds])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as failed:
+            run_training(obj, theta0, configs, 50, seed=seeds, run_id=run_ids)
+        runs_alone = [
+            run_training(tiny_mlp(seed=3, n=40), theta0[k], cfg, 34, seed=seed, run_id=run_id)
+            for k, (cfg, seed, run_id) in enumerate(zip(configs, seeds, run_ids))
+        ]
+    record = failed.value.record
+    assert len(record.steps) == 34 and len(record.rows) == 2 * 34
+    for k, alone in enumerate(runs_alone):
+        assert without_wall(record.rows[k::2]) == without_wall(alone.rows)
+        assert record.theta_final[k].tobytes() == alone.theta_final.tobytes()
 
 
 # the row sets of three runs on one 40-row dataset: unsorted, with a gap, and
